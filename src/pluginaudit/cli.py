@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+import threading
 from pathlib import Path
 
 from . import consistency as consistency_mod
@@ -38,6 +39,9 @@ class StageError(Exception):
         self.stage = stage
 
 
+_LOG_LOCK = threading.Lock()
+
+
 def _json_log_fn(method, result):
     line = json.dumps(
         {
@@ -50,7 +54,10 @@ def _json_log_fn(method, result):
         },
         sort_keys=True,
     )
-    print(line, file=sys.stderr)
+    # One write under a lock: print() writes the newline separately, so
+    # lines from concurrent fetches could interleave.
+    with _LOG_LOCK:
+        sys.stderr.write(line + "\n")
 
 
 def _make_fetcher(config: AuditConfig) -> Fetcher:

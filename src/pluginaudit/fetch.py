@@ -5,17 +5,23 @@ recorded; retries with exponential backoff apply to transport errors and
 5xx responses only. Politeness (minimum delay between requests to the same
 host) is keyed to the *logical* host of the original URL, so an offline run
 with --base-url rewriting still schedules like a live one.
+
+The transport is stdlib `http.client`: each thread keeps a few keep-alive
+connections, one per transport origin. Environment proxies are not used,
+and HTTPS verifies against the system's CA store.
 """
 
 from __future__ import annotations
 
+import http.client
+import ssl
 import threading
 import time
+import weakref
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit, urljoin
-
-import requests
+from urllib.parse import quote, urlsplit, urljoin
 
 from .urlnorm import host_of
 
@@ -23,6 +29,19 @@ MAX_REDIRECTS = 5
 BODY_PREFIX_LIMIT = 256 * 1024
 
 TRANSPORT_ERROR = 0  # http_status marker for failures below HTTP
+
+# Idle keep-alive connections kept per thread; the least recently used is
+# closed first, so a live run over many hosts holds few sockets.
+CONNECTIONS_PER_THREAD = 4
+
+# ValueError covers what cannot go on the wire at all, e.g. a newline in a
+# header value taken from a manifest or a non-numeric port.
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
+# A reused keep-alive connection the server has already closed.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
+# Characters left as they are in the request target (as `requests` did);
+# everything else, e.g. spaces and non-ASCII, is percent-encoded.
+_TARGET_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
 @dataclass(frozen=True)
@@ -36,6 +55,7 @@ class FetchResult:
     redirect_chain: tuple[str, ...] = ()
     error: str | None = None
     attempts: int = 1
+    truncated: bool = False       # body was cut at BODY_PREFIX_LIMIT
 
     @property
     def ok(self) -> bool:
@@ -52,6 +72,15 @@ def rewrite_to_base(url: str, base_url: str) -> str:
     path = parts.path or "/"
     query = f"?{parts.query}" if parts.query else ""
     return f"{base_url.rstrip('/')}/{parts.netloc}{path}{query}"
+
+
+def _close_pools(pools: dict[threading.Thread, OrderedDict]) -> None:
+    for thread, pool in list(pools.items()):
+        for conn in pool.values():
+            conn.close()
+        pool.clear()
+        if not thread.is_alive():
+            del pools[thread]
 
 
 class Fetcher:
@@ -75,19 +104,41 @@ class Fetcher:
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
         self._registry_lock = threading.Lock()
-        self._session_local = threading.local()
+        self._local = threading.local()
+        self._pools: dict[threading.Thread, OrderedDict] = {}
+        self._ssl_context: ssl.SSLContext | None = None
+        # A Fetcher dropped without close() still closes its sockets.
+        weakref.finalize(self, _close_pools, self._pools)
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._session_local, "session", None)
-        if session is None:
-            session = requests.Session()
-            adapter = requests.adapters.HTTPAdapter(
-                pool_connections=4, pool_maxsize=max(10, self.max_concurrency)
-            )
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-            self._session_local.session = session
-        return session
+    def _connection(self, scheme: str, netloc: str) -> http.client.HTTPConnection:
+        """This thread's keep-alive connection to one transport origin."""
+        pool = getattr(self._local, "pool", None)
+        if pool is None:
+            pool = self._local.pool = OrderedDict()
+            with self._registry_lock:
+                self._pools[threading.current_thread()] = pool
+        conn = pool.pop((scheme, netloc), None)
+        if conn is None:
+            parts = urlsplit(f"//{netloc}")
+            if not parts.hostname:
+                raise http.client.InvalidURL(f"no host in {netloc!r}")
+            if scheme == "https":
+                if self._ssl_context is None:
+                    self._ssl_context = ssl.create_default_context()
+                conn = http.client.HTTPSConnection(
+                    parts.hostname, parts.port, timeout=self.timeout, context=self._ssl_context
+                )
+            else:
+                conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=self.timeout)
+        pool[(scheme, netloc)] = conn
+        while len(pool) > CONNECTIONS_PER_THREAD:
+            pool.popitem(last=False)[1].close()
+        return conn
+
+    def close(self) -> None:
+        """Close every pooled connection. Call only while no fetch is in flight."""
+        with self._registry_lock:
+            _close_pools(self._pools)
 
     def _host_lock(self, host: str) -> threading.Lock:
         with self._registry_lock:
@@ -98,7 +149,9 @@ class Fetcher:
             return rewrite_to_base(url, self.base_url)
         return url
 
-    def _single_request(self, method: str, url: str, headers: dict[str, str], body: bytes | None):
+    def _single_request(
+        self, method: str, url: str, headers: dict[str, str], body: bytes | None
+    ) -> tuple[http.client.HTTPResponse, bytes]:
         # Per-host serial queue: the lock spans the request so one logical
         # host never sees overlapping traffic from this process.
         host = host_of(url)
@@ -108,17 +161,48 @@ class Fetcher:
             if wait > 0:
                 time.sleep(wait)
             try:
-                return self._session().request(
-                    method,
-                    self._transport_url(url),
-                    headers=headers,
-                    data=body,
-                    timeout=self.timeout,
-                    allow_redirects=False,
-                    stream=True,
-                )
+                return self._exchange(method, self._transport_url(url), headers, body)
             finally:
                 self._host_last[host] = time.monotonic()
+
+    def _exchange(
+        self, method: str, url: str, headers: dict[str, str], body: bytes | None
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request/response on a pooled connection.
+
+        Returns the (closed) response and up to BODY_PREFIX_LIMIT + 1 body
+        bytes, so the caller can tell a cut-off body from a whole one.
+        """
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https"):
+            raise http.client.InvalidURL(f"unsupported URL scheme in {url!r}")
+        target = quote(parts.path or "/", safe=_TARGET_SAFE)
+        if parts.query:
+            target += "?" + quote(parts.query, safe=_TARGET_SAFE)
+        conn = self._connection(parts.scheme, parts.netloc)
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request(method, target, body=body, headers=headers)
+                response = conn.getresponse()
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                # The server closed the idle connection; reconnecting once is
+                # not a retry attempt.
+                conn.close()
+                conn.request(method, target, body=body, headers=headers)
+                response = conn.getresponse()
+            payload = response.read(BODY_PREFIX_LIMIT + 1)
+        except _TRANSPORT_ERRORS:
+            conn.close()
+            raise
+        if not response.isclosed():
+            # Unread bytes (or a body cut at the cap) remain on the socket,
+            # so this connection is never reused.
+            conn.close()
+        response.close()
+        return response, payload
 
     def fetch(
         self,
@@ -131,6 +215,9 @@ class Fetcher:
         """Fetch one URL, following redirects manually and retrying politely."""
         headers = dict(headers or {})
         headers.setdefault("User-Agent", "plugin-store-audit/0.1")
+        # Bodies are read as sent: ask for no compression, any media type.
+        headers.setdefault("Accept", "*/*")
+        headers.setdefault("Accept-Encoding", "identity")
         chain: list[str] = []
         current = url
         attempts_total = 0
@@ -141,17 +228,16 @@ class Fetcher:
             for attempt in range(self.retries + 1):
                 attempts_total += 1
                 try:
-                    response = self._single_request(method, current, headers, body)
-                except requests.RequestException as exc:
+                    response, payload = self._single_request(method, current, headers, body)
+                except _TRANSPORT_ERRORS as exc:
                     last_error = f"{type(exc).__name__}: {exc}"
                     response = None
-                if response is not None and response.status_code < 500:
+                if response is not None and response.status < 500:
                     break
                 if response is not None:
-                    last_error = f"server error {response.status_code}"
+                    last_error = f"server error {response.status}"
                     if attempt >= self.retries:
                         break
-                    response.close()
                     response = None
                 if attempt < self.retries:
                     time.sleep(min(2.0, 0.2 * (2 ** attempt)))
@@ -167,26 +253,24 @@ class Fetcher:
                 self._log(method, result)
                 return result
 
-            status = response.status_code
-            location = response.headers.get("Location")
+            status = response.status
+            location = response.getheader("Location")
             if follow_redirects and 300 <= status < 400 and location and hop < MAX_REDIRECTS:
                 chain.append(current)
                 current = urljoin(current, location)
-                response.close()
                 continue
 
-            body_bytes = response.raw.read(BODY_PREFIX_LIMIT, decode_content=True) if response.raw else b""
             result = FetchResult(
                 url=url,
                 final_url=current,
                 status=status,
-                headers={k: v for k, v in response.headers.items()},
-                body=body_bytes,
-                content_type=response.headers.get("Content-Type", ""),
+                headers=dict(response.getheaders()),
+                body=payload[:BODY_PREFIX_LIMIT],
+                content_type=response.getheader("Content-Type", ""),
                 redirect_chain=tuple(chain),
                 attempts=attempts_total,
+                truncated=len(payload) > BODY_PREFIX_LIMIT,
             )
-            response.close()
             self._log(method, result)
             return result
 
@@ -209,5 +293,9 @@ class Fetcher:
         """Run func over items with the configured global concurrency cap."""
         if not items:
             return []
-        with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-            return list(pool.map(func, items))
+        try:
+            with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
+                return list(pool.map(func, items))
+        finally:
+            # The workers are gone; their connections would only idle.
+            self.close()

@@ -607,7 +607,8 @@ class FixtureServer:
         self.httpd.daemon_threads = True
         self.port = self.httpd.server_address[1]
         self.base_url = f"http://127.0.0.1:{self.port}"
-        self._thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # A short poll interval lets stop() return in ~50 ms, not 0.5 s.
+        self._thread = threading.Thread(target=self.httpd.serve_forever, args=(0.05,), daemon=True)
 
     def start(self) -> "FixtureServer":
         self._thread.start()

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .fetch import Fetcher, FetchResult, TRANSPORT_ERROR
+from .fetch import BODY_PREFIX_LIMIT, Fetcher, FetchResult, TRANSPORT_ERROR
 from .numfmt import render_ratio_pct
 from .manifest import (
     AUTH_NONE,
@@ -342,6 +342,7 @@ def auth_family(auth_type: str) -> str:
 SKIP_IRREGULAR_MANIFEST = "irregular_manifest"
 SKIP_API_UNREACHABLE = "api_unreachable"
 SKIP_API_UNPARSEABLE = "api_unparseable"
+SKIP_API_TOO_LARGE = "api_too_large"
 SKIP_EMPTY_API = "empty_api"
 
 
@@ -365,8 +366,8 @@ def probe_plugin(
 
     Plugins whose manifests carry irregularity flags are excluded from
     probing, matching how irregular manifests were eliminated before the
-    request analysis; unparseable or empty API files are likewise skipped
-    with a recorded reason.
+    request analysis; unparseable, empty or oversized (cut off at the
+    fetch body cap) API files are likewise skipped with a recorded reason.
     """
     transcript: list[TranscriptEntry] = []
     try:
@@ -379,6 +380,8 @@ def probe_plugin(
     api_response = fetcher.fetch(manifest.api.url)
     if not api_response.ok or not api_response.body:
         return None, f"{SKIP_API_UNREACHABLE}: status {api_response.status}", transcript
+    if api_response.truncated:
+        return None, f"{SKIP_API_TOO_LARGE}: over {BODY_PREFIX_LIMIT} bytes", transcript
     try:
         api = parse_openapi(api_response.body, manifest.api.url)
     except ParseError as exc:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +168,34 @@ def test_json_logs_emit_one_line_per_fetch(tmp_path, capsys):
     assert len(err_lines) == 1  # manifest found on the first candidate
     event = json.loads(err_lines[0])
     assert event["event"] == "fetch" and event["status"] == 200
+
+
+def test_json_logs_stay_whole_under_concurrency(capsys):
+    from pluginaudit.fetch import Fetcher
+    from pluginaudit.fixture import FixturePlan, serve_fixtures
+
+    server = serve_fixtures(FixturePlan(profile="empty", seed=0), 0)
+    urls = [f"https://h{i % 40}.example/x/{i}" for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fetcher = Fetcher(
+            max_concurrency=8, per_host_delay_ms=0, retries=0, base_url=server.base_url, log_fn=cli._json_log_fn
+        )
+        fetcher.map_concurrent(fetcher.fetch, urls)
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(urls)
+    assert sorted(json.loads(line)["url"] for line in lines) == sorted(urls)
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    code = "import sys, pluginaudit.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("fmt", ["json", "markdown"])

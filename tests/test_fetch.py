@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from pluginaudit.fetch import Fetcher, rewrite_to_base
+import pytest
+
+from pluginaudit.fetch import BODY_PREFIX_LIMIT, Fetcher, rewrite_to_base
 from pluginaudit.fixture import FixtureEndpoint, FixturePlan, FixtureSite, WK_REDIRECT, serve_fixtures
 
 
@@ -96,3 +100,125 @@ def test_log_fn_called_per_fetch():
         assert seen == [("GET", 200)]
     finally:
         server.stop()
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        self.timeout = self.server.idle_timeout  # socket timeout: closes idle keep-alives
+        super().setup()
+
+    def log_message(self, fmt, *args):  # noqa: ARG002 - silence stdlib logging
+        pass
+
+    def do_GET(self):
+        self.server.requests.append((self.path, self.headers))
+        if self.path == "/big":
+            self._send(200, b"z" * (BODY_PREFIX_LIMIT + 100))
+        elif self.path == "/lower-redirect":
+            self._send(302, b"", {"location": "/ok"})
+        else:
+            self._send(200, b'{"ok": true}')
+
+    def _send(self, status, body, headers=None):
+        self.send_response(status)
+        for key, value in (headers or {}).items():
+            self.send_header(key, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+class _CountingServer(ThreadingHTTPServer):
+    """Origin that counts the TCP connections it accepts."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _CountingHandler)
+        self.connections = 0
+        self.idle_timeout = None
+        self.requests = []
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+    def get_request(self):
+        request = super().get_request()
+        self.connections += 1  # only the serve_forever thread accepts
+        return request
+
+
+@pytest.fixture
+def origin():
+    server = _CountingServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    fetcher = Fetcher(per_host_delay_ms=0, retries=2, timeout_ms=2000)
+    try:
+        yield server, fetcher
+    finally:
+        fetcher.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_sequential_fetches_share_one_connection(origin):
+    server, fetcher = origin
+    results = [fetcher.fetch(f"{server.url}/ok") for _ in range(10)]
+    assert [r.status for r in results] == [200] * 10
+    assert server.connections == 1
+
+
+def test_idle_close_by_server_costs_no_extra_attempts(origin):
+    server, fetcher = origin
+    server.idle_timeout = 0.2
+    results = []
+    for _ in range(3):
+        results.append(fetcher.fetch(f"{server.url}/ok"))
+        time.sleep(0.4)  # the server drops the idle connection meanwhile
+    assert [(r.status, r.attempts) for r in results] == [(200, 1)] * 3
+    assert server.connections == 3
+
+
+def test_body_over_cap_closes_connection_and_next_fetch_is_clean(origin):
+    server, fetcher = origin
+    big = fetcher.fetch(f"{server.url}/big")
+    assert big.truncated and len(big.body) == BODY_PREFIX_LIMIT
+    after = fetcher.fetch(f"{server.url}/ok")
+    assert (after.status, after.body, after.truncated) == (200, b'{"ok": true}', False)
+    assert server.connections == 2
+
+
+def test_lowercase_location_redirect_is_followed(origin):
+    server, fetcher = origin
+    result = fetcher.fetch(f"{server.url}/lower-redirect")
+    assert result.status == 200
+    assert result.final_url == f"{server.url}/ok"
+    assert result.redirect_chain == (f"{server.url}/lower-redirect",)
+    assert server.connections == 1  # the empty redirect body left the connection reusable
+
+
+def test_identity_encoding_requested(origin):
+    server, fetcher = origin
+    fetcher.fetch(f"{server.url}/ok")
+    assert server.requests[-1][1]["Accept-Encoding"] == "identity"
+
+
+def test_unsendable_urls_and_headers_are_quoted_or_transport_errors(origin):
+    server, _ = origin
+    fetcher = Fetcher(per_host_delay_ms=0, retries=0, timeout_ms=2000)
+    try:
+        # Store-supplied URLs may hold spaces or non-ASCII; they are percent-encoded.
+        assert fetcher.fetch(f"{server.url}/a b/\u00e9?q=x y").status == 200
+        assert server.requests[-1][0] == "/a%20b/%C3%A9?q=x%20y"
+        # A header value with a newline (e.g. a token from a manifest) cannot be sent.
+        bad_header = fetcher.fetch(f"{server.url}/ok", headers={"Authorization": "Bearer a\r\nX: y"})
+        assert bad_header.status == 0 and bad_header.error.startswith("ValueError")
+        unsupported = fetcher.fetch("ftp://files.example/x")
+        assert unsupported.status == 0 and unsupported.error.startswith("InvalidURL")
+    finally:
+        fetcher.close()
+    assert len(server.requests) == 1

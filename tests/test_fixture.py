@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import json
+import urllib.error
+import urllib.request
 from collections import Counter
-
-import requests
 
 from pluginaudit.fixture import (
     FixtureEndpoint,
@@ -21,6 +21,24 @@ from pluginaudit.fixture import (
     serve_fixtures,
 )
 from pluginaudit.manifest import parse_manifest, manifest_fingerprint
+
+
+# Loopback only: never route these requests through an environment proxy.
+_OPENER = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+
+
+def _get(url: str, headers: dict[str, str] | None = None) -> tuple[int, bytes]:
+    """(status, body) of one GET; error statuses are returned, not raised."""
+    try:
+        with _OPENER.open(urllib.request.Request(url, headers=headers or {}), timeout=5) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read()
+
+
+def _status(url: str, headers: dict[str, str] | None = None) -> int:
+    return _get(url, headers)[0]
 
 
 def _tiny_plan() -> FixturePlan:
@@ -43,9 +61,9 @@ def _tiny_plan() -> FixturePlan:
 def test_serve_manifest_at_well_known_path():
     server = serve_fixtures(_tiny_plan(), 0)
     try:
-        response = requests.get(f"{server.base_url}/tiny.example/.well-known/ai-plugin.json", timeout=5)
-        assert response.status_code == 200
-        assert response.json()["name_for_human"] == "Tiny"
+        status, body = _get(f"{server.base_url}/tiny.example/.well-known/ai-plugin.json")
+        assert status == 200
+        assert json.loads(body)["name_for_human"] == "Tiny"
     finally:
         server.stop()
 
@@ -54,7 +72,7 @@ def test_rate_limit_counter_semantics():
     server = serve_fixtures(_tiny_plan(), 0)
     try:
         url = f"{server.base_url}/tiny.example/api/limited"
-        statuses = [requests.get(url, timeout=5).status_code for _ in range(4)]
+        statuses = [_status(url) for _ in range(4)]
         assert statuses == [200, 200, 200, 429]
     finally:
         server.stop()
@@ -64,9 +82,9 @@ def test_token_enforcement():
     server = serve_fixtures(_tiny_plan(), 0)
     try:
         url = f"{server.base_url}/tiny.example/api/guarded"
-        assert requests.get(url, timeout=5).status_code == 401
-        assert requests.get(url, headers={"Authorization": "Bearer wrong"}, timeout=5).status_code == 401
-        assert requests.get(url, headers={"Authorization": "Bearer tok"}, timeout=5).status_code == 200
+        assert _status(url) == 401
+        assert _status(url, headers={"Authorization": "Bearer wrong"}) == 401
+        assert _status(url, headers={"Authorization": "Bearer tok"}) == 200
     finally:
         server.stop()
 
@@ -74,9 +92,9 @@ def test_token_enforcement():
 def test_index_ndjson_served():
     server = serve_fixtures(_tiny_plan(), 0)
     try:
-        response = requests.get(f"{server.base_url}/index.ndjson", timeout=5)
-        assert response.status_code == 200
-        assert json.loads(response.text.splitlines()[0])["title"] == "Tiny"
+        status, body = _get(f"{server.base_url}/index.ndjson")
+        assert status == 200
+        assert json.loads(body.decode("utf-8").splitlines()[0])["title"] == "Tiny"
     finally:
         server.stop()
 
@@ -84,10 +102,10 @@ def test_index_ndjson_served():
 def test_builtin_hosted_platform_behavior():
     server = serve_fixtures(_tiny_plan(), 0)
     try:
-        assert requests.get(f"{server.base_url}/chat.openai.com/x", timeout=5).status_code == 403
-        assert requests.get(f"{server.base_url}/github.com/dev/x", timeout=5).status_code == 404
-        assert requests.get(f"{server.base_url}/drive.google.com/file/x", timeout=5).status_code == 403
-        assert requests.get(f"{server.base_url}/unknown-host.example/x", timeout=5).status_code == 404
+        assert _status(f"{server.base_url}/chat.openai.com/x") == 403
+        assert _status(f"{server.base_url}/github.com/dev/x") == 404
+        assert _status(f"{server.base_url}/drive.google.com/file/x") == 403
+        assert _status(f"{server.base_url}/unknown-host.example/x") == 404
     finally:
         server.stop()
 
@@ -154,3 +172,4 @@ def test_pipeline_report_matches_checked_in_golden(paper_run):
 
     golden = Path(__file__).parent / "golden" / "report-paper-tables.json"
     assert paper_run.report_bytes_first == golden.read_bytes()
+

@@ -6,7 +6,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from pluginaudit.fetch import FetchResult, TRANSPORT_ERROR
+from pluginaudit.fetch import BODY_PREFIX_LIMIT, Fetcher, FetchResult, TRANSPORT_ERROR
+from pluginaudit.fixture import FixturePlan, FixtureSite, WK_MANIFEST, serve_fixtures
 from pluginaudit.manifest import Endpoint, parse_manifest, parse_openapi
 from pluginaudit.probe import (
     ALL_CASES,
@@ -23,11 +24,13 @@ from pluginaudit.probe import (
     FABRICATED_TOKEN_VALUE,
     LEAKED_TOKEN,
     NO_TOKEN,
+    SKIP_API_TOO_LARGE,
     build_probe_matrix,
     classify_case,
     classify_failure,
     classify_plugin_case,
     evaluate_outcome,
+    probe_plugin,
     summarize_token_types,
     synthesize_body,
 )
@@ -240,3 +243,22 @@ def test_transcript_redacts_token_values_by_default(paper_run):
         auth = entry["headers"].get("Authorization", "")
         assert auth == "Bearer ***redacted***"
         assert "vt-" not in auth and "invalid-token" not in auth
+
+
+def test_openapi_over_body_cap_is_skipped_as_too_large():
+    # Valid JSON that only parses whole: the cut-off prefix must not be
+    # reported as an unparseable API.
+    padding = "x" * BODY_PREFIX_LIMIT
+    site = FixtureSite(host="p.example", well_known=WK_MANIFEST)
+    site.openapi_raw = _api({"/a": _GET}).decode().replace('"P API"', f'"P API {padding}"')
+    plan = FixturePlan(profile="t", seed=0)
+    plan.sites["p.example"] = site
+    server = serve_fixtures(plan, 0)
+    try:
+        fetcher = Fetcher(per_host_delay_ms=0, retries=0, base_url=server.base_url)
+        result, reason, transcript = probe_plugin("p", _manifest({"type": "none"}), fetcher)
+        fetcher.close()
+    finally:
+        server.stop()
+    assert result is None and transcript == []
+    assert reason.startswith(SKIP_API_TOO_LARGE)
