@@ -1,9 +1,12 @@
 """Single `audit` entry point wiring the pipeline subcommands.
 
-Stages persist their artifacts under the output directory; `run-all`
-executes discover -> probe -> consistency -> scopes -> report in order,
-content-addressing the network stages by input hash so `--cached` reruns
-skip fetching and reproduce byte-identical reports.
+Every stage writes its artifact under the output directory. `run-all`
+executes discover -> probe -> consistency -> scopes -> report in order and
+hands each stage's typed result to the next in memory, parsing each
+manifest once. It content-addresses the network stages by input hash, so
+`--cached` reruns skip fetching and reproduce byte-identical reports; only
+then are `verdicts.json`, `manifests/` and `outcomes.json` read back. The
+single-stage subcommands read their inputs from the artifacts.
 
 Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
 """
@@ -26,7 +29,7 @@ from . import report as report_mod
 from . import scoperisk as scoperisk_mod
 from .config import AuditConfig, ConfigError, load_config
 from .fetch import Fetcher
-from .manifest import ParseError, parse_manifest
+from .manifest import ManifestDocument, ParseError, parse_manifest
 
 EXIT_OK = 0
 EXIT_STAGE_ERROR = 1
@@ -96,44 +99,47 @@ def stage_discover(corpus, config: AuditConfig, verdicts_path: Path, manifests_d
     manifests_dir.mkdir(parents=True, exist_ok=True)
     for stale in manifests_dir.glob("*.json"):
         stale.unlink()
-    for plugin_id, body in sorted(result.manifests.items()):
-        (manifests_dir / f"{plugin_id}.json").write_bytes(body)
+    for plugin_id, manifest in sorted(result.manifests.items()):
+        (manifests_dir / f"{plugin_id}.json").write_bytes(manifest.raw_source)
     return result
 
 
-def _load_manifest_bytes(manifests_dir: Path, stage: str) -> dict[str, bytes]:
+def _load_manifests(
+    manifests_dir: Path, stage: str
+) -> tuple[dict[str, ManifestDocument], dict[str, ParseError]]:
+    """Parse each `<plugin_id>.json` once: (parsed, rejected with the error)."""
     if not manifests_dir.is_dir():
         raise StageError(stage, f"manifests directory not found: {manifests_dir}")
-    out = {}
+    parsed, rejected = {}, {}
     for path in sorted(manifests_dir.glob("*.json")):
-        out[path.stem] = path.read_bytes()
-    return out
+        try:
+            parsed[path.stem] = parse_manifest(path.read_bytes())
+        except ParseError as exc:
+            rejected[path.stem] = exc
+    return parsed, rejected
 
 
-def stage_probe(manifests: dict[str, bytes], config: AuditConfig, label: str, outcomes_path: Path):
+def stage_probe(
+    manifests: dict[str, ManifestDocument],
+    rejected: dict[str, ParseError],
+    config: AuditConfig,
+    label: str,
+    outcomes_path: Path,
+):
     fetcher = _make_fetcher(config)
     run = probe_mod.probe_manifests(
         manifests, fetcher, budget=config.probe_budget, redact_tokens=config.redact_tokens
     )
+    for plugin_id, exc in rejected.items():
+        run.skipped[plugin_id] = f"{probe_mod.SKIP_IRREGULAR_MANIFEST}: {exc}"
     _write_json(outcomes_path, probe_mod.probe_run_to_doc(run, label))
     return run
 
 
-def _parse_manifest_dir(manifests: dict[str, bytes]) -> dict:
-    parsed = {}
-    for plugin_id, body in manifests.items():
-        try:
-            parsed[plugin_id] = parse_manifest(body)
-        except ParseError:
-            continue
-    return parsed
-
-
-def stage_consistency(corpus, manifests: dict[str, bytes], findings_path: Path):
-    parsed = _parse_manifest_dir(manifests)
-    findings = consistency_mod.analyze_consistency(corpus, parsed)
+def stage_consistency(corpus, manifests: dict[str, ManifestDocument], findings_path: Path):
+    findings = consistency_mod.analyze_consistency(corpus, manifests)
     discrepancies = consistency_mod.aggregate_discrepancies(findings, corpus)
-    strict_only = consistency_mod.count_strict_only(corpus, parsed)
+    strict_only = consistency_mod.count_strict_only(corpus, manifests)
     _write_json(
         findings_path,
         consistency_mod.findings_to_doc(findings, discrepancies, corpus.snapshot_label, strict_only),
@@ -141,11 +147,10 @@ def stage_consistency(corpus, manifests: dict[str, bytes], findings_path: Path):
     return findings
 
 
-def stage_scopes(manifests: dict[str, bytes], label: str, scopes_path: Path, lexicon=None):
-    parsed = _parse_manifest_dir(manifests)
+def stage_scopes(manifests: dict[str, ManifestDocument], label: str, scopes_path: Path, lexicon=None):
     docs = []
-    for plugin_id in sorted(parsed):
-        manifest = parsed[plugin_id]
+    for plugin_id in sorted(manifests):
+        manifest = manifests[plugin_id]
         if manifest.auth.auth_type == "oauth":
             docs.append(scoperisk_mod.make_scope_document(plugin_id, manifest.auth.scope))
     assignments = scoperisk_mod.categorize_corpus(docs, lexicon)
@@ -154,20 +159,15 @@ def stage_scopes(manifests: dict[str, bytes], label: str, scopes_path: Path, lex
     return assignments, distribution
 
 
-def stage_report(corpus, verdicts_doc, outcomes_doc, findings_doc, scopes_doc, out_path: Path):
-    verdicts = discovery_mod.verdicts_from_doc(verdicts_doc)
-    probe_run, probe_label = probe_mod.probe_run_from_doc(outcomes_doc)
-    findings, findings_label = consistency_mod.findings_from_doc(findings_doc)
-    assignments, distribution, scopes_label = scoperisk_mod.scopes_from_doc(scopes_doc)
-    report = report_mod.build_report(
-        corpus,
-        verdicts,
-        probe_run,
-        findings,
-        assignments,
-        distribution,
-        input_labels={"outcomes": probe_label, "findings": findings_label, "scopes": scopes_label},
-    )
+def stage_report(
+    corpus, verdicts, probe_run, findings, assignments, distribution, input_labels: dict[str, str], out_path: Path
+):
+    try:
+        report = report_mod.build_report(
+            corpus, verdicts, probe_run, findings, assignments, distribution, input_labels=input_labels
+        )
+    except report_mod.ReportError as exc:
+        raise StageError("report", str(exc)) from exc
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(report_mod.render_report(report, "json"))
     return report
@@ -196,7 +196,8 @@ def _load_corpus_or_fail(path: str):
         raise StageError("corpus", str(exc)) from exc
 
 
-def cmd_discover(args, config: AuditConfig) -> int:
+def cmd_discover(args) -> int:
+    config = _config_from_args(args)
     corpus = _load_corpus_or_fail(args.corpus)
     manifests_dir = Path(args.manifests_dir) if args.manifests_dir else Path(args.out).parent / "manifests"
     result = stage_discover(corpus, config, Path(args.out), manifests_dir)
@@ -205,17 +206,18 @@ def cmd_discover(args, config: AuditConfig) -> int:
     return EXIT_OK
 
 
-def cmd_probe(args, config: AuditConfig) -> int:
+def cmd_probe(args) -> int:
+    config = _config_from_args(args)
     corpus = _load_corpus_or_fail(args.corpus)
-    manifests = _load_manifest_bytes(Path(args.manifests), "probe")
-    run = stage_probe(manifests, config, corpus.snapshot_label, Path(args.out))
+    manifests, rejected = _load_manifests(Path(args.manifests), "probe")
+    run = stage_probe(manifests, rejected, config, corpus.snapshot_label, Path(args.out))
     print(f"probed {len(run.results)} plugins, skipped {len(run.skipped)} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_consistency(args) -> int:
     corpus = _load_corpus_or_fail(args.corpus)
-    manifests = _load_manifest_bytes(Path(args.manifests), "consistency")
+    manifests, _ = _load_manifests(Path(args.manifests), "consistency")
     findings = stage_consistency(corpus, manifests, Path(args.out))
     print(f"found {len(findings)} consistency findings -> {args.out}")
     return EXIT_OK
@@ -223,7 +225,7 @@ def cmd_consistency(args) -> int:
 
 def cmd_scopes(args) -> int:
     corpus = _load_corpus_or_fail(args.corpus)
-    manifests = _load_manifest_bytes(Path(args.manifests), "scopes")
+    manifests, _ = _load_manifests(Path(args.manifests), "scopes")
     lexicon = scoperisk_mod.load_seed_lexicon(args.seed_lexicon) if args.seed_lexicon else None
     assignments, _ = stage_scopes(manifests, corpus.snapshot_label, Path(args.out), lexicon)
     print(f"categorized {len(assignments)} OAuth scopes -> {args.out}")
@@ -232,14 +234,12 @@ def cmd_scopes(args) -> int:
 
 def cmd_report(args) -> int:
     corpus = _load_corpus_or_fail(args.corpus)
-    verdicts_doc = _read_json(Path(args.verdicts), "report")
-    outcomes_doc = _read_json(Path(args.outcomes), "report")
-    findings_doc = _read_json(Path(args.findings), "report")
-    scopes_doc = _read_json(Path(args.scopes), "report")
-    try:
-        report = stage_report(corpus, verdicts_doc, outcomes_doc, findings_doc, scopes_doc, Path(args.out))
-    except report_mod.ReportError as exc:
-        raise StageError("report", str(exc)) from exc
+    verdicts = discovery_mod.verdicts_from_doc(_read_json(Path(args.verdicts), "report"))
+    probe_run, probe_label = probe_mod.probe_run_from_doc(_read_json(Path(args.outcomes), "report"))
+    findings, findings_label = consistency_mod.findings_from_doc(_read_json(Path(args.findings), "report"))
+    assignments, distribution, scopes_label = scoperisk_mod.scopes_from_doc(_read_json(Path(args.scopes), "report"))
+    labels = {"outcomes": probe_label, "findings": findings_label, "scopes": scopes_label}
+    report = stage_report(corpus, verdicts, probe_run, findings, assignments, distribution, labels, Path(args.out))
     if args.format == "markdown":
         md_path = Path(args.out).with_suffix(".md")
         md_path.write_bytes(report_mod.render_report(report, "markdown"))
@@ -299,12 +299,14 @@ def _fingerprint(*parts: bytes | str) -> str:
     return digest.hexdigest()
 
 
-def cmd_run_all(args, config: AuditConfig) -> int:
+def cmd_run_all(args) -> int:
+    config = _config_from_args(args)
     corpus_path = Path(args.corpus)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus_or_fail(args.corpus)
     corpus_bytes = corpus_path.read_bytes()
+    label = corpus.snapshot_label
 
     verdicts_path = out_dir / "verdicts.json"
     manifests_dir = out_dir / "manifests"
@@ -324,39 +326,35 @@ def cmd_run_all(args, config: AuditConfig) -> int:
     fetch_knobs = f"{config.base_url_override}|{config.timeout_ms}|{config.retries}"
     discover_fp = _fingerprint(corpus_bytes, "discover", fetch_knobs)
     if args.cached and cache.get("discover") == discover_fp and verdicts_path.is_file() and manifests_dir.is_dir():
+        verdicts = discovery_mod.verdicts_from_doc(_read_json(verdicts_path, "discover"))
+        manifests, rejected = _load_manifests(manifests_dir, "discover")
         print("discover: cached")
     else:
-        stage_discover(corpus, config, verdicts_path, manifests_dir)
+        discovered = stage_discover(corpus, config, verdicts_path, manifests_dir)
+        verdicts, manifests, rejected = discovered.verdicts, discovered.manifests, {}
         cache["discover"] = discover_fp
         _write_json(cache_path, cache)
         print("discover: done")
 
-    manifests = _load_manifest_bytes(manifests_dir, "probe")
     probe_fp = _fingerprint(
         discover_fp, "probe", fetch_knobs, str(config.probe_budget), str(config.redact_tokens)
     )
+    input_labels: dict[str, str] = {}
     if args.cached and cache.get("probe") == probe_fp and outcomes_path.is_file():
+        probe_run, input_labels["outcomes"] = probe_mod.probe_run_from_doc(_read_json(outcomes_path, "probe"))
         print("probe: cached")
     else:
-        stage_probe(manifests, config, corpus.snapshot_label, outcomes_path)
+        probe_run = stage_probe(manifests, rejected, config, label, outcomes_path)
         cache["probe"] = probe_fp
         _write_json(cache_path, cache)
         print("probe: done")
 
-    stage_consistency(corpus, manifests, findings_path)
+    findings = stage_consistency(corpus, manifests, findings_path)
     print("consistency: done")
-    stage_scopes(manifests, corpus.snapshot_label, scopes_path)
+    assignments, distribution = stage_scopes(manifests, label, scopes_path)
     print("scopes: done")
 
-    stage_report(
-        corpus,
-        _read_json(verdicts_path, "report"),
-        _read_json(outcomes_path, "report"),
-        _read_json(findings_path, "report"),
-        _read_json(scopes_path, "report"),
-        report_path,
-    )
-    report = report_mod.load_report(report_path)
+    report = stage_report(corpus, verdicts, probe_run, findings, assignments, distribution, input_labels, report_path)
     (out_dir / "report.md").write_bytes(report_mod.render_report(report, "markdown"))
     print(f"report: done -> {report_path}")
     return EXIT_OK
@@ -382,17 +380,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="ingest an NDJSON store index into a corpus file")
+    p.set_defaults(func=cmd_ingest)
     p.add_argument("--input", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("discover", help="layer 1: manifest exposure discovery")
+    p.set_defaults(func=cmd_discover)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--manifests-dir", dest="manifests_dir")
     _add_fetch_flags(p)
 
     p = sub.add_parser("probe", help="layer 2: API authentication probing")
+    p.set_defaults(func=cmd_probe)
     p.add_argument("--corpus", required=True)
     p.add_argument("--manifests", required=True)
     p.add_argument("--out", required=True)
@@ -401,17 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fetch_flags(p)
 
     p = sub.add_parser("consistency", help="layer 3: metadata consistency analysis")
+    p.set_defaults(func=cmd_consistency)
     p.add_argument("--corpus", required=True)
     p.add_argument("--manifests", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("scopes", help="OAuth scope risk categorization")
+    p.set_defaults(func=cmd_scopes)
     p.add_argument("--corpus", required=True)
     p.add_argument("--manifests", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed-lexicon", dest="seed_lexicon")
 
     p = sub.add_parser("report", help="aggregate all layer outputs into one report")
+    p.set_defaults(func=cmd_report)
     p.add_argument("--corpus", required=True)
     p.add_argument("--verdicts", required=True)
     p.add_argument("--outcomes", required=True)
@@ -421,16 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "markdown"], default="json")
 
     p = sub.add_parser("diff", help="diff two snapshot reports")
+    p.set_defaults(func=cmd_diff)
     p.add_argument("--before", required=True)
     p.add_argument("--after", required=True)
     p.add_argument("--format", choices=["json", "markdown"], default="markdown")
     p.add_argument("--out")
 
     p = sub.add_parser("serve-fixtures", help="run the mock plugin store")
+    p.set_defaults(func=cmd_serve_fixtures)
     p.add_argument("--plan", required=True)
     p.add_argument("--port", type=int, default=0)
 
     p = sub.add_parser("gen-plan", help="generate a fixture plan")
+    p.set_defaults(func=cmd_gen_plan)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--profile", choices=[fixture_mod.PROFILE_PAPER_TABLES, fixture_mod.PROFILE_REVISIT],
                    default=fixture_mod.PROFILE_PAPER_TABLES)
@@ -438,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index-out", dest="index_out")
 
     p = sub.add_parser("run-all", help="discover, probe, analyze, and report in one pass")
+    p.set_defaults(func=cmd_run_all)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--cached", action="store_true", help="reuse network-stage artifacts when input hashes match")
@@ -446,9 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fetch_flags(p)
 
     return parser
-
-
-_CONFIG_COMMANDS = {"discover", "probe", "run-all"}
 
 
 def _config_from_args(args) -> AuditConfig:
@@ -468,37 +473,13 @@ def _config_from_args(args) -> AuditConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in _CONFIG_COMMANDS:
-            config = _config_from_args(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    try:
-        if args.command == "ingest":
-            return cmd_ingest(args)
-        if args.command == "discover":
-            return cmd_discover(args, config)
-        if args.command == "probe":
-            return cmd_probe(args, config)
-        if args.command == "consistency":
-            return cmd_consistency(args)
-        if args.command == "scopes":
-            return cmd_scopes(args)
-        if args.command == "report":
-            return cmd_report(args)
-        if args.command == "diff":
-            return cmd_diff(args)
-        if args.command == "gen-plan":
-            return cmd_gen_plan(args)
-        if args.command == "serve-fixtures":
-            return cmd_serve_fixtures(args)
-        if args.command == "run-all":
-            return cmd_run_all(args, config)
     except StageError as exc:
         print(f"error in stage {exc.stage}: {exc}", file=sys.stderr)
         return EXIT_STAGE_ERROR
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

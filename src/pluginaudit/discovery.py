@@ -15,7 +15,7 @@ from urllib.parse import urlsplit
 
 from .corpus import Corpus, PluginRecord
 from .fetch import Fetcher, FetchResult, TRANSPORT_ERROR
-from .manifest import ParseError, parse_manifest
+from .manifest import ManifestDocument, ParseError, parse_manifest
 from .urlnorm import host_of, is_absolute_http, origin_of, registrable_domain, strip_query_fragment
 
 WELL_KNOWN_SUFFIXES = ("/.well-known/ai-plugin.json", "/.well-known/")
@@ -68,13 +68,6 @@ class AccessibilityVerdict:
     http_status: int | None = None
     evidence: str = ""
     candidates_tried: int = 0
-
-
-@dataclass(frozen=True)
-class CorpusPartition:
-    all_ids: frozenset[str]
-    exposed: frozenset[str]
-    protected: frozenset[str]
 
 
 def _segments(path: str) -> list[str]:
@@ -150,26 +143,21 @@ def generate_candidates(seed_url: str) -> list[CandidateUrl]:
     return candidates
 
 
-def body_is_manifest(body: bytes) -> bool:
-    try:
-        parse_manifest(body)
-        return True
-    except ParseError:
-        return False
-
-
 def classify_accessibility(
     plugin: PluginRecord,
     fetch_results: list[tuple[CandidateUrl, FetchResult]],
+    manifest: ManifestDocument | None,
 ) -> AccessibilityVerdict:
     """Six-way verdict for one plugin, first matching rule wins.
 
-    1. any candidate body parses as a manifest        -> accessible
+    `manifest` is the parse of the first 2xx candidate body that is a
+    manifest, or None when no 2xx body parsed; nothing is parsed here.
+
+    1. a candidate body parsed as a manifest          -> accessible
     2. seed hosted on GitHub                          -> hosted_github
     3. seed hosted on Google Docs/Drive               -> hosted_google_doc
     4. seed on an openai.com domain, denied statuses  -> openai_protected
-    5. 2xx that left the registrable domain or served
-       non-manifest HTML/JSON                         -> hidden_redirect
+    5. any 2xx (none of them a manifest)              -> hidden_redirect
     6. otherwise                                      -> native_unreachable
     """
     if not fetch_results:
@@ -179,16 +167,17 @@ def classify_accessibility(
     seed_domain = registrable_domain(seed_host) if seed_host else ""
     tried = len(fetch_results)
 
-    for candidate, result in fetch_results:
-        if result.ok and body_is_manifest(result.body):
-            return AccessibilityVerdict(
-                plugin_id=plugin.plugin_id,
-                verdict=VERDICT_ACCESSIBLE,
-                winning_url=candidate.url,
-                http_status=result.status,
-                evidence=f"manifest parsed from {result.final_url}",
-                candidates_tried=tried,
-            )
+    if manifest is not None:
+        for candidate, result in fetch_results:
+            if result.ok and result.body == manifest.raw_source:
+                return AccessibilityVerdict(
+                    plugin_id=plugin.plugin_id,
+                    verdict=VERDICT_ACCESSIBLE,
+                    winning_url=candidate.url,
+                    http_status=result.status,
+                    evidence=f"manifest parsed from {result.final_url}",
+                    candidates_tried=tried,
+                )
 
     if seed_host == "github.com" or seed_host.endswith(".github.com") or seed_host.endswith(".githubusercontent.com"):
         return AccessibilityVerdict(
@@ -221,17 +210,15 @@ def classify_accessibility(
             continue
         final_host = host_of(result.final_url)
         left_domain = bool(final_host) and seed_domain and registrable_domain(final_host) != seed_domain
-        looks_html = b"<html" in result.body[:2048].lower() or "text/html" in result.content_type.lower()
-        if left_domain or looks_html or not body_is_manifest(result.body):
-            where = result.final_url if left_domain else candidate.url
-            return AccessibilityVerdict(
-                plugin_id=plugin.plugin_id,
-                verdict=VERDICT_HIDDEN_REDIRECT,
-                winning_url=None,
-                http_status=result.status,
-                evidence=f"2xx without manifest at {where}",
-                candidates_tried=tried,
-            )
+        where = result.final_url if left_domain else candidate.url
+        return AccessibilityVerdict(
+            plugin_id=plugin.plugin_id,
+            verdict=VERDICT_HIDDEN_REDIRECT,
+            winning_url=None,
+            http_status=result.status,
+            evidence=f"2xx without manifest at {where}",
+            candidates_tried=tried,
+        )
 
     detail = sorted({s for s in statuses if s != TRANSPORT_ERROR}) or ["transport failure"]
     return AccessibilityVerdict(
@@ -243,20 +230,13 @@ def classify_accessibility(
     )
 
 
-def partition_corpus(verdicts: dict[str, AccessibilityVerdict]) -> CorpusPartition:
-    all_ids = frozenset(verdicts)
-    exposed = frozenset(pid for pid, v in verdicts.items() if v.verdict == VERDICT_ACCESSIBLE)
-    return CorpusPartition(all_ids=all_ids, exposed=exposed, protected=all_ids - exposed)
-
-
 @dataclass
 class DiscoveryResult:
     verdicts: dict[str, AccessibilityVerdict] = field(default_factory=dict)
-    manifests: dict[str, bytes] = field(default_factory=dict)
-    skipped: dict[str, str] = field(default_factory=dict)
+    manifests: dict[str, ManifestDocument] = field(default_factory=dict)
 
 
-def _discover_one(record: PluginRecord, fetcher: Fetcher) -> tuple[str, AccessibilityVerdict, bytes | None, str | None]:
+def _discover_one(record: PluginRecord, fetcher: Fetcher) -> tuple[str, AccessibilityVerdict, ManifestDocument | None]:
     seed_problem = None
     candidates: list[CandidateUrl] = []
     if not record.legal_info_url:
@@ -274,35 +254,39 @@ def _discover_one(record: PluginRecord, fetcher: Fetcher) -> tuple[str, Accessib
             evidence=seed_problem,
             candidates_tried=0,
         )
-        return record.plugin_id, verdict, None, seed_problem
+        return record.plugin_id, verdict, None
 
     results: list[tuple[CandidateUrl, FetchResult]] = []
-    manifest_body: bytes | None = None
+    manifest: ManifestDocument | None = None
     for candidate in candidates:
         result = fetcher.fetch(candidate.url)
         results.append((candidate, result))
-        if result.ok and body_is_manifest(result.body):
-            manifest_body = result.body
-            break
-    verdict = classify_accessibility(record, results)
-    return record.plugin_id, verdict, manifest_body, None
+        if not result.ok:
+            continue
+        try:
+            manifest = parse_manifest(result.body)
+        except ParseError:
+            continue
+        break
+    verdict = classify_accessibility(record, results, manifest)
+    return record.plugin_id, verdict, manifest
 
 
 def discover_corpus(corpus: Corpus, fetcher: Fetcher) -> DiscoveryResult:
     """Run candidate generation + fetching + classification for a corpus.
 
     Fetching is concurrent across plugins (the fetcher serializes per host);
-    classification is pure. Plugins without a usable seed are classified
-    native_unreachable and listed in .skipped with the reason.
+    classification is pure. Each 2xx candidate body is parsed once, and the
+    accessible plugins' manifests are returned parsed. Plugins without a
+    usable seed are classified native_unreachable with the reason as
+    evidence.
     """
     out = DiscoveryResult()
     rows = fetcher.map_concurrent(lambda r: _discover_one(r, fetcher), list(corpus.records))
-    for plugin_id, verdict, manifest_body, skip_reason in rows:
+    for plugin_id, verdict, manifest in rows:
         out.verdicts[plugin_id] = verdict
-        if skip_reason is not None:
-            out.skipped[plugin_id] = skip_reason
-        if manifest_body is not None:
-            out.manifests[plugin_id] = manifest_body
+        if manifest is not None:
+            out.manifests[plugin_id] = manifest
     return out
 
 

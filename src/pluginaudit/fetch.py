@@ -210,7 +210,6 @@ class Fetcher:
         method: str = "GET",
         headers: dict[str, str] | None = None,
         body: bytes | None = None,
-        follow_redirects: bool = True,
     ) -> FetchResult:
         """Fetch one URL, following redirects manually and retrying politely."""
         headers = dict(headers or {})
@@ -255,7 +254,7 @@ class Fetcher:
 
             status = response.status
             location = response.getheader("Location")
-            if follow_redirects and 300 <= status < 400 and location and hop < MAX_REDIRECTS:
+            if 300 <= status < 400 and location and hop < MAX_REDIRECTS:
                 chain.append(current)
                 current = urljoin(current, location)
                 continue

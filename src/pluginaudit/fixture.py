@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -40,7 +41,6 @@ def _builtin_denial(host: str) -> int | None:
 
 WK_MANIFEST = "manifest"
 WK_REDIRECT = "redirect"
-WK_DENIED_403 = "denied:403"
 WK_DENIED_404 = "denied:404"
 
 
@@ -106,13 +106,11 @@ class FixturePlan:
     seed: int
     index: list[dict] = field(default_factory=list)
     sites: dict[str, FixtureSite] = field(default_factory=dict)
-    listen_port: int = 0
 
     def to_doc(self) -> dict:
         return {
             "profile": self.profile,
             "seed": self.seed,
-            "listen_port": self.listen_port,
             "index": self.index,
             "sites": {host: site.to_doc() for host, site in sorted(self.sites.items())},
         }
@@ -125,7 +123,6 @@ class FixturePlan:
             seed=int(doc.get("seed", 0)),
             index=list(doc.get("index", [])),
             sites=sites,
-            listen_port=int(doc.get("listen_port", 0)),
         )
 
 
@@ -597,13 +594,22 @@ def generate_plan(profile: str, seed: int) -> FixturePlan:
 # Server
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # A client that hangs up mid-response is not a server fault: the
+        # fetcher closes the connection once a body passes its size cap.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
+
+
 class FixtureServer:
     def __init__(self, plan: FixturePlan, port: int = 0):
         self.plan = plan
         self._counters: dict[tuple[str, str, str], int] = {}
         self._lock = threading.Lock()
         handler = _make_handler(self)
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", port), handler)
+        self.httpd = _HTTPServer(("127.0.0.1", port), handler)
         self.httpd.daemon_threads = True
         self.port = self.httpd.server_address[1]
         self.base_url = f"http://127.0.0.1:{self.port}"
@@ -699,8 +705,6 @@ def _make_handler(server: FixtureServer):
                         self._respond(404, _json_bytes({"error": "not found"}))
                 elif site.well_known == WK_REDIRECT:
                     self._respond(302, b"", headers={"Location": site.redirect_to or f"https://{LANDING_HOST}/"})
-                elif site.well_known == WK_DENIED_403:
-                    self._respond(403, _json_bytes({"error": "forbidden"}))
                 else:
                     self._respond(404, _json_bytes({"error": "not found"}))
                 return

@@ -34,6 +34,7 @@ FLAG_OAUTH_INCOMPLETE = "oauth_incomplete"
 FLAG_MISSING_DESCRIPTION = "missing_description"
 FLAG_UNKNOWN_AUTH = "unknown_auth_type"
 FLAG_EMPTY_API = "empty_api"
+FLAG_INVALID_SERVERS = "invalid_servers"
 
 
 class ParseError(Exception):
@@ -198,7 +199,8 @@ def parse_openapi(data: bytes, origin: str) -> OpenApiDescription:
     Extracts version, title, servers (relative server URLs resolved against
     the origin; a missing servers block defaults to the origin itself), all
     path+method pairs for GET/POST/PUT/DELETE, and component schemas. A
-    document with zero paths is flagged, not an error.
+    document with zero paths is flagged, not an error; so is a servers value
+    that is not a list, which is then ignored.
     """
     text = data.decode("utf-8", errors="replace")
     try:
@@ -211,8 +213,12 @@ def parse_openapi(data: bytes, origin: str) -> OpenApiDescription:
     flags: list[str] = []
     base = origin_of(origin) if is_absolute_http(origin) else origin.rstrip("/")
 
+    servers_raw = doc.get("servers") or []
+    if not isinstance(servers_raw, list):
+        flags.append(FLAG_INVALID_SERVERS)
+        servers_raw = []
     servers = []
-    for entry in doc.get("servers") or []:
+    for entry in servers_raw:
         url = entry.get("url") if isinstance(entry, dict) else entry
         if not isinstance(url, str) or not url:
             continue

@@ -25,7 +25,6 @@ from .manifest import (
     ManifestDocument,
     OpenApiDescription,
     ParseError,
-    parse_manifest,
     parse_openapi,
 )
 
@@ -96,14 +95,6 @@ class ProbeRequest:
 class ProbeMatrix:
     plugin_id: str
     requests: tuple[ProbeRequest, ...]
-
-    @property
-    def with_token(self) -> tuple[ProbeRequest, ...]:
-        return tuple(r for r in self.requests if r.token_variant != NO_TOKEN)
-
-    @property
-    def without_token(self) -> tuple[ProbeRequest, ...]:
-        return tuple(r for r in self.requests if r.token_variant == NO_TOKEN)
 
 
 @dataclass(frozen=True)
@@ -357,7 +348,7 @@ def _redact(headers: dict[str, str], redact: bool) -> dict[str, str]:
 
 def probe_plugin(
     plugin_id: str,
-    manifest_bytes: bytes,
+    manifest: ManifestDocument,
     fetcher: Fetcher,
     budget: int = DEFAULT_PROBE_BUDGET,
     redact_tokens: bool = True,
@@ -370,10 +361,6 @@ def probe_plugin(
     fetch body cap) API files are likewise skipped with a recorded reason.
     """
     transcript: list[TranscriptEntry] = []
-    try:
-        manifest = parse_manifest(manifest_bytes)
-    except ParseError as exc:
-        return None, f"{SKIP_IRREGULAR_MANIFEST}: {exc}", transcript
     if manifest.flags:
         return None, f"{SKIP_IRREGULAR_MANIFEST}: {','.join(manifest.flags)}", transcript
 
@@ -422,7 +409,7 @@ def probe_plugin(
 
 
 def probe_manifests(
-    manifests: dict[str, bytes],
+    manifests: dict[str, ManifestDocument],
     fetcher: Fetcher,
     budget: int = DEFAULT_PROBE_BUDGET,
     redact_tokens: bool = True,
@@ -491,8 +478,9 @@ def probe_run_to_doc(run: ProbeRunResult, snapshot_label: str) -> dict:
 
 
 def probe_run_from_doc(doc: dict) -> tuple[ProbeRunResult, str]:
-    """Rebuild a probe run from its artifact. Per-request outcomes stay as
-    plain dicts; report aggregation only reads the plugin-level fields."""
+    """Rebuild from its artifact the part of a probe run that the report
+    reads: the plugin-level results and the skip reasons. Per-request
+    outcomes and the transcript are left empty."""
     run = ProbeRunResult()
     for plugin_id, row in doc.get("results", {}).items():
         run.results[plugin_id] = PluginProbeResult(
@@ -500,9 +488,7 @@ def probe_run_from_doc(doc: dict) -> tuple[ProbeRunResult, str]:
             auth_family=row["auth_family"],
             plugin_case=row["plugin_case"],
             succeeded=bool(row["succeeded"]),
-            outcomes=row.get("outcomes", []),
             failure_causes=list(row.get("failure_causes", [])),
         )
     run.skipped = dict(doc.get("skipped", {}))
-    run.transcript = [TranscriptEntry(**entry) for entry in doc.get("transcript", [])]
     return run, doc.get("snapshot_label", "")

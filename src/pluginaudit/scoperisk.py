@@ -205,10 +205,6 @@ class ScopeClassifier:
         return CATEGORY_UNSPECIFIED
 
 
-def categorize_scope(doc: ScopeDocument, classifier: ScopeClassifier) -> str:
-    return classifier.categorize(doc)
-
-
 def categorize_corpus(
     docs: list[ScopeDocument], seed_lexicon: dict[str, tuple[str, ...]] | None = None
 ) -> list[tuple[str, str]]:
@@ -259,31 +255,3 @@ def load_seed_lexicon(path) -> dict[str, tuple[str, ...]]:
         raise ValueError(f"unknown scope categories in lexicon: {sorted(unknown)}")
     return {category: tuple(str(s) for s in seeds) for category, seeds in doc.items()}
 
-
-def pairwise_similarities(docs: list[ScopeDocument]) -> dict[tuple[str, str], float]:
-    """Raw pairwise cosines, for optional agglomerative clustering."""
-    vectors = tfidf_vectorize(docs) if docs else []
-    out: dict[tuple[str, str], float] = {}
-    for i in range(len(docs)):
-        for j in range(i + 1, len(docs)):
-            out[(docs[i].plugin_id, docs[j].plugin_id)] = cosine_similarity(vectors[i], vectors[j])
-    return out
-
-
-def cluster_by_threshold(docs: list[ScopeDocument], threshold: float = 0.6) -> list[list[str]]:
-    """Single-linkage clusters over pairwise cosine >= threshold."""
-    parent = {d.plugin_id: d.plugin_id for d in docs}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b), sim in pairwise_similarities(docs).items():
-        if sim >= threshold:
-            parent[find(a)] = find(b)
-    groups: dict[str, list[str]] = {}
-    for d in docs:
-        groups.setdefault(find(d.plugin_id), []).append(d.plugin_id)
-    return sorted(sorted(members) for members in groups.values())

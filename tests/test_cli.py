@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pluginaudit import cli
+from pluginaudit import cli, manifest as manifest_mod
+from pluginaudit.fixture import FixturePlan, FixtureSite, WK_MANIFEST, WK_REDIRECT, serve_fixtures
 
 
 def test_ingest_writes_corpus(tmp_path, capsys):
@@ -207,3 +208,87 @@ def test_diff_formats(tmp_path, fmt):
     out = tmp_path / "diff.out"
     assert cli.main(["diff", "--before", str(before), "--after", str(after), "--format", fmt, "--out", str(out)]) == 0
     assert out.read_bytes()
+
+
+@pytest.fixture
+def small_store(tmp_path):
+    """Two accessible plugins, one hidden redirect and one native plugin,
+    served by a fixture store; yields the run-all argv without --cached."""
+    plan = FixturePlan(profile="small", seed=0)
+    for host in ("a1.example", "a2.example"):
+        site = FixtureSite(host=host, well_known=WK_MANIFEST)
+        site.manifest = {
+            "name_for_human": host,
+            "name_for_model": host.split(".")[0],
+            "description_for_model": "d",
+            "api": {"type": "openapi", "url": f"https://{host}/openapi.json"},
+        }
+        plan.sites[host] = site
+    plan.sites["r.example"] = FixtureSite(host="r.example", well_known=WK_REDIRECT)
+    index = tmp_path / "index.ndjson"
+    index.write_text(
+        "".join(
+            json.dumps({"title": host, "legal_info_url": f"https://{host}/"}) + "\n"
+            for host in ("a1.example", "a2.example", "r.example", "n.example")
+        )
+    )
+    corpus = tmp_path / "corpus.json"
+    assert cli.main(["ingest", "--input", str(index), "--label", "small", "--out", str(corpus)]) == 0
+    server = serve_fixtures(plan, 0)
+    try:
+        yield [
+            "run-all",
+            "--corpus", str(corpus),
+            "--out-dir", str(tmp_path / "out"),
+            "--base-url", server.base_url,
+            "--per-host-delay-ms", "0",
+            "--retries", "0",
+        ]
+    finally:
+        server.stop()
+
+
+def _count_manifest_parses(monkeypatch) -> list[bool]:
+    """Wrap parse_manifest in every pluginaudit module that binds it; each
+    call appends whether it succeeded."""
+    original = manifest_mod.parse_manifest
+    calls: list[bool] = []
+
+    def counted(data):
+        try:
+            parsed = original(data)
+        except manifest_mod.ParseError:
+            calls.append(False)
+            raise
+        calls.append(True)
+        return parsed
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pluginaudit"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_run_all_parses_each_manifest_once(small_store, monkeypatch, tmp_path):
+    accessible, redirect_bodies = 2, 2  # both well-known candidates of r.example land on a 2xx HTML page
+    calls = _count_manifest_parses(monkeypatch)
+    assert cli.main(small_store) == 0
+    verdicts = json.loads((tmp_path / "out" / "verdicts.json").read_text())
+    assert sorted(v["verdict"] for v in verdicts) == ["accessible", "accessible", "hidden_redirect", "native_unreachable"]
+    assert calls.count(True) == accessible
+    assert len(calls) == accessible + redirect_bodies
+
+    calls.clear()
+    assert cli.main(small_store + ["--cached"]) == 0
+    assert calls == [True] * accessible
+
+
+def test_run_all_cached_outcomes_label_mismatch_exits_1(small_store, tmp_path, capsys):
+    assert cli.main(small_store) == 0
+    outcomes = tmp_path / "out" / "outcomes.json"
+    doc = json.loads(outcomes.read_text())
+    outcomes.write_text(json.dumps({**doc, "snapshot_label": "other"}))
+    assert cli.main(small_store + ["--cached"]) == 1
+    assert "snapshot label mismatch" in capsys.readouterr().err

@@ -17,12 +17,12 @@ from pluginaudit.discovery import (
     VERDICT_OPENAI_PROTECTED,
     classify_accessibility,
     generate_candidates,
-    partition_corpus,
     verdicts_from_doc,
     verdicts_to_doc,
     AccessibilityVerdict,
 )
 from pluginaudit.fetch import FetchResult
+from pluginaudit.manifest import parse_manifest
 from pluginaudit.urlnorm import host_of, registrable_domain
 
 MANIFEST_BODY = json.dumps(
@@ -137,7 +137,9 @@ def _result(url: str, status: int, body: bytes = b"", final: str | None = None, 
 def test_classify_manifest_wins():
     record = _record("p1", "https://a.io/legal")
     url = "https://a.io/.well-known/ai-plugin.json"
-    verdict = classify_accessibility(record, [(_candidate(url), _result(url, 200, MANIFEST_BODY))])
+    verdict = classify_accessibility(
+        record, [(_candidate(url), _result(url, 200, MANIFEST_BODY))], parse_manifest(MANIFEST_BODY)
+    )
     assert verdict.verdict == VERDICT_ACCESSIBLE
     assert verdict.winning_url == url
     assert verdict.http_status == 200
@@ -146,14 +148,14 @@ def test_classify_manifest_wins():
 def test_classify_github_seed():
     record = _record("p2", "https://github.com/dev/plugin")
     url = "https://github.com/.well-known/ai-plugin.json"
-    verdict = classify_accessibility(record, [(_candidate(url), _result(url, 404))])
+    verdict = classify_accessibility(record, [(_candidate(url), _result(url, 404))], None)
     assert verdict.verdict == VERDICT_HOSTED_GITHUB
 
 
 def test_classify_google_doc_seed():
     record = _record("p3", "https://drive.google.com/file/d/abc")
     url = "https://drive.google.com/.well-known/ai-plugin.json"
-    verdict = classify_accessibility(record, [(_candidate(url), _result(url, 403))])
+    verdict = classify_accessibility(record, [(_candidate(url), _result(url, 403))], None)
     assert verdict.verdict == VERDICT_HOSTED_GOOGLE_DOC
 
 
@@ -161,21 +163,21 @@ def test_classify_openai_protected():
     record = _record("p4", "https://chat.openai.com/dominick.codes")
     url = "https://chat.openai.com/.well-known/ai-plugin.json"
     results = [(_candidate(url), _result(url, 403)), (_candidate(url + "2"), _result(url + "2", 404))]
-    assert classify_accessibility(record, results).verdict == VERDICT_OPENAI_PROTECTED
+    assert classify_accessibility(record, results, None).verdict == VERDICT_OPENAI_PROTECTED
 
 
 def test_classify_hidden_redirect_cross_domain_html():
     record = _record("p5", "https://a.io/legal")
     url = "https://a.io/.well-known/ai-plugin.json"
     result = _result(url, 200, b"<html><body>welcome</body></html>", final="https://ads.example/landing", ctype="text/html")
-    assert classify_accessibility(record, [(_candidate(url), result)]).verdict == VERDICT_HIDDEN_REDIRECT
+    assert classify_accessibility(record, [(_candidate(url), result)], None).verdict == VERDICT_HIDDEN_REDIRECT
 
 
 def test_classify_2xx_non_manifest_json_is_hidden_redirect():
     record = _record("p6", "https://a.io/legal")
     url = "https://a.io/.well-known/ai-plugin.json"
     result = _result(url, 200, b'{"hello": "world"}')
-    assert classify_accessibility(record, [(_candidate(url), result)]).verdict == VERDICT_HIDDEN_REDIRECT
+    assert classify_accessibility(record, [(_candidate(url), result)], None).verdict == VERDICT_HIDDEN_REDIRECT
 
 
 def test_classify_native_unreachable():
@@ -184,48 +186,15 @@ def test_classify_native_unreachable():
         (_candidate("https://a.io/.well-known/ai-plugin.json"), _result("https://a.io/.well-known/ai-plugin.json", 404)),
         (_candidate("https://a.io/.well-known/"), _result("https://a.io/.well-known/", 406)),
     ]
-    assert classify_accessibility(record, results).verdict == VERDICT_NATIVE_UNREACHABLE
+    assert classify_accessibility(record, results, None).verdict == VERDICT_NATIVE_UNREACHABLE
 
 
 def test_classification_is_replayable():
     record = _record("p8", "https://a.io/legal")
     url = "https://a.io/.well-known/ai-plugin.json"
     results = [(_candidate(url), _result(url, 200, MANIFEST_BODY))]
-    assert classify_accessibility(record, results) == classify_accessibility(record, results)
-
-
-def _verdict(plugin_id: str, kind: str) -> AccessibilityVerdict:
-    return AccessibilityVerdict(plugin_id=plugin_id, verdict=kind)
-
-
-def test_partition_reference_population():
-    counts = {
-        VERDICT_ACCESSIBLE: 373,
-        VERDICT_HIDDEN_REDIRECT: 104,
-        VERDICT_OPENAI_PROTECTED: 12,
-        VERDICT_HOSTED_GOOGLE_DOC: 6,
-        VERDICT_HOSTED_GITHUB: 19,
-        VERDICT_NATIVE_UNREACHABLE: 518,
-    }
-    verdicts = {}
-    for kind, n in counts.items():
-        for i in range(n):
-            pid = f"{kind}-{i}"
-            verdicts[pid] = _verdict(pid, kind)
-    partition = partition_corpus(verdicts)
-    assert len(partition.all_ids) == 1032
-    assert len(partition.exposed) == 373
-    assert len(partition.protected) == 1032 - 373
-    assert partition.exposed | partition.protected == partition.all_ids
-    assert partition.exposed & partition.protected == frozenset()
-
-
-def test_partition_boundaries():
-    all_accessible = {f"p{i}": _verdict(f"p{i}", VERDICT_ACCESSIBLE) for i in range(4)}
-    partition = partition_corpus(all_accessible)
-    assert partition.protected == frozenset()
-    empty = partition_corpus({})
-    assert empty.all_ids == empty.exposed == empty.protected == frozenset()
+    manifest = parse_manifest(MANIFEST_BODY)
+    assert classify_accessibility(record, results, manifest) == classify_accessibility(record, results, manifest)
 
 
 def test_verdict_doc_round_trip():

@@ -5,6 +5,7 @@ import urllib.error
 import urllib.request
 from collections import Counter
 
+from pluginaudit.fetch import BODY_PREFIX_LIMIT, Fetcher
 from pluginaudit.fixture import (
     FixtureEndpoint,
     FixturePlan,
@@ -66,6 +67,23 @@ def test_serve_manifest_at_well_known_path():
         assert json.loads(body)["name_for_human"] == "Tiny"
     finally:
         server.stop()
+
+
+def test_client_hanging_up_mid_body_prints_no_traceback(capfd):
+    site = FixtureSite(host="big.example")
+    site.openapi_raw = "x" * (8 * BODY_PREFIX_LIMIT)
+    plan = FixturePlan(profile="big", seed=0)
+    plan.sites["big.example"] = site
+    server = serve_fixtures(plan, 0)
+    try:
+        fetcher = Fetcher(per_host_delay_ms=0, retries=0, base_url=server.base_url)
+        for _ in range(3):
+            assert fetcher.fetch("https://big.example/openapi.json").truncated
+        fetcher.close()
+    finally:
+        server.stop()
+    err = capfd.readouterr().err
+    assert "Traceback" not in err and "Exception occurred" not in err
 
 
 def test_rate_limit_counter_semantics():

@@ -7,6 +7,7 @@ import pytest
 
 from pluginaudit.manifest import (
     FLAG_EMPTY_API,
+    FLAG_INVALID_SERVERS,
     FLAG_MISSING_DESCRIPTION,
     FLAG_OAUTH_INCOMPLETE,
     ParseError,
@@ -158,6 +159,22 @@ def test_parse_openapi_defaults_servers_to_origin():
     del doc["servers"]
     api = parse_openapi(_bytes(doc), "https://x.io/openapi.yaml")
     assert api.servers == ("https://x.io",)
+
+
+@pytest.mark.parametrize("servers", ["abc", {"url": "https://evil.example"}, 7])
+def test_parse_openapi_non_list_servers_fall_back_to_origin(servers):
+    # A scalar must not be walked one character at a time, nor a mapping by
+    # its keys: either would send probes to a base the document never named.
+    doc = dict(SAMPLE_OPENAPI, servers=servers)
+    api = parse_openapi(_bytes(doc), "https://h.io/openapi.json")
+    assert api.servers == ("https://h.io",)
+    assert FLAG_INVALID_SERVERS in api.flags
+
+
+def test_parse_openapi_list_servers_not_flagged():
+    api = parse_openapi(_bytes(SAMPLE_OPENAPI), "https://h.io/openapi.json")
+    assert api.servers == ("https://example.com",)
+    assert FLAG_INVALID_SERVERS not in api.flags
 
 
 def test_parse_openapi_yaml_surface():

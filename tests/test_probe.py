@@ -74,7 +74,7 @@ def test_matrix_no_auth_two_gets():
     assert len(matrix.requests) == 2
     assert all(r.token_variant == NO_TOKEN for r in matrix.requests)
     assert [r.full_url for r in matrix.requests] == ["https://p.example/api/a", "https://p.example/api/b"]
-    assert matrix.without_token == matrix.requests and matrix.with_token == ()
+    assert all(r.token_value is None for r in matrix.requests)
 
 
 def test_matrix_with_leaked_token_three_variants():
@@ -89,10 +89,8 @@ def test_matrix_with_leaked_token_three_variants():
     assert leaked.token_value == "abc"
     assert matrix.requests[2].token_value == FABRICATED_TOKEN_VALUE
     assert json.loads(matrix.requests[0].body) == {"query": "test"}
-    # The partition invariant: token/no-token split covers the matrix.
-    assert len(matrix.with_token) + len(matrix.without_token) == len(matrix.requests)
-    assert all(r.token_variant != NO_TOKEN for r in matrix.with_token)
-    assert all(r.token_variant == NO_TOKEN for r in matrix.without_token)
+    assert all(r.token_value for r in matrix.requests if r.token_variant != NO_TOKEN)
+    assert all(r.token_value is None for r in matrix.requests if r.token_variant == NO_TOKEN)
 
 
 def test_matrix_oauth_without_tokens_gets_no_leaked_variant():
@@ -256,7 +254,7 @@ def test_openapi_over_body_cap_is_skipped_as_too_large():
     server = serve_fixtures(plan, 0)
     try:
         fetcher = Fetcher(per_host_delay_ms=0, retries=0, base_url=server.base_url)
-        result, reason, transcript = probe_plugin("p", _manifest({"type": "none"}), fetcher)
+        result, reason, transcript = probe_plugin("p", parse_manifest(_manifest({"type": "none"})), fetcher)
         fetcher.close()
     finally:
         server.stop()

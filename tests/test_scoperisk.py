@@ -17,7 +17,6 @@ from pluginaudit.scoperisk import (
     ScopeClassifier,
     TfidfVector,
     categorize_corpus,
-    cluster_by_threshold,
     cosine_similarity,
     distribution_report,
     make_scope_document,
@@ -198,12 +197,3 @@ def test_argmax_invariant_under_count_scaling_100_corpora():
         scale = rng.randint(2, 5)
         scaled = [make_scope_document(d.plugin_id, " ".join(list(d.tokens) * scale)) for d in docs]
         assert categorize_corpus(docs) == categorize_corpus(scaled)
-
-
-def test_cluster_by_threshold_groups_identical_scopes():
-    docs = [
-        make_scope_document("a", "read write"),
-        make_scope_document("b", "read write"),
-        make_scope_document("c", "email"),
-    ]
-    assert cluster_by_threshold(docs, 0.6) == [["a", "b"], ["c"]]
