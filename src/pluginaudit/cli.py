@@ -1,11 +1,11 @@
 """Single `audit` entry point wiring the pipeline subcommands.
 
-Every stage writes its artifact under the output directory. `run-all`
-executes discover -> probe -> consistency -> scopes -> report in order and
-hands each stage's typed result to the next in memory, parsing each
-manifest once. It content-addresses the network stages by input hash, so
-`--cached` reruns skip fetching and reproduce byte-identical reports; only
-then are `verdicts.json`, `manifests/` and `outcomes.json` read back. The
+Every stage writes its artifact under the output directory in the formats
+of `artifacts`. `run-all` executes discover -> probe -> consistency ->
+scopes -> report in order and hands each stage's typed result to the next
+in memory, parsing each manifest once. `--cached` reuses a network stage's
+artifacts only when its input hash matches and they are the bytes it wrote,
+so reruns skip fetching and reproduce byte-identical reports. The
 single-stage subcommands read their inputs from the artifacts.
 
 Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
@@ -20,6 +20,7 @@ import sys
 import threading
 from pathlib import Path
 
+from . import artifacts
 from . import consistency as consistency_mod
 from . import corpus as corpus_mod
 from . import discovery as discovery_mod
@@ -29,17 +30,11 @@ from . import report as report_mod
 from . import scoperisk as scoperisk_mod
 from .config import AuditConfig, ConfigError, load_config
 from .fetch import Fetcher
-from .manifest import ManifestDocument, ParseError, parse_manifest
+from .manifest import ManifestDocument, ParseError
 
 EXIT_OK = 0
 EXIT_STAGE_ERROR = 1
 EXIT_CONFIG_ERROR = 2
-
-
-class StageError(Exception):
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"{stage}: {message}")
-        self.stage = stage
 
 
 _LOG_LOCK = threading.Lock()
@@ -74,20 +69,6 @@ def _make_fetcher(config: AuditConfig) -> Fetcher:
     )
 
 
-def _write_json(path: Path, doc: object) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _read_json(path: Path, stage: str) -> object:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise StageError(stage, f"missing input file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise StageError(stage, f"unparseable JSON in {path}: {exc}") from exc
-
-
 # --------------------------------------------------------------------------
 # Stage implementations (shared by the single-stage commands and run-all)
 
@@ -95,28 +76,9 @@ def _read_json(path: Path, stage: str) -> object:
 def stage_discover(corpus, config: AuditConfig, verdicts_path: Path, manifests_dir: Path):
     fetcher = _make_fetcher(config)
     result = discovery_mod.discover_corpus(corpus, fetcher)
-    _write_json(verdicts_path, discovery_mod.verdicts_to_doc(result.verdicts))
-    manifests_dir.mkdir(parents=True, exist_ok=True)
-    for stale in manifests_dir.glob("*.json"):
-        stale.unlink()
-    for plugin_id, manifest in sorted(result.manifests.items()):
-        (manifests_dir / f"{plugin_id}.json").write_bytes(manifest.raw_source)
+    artifacts.write_verdicts(verdicts_path, result.verdicts)
+    artifacts.write_manifests(manifests_dir, result.manifests)
     return result
-
-
-def _load_manifests(
-    manifests_dir: Path, stage: str
-) -> tuple[dict[str, ManifestDocument], dict[str, ParseError]]:
-    """Parse each `<plugin_id>.json` once: (parsed, rejected with the error)."""
-    if not manifests_dir.is_dir():
-        raise StageError(stage, f"manifests directory not found: {manifests_dir}")
-    parsed, rejected = {}, {}
-    for path in sorted(manifests_dir.glob("*.json")):
-        try:
-            parsed[path.stem] = parse_manifest(path.read_bytes())
-        except ParseError as exc:
-            rejected[path.stem] = exc
-    return parsed, rejected
 
 
 def stage_probe(
@@ -132,18 +94,15 @@ def stage_probe(
     )
     for plugin_id, exc in rejected.items():
         run.skipped[plugin_id] = f"{probe_mod.SKIP_IRREGULAR_MANIFEST}: {exc}"
-    _write_json(outcomes_path, probe_mod.probe_run_to_doc(run, label))
+    artifacts.write_outcomes(outcomes_path, run, label)
     return run
 
 
 def stage_consistency(corpus, manifests: dict[str, ManifestDocument], findings_path: Path):
     findings = consistency_mod.analyze_consistency(corpus, manifests)
-    discrepancies = consistency_mod.aggregate_discrepancies(findings, corpus)
+    per_developer = consistency_mod.aggregate_discrepancies(findings, corpus)
     strict_only = consistency_mod.count_strict_only(corpus, manifests)
-    _write_json(
-        findings_path,
-        consistency_mod.findings_to_doc(findings, discrepancies, corpus.snapshot_label, strict_only),
-    )
+    artifacts.write_findings(findings_path, findings, per_developer, corpus.snapshot_label, strict_only)
     return findings
 
 
@@ -155,19 +114,12 @@ def stage_scopes(manifests: dict[str, ManifestDocument], label: str, scopes_path
             docs.append(scoperisk_mod.make_scope_document(plugin_id, manifest.auth.scope))
     assignments = scoperisk_mod.categorize_corpus(docs, lexicon)
     distribution = scoperisk_mod.distribution_report(assignments)
-    _write_json(scopes_path, scoperisk_mod.scopes_to_doc(assignments, distribution, label))
+    artifacts.write_scopes(scopes_path, assignments, distribution, label)
     return assignments, distribution
 
 
-def stage_report(
-    corpus, verdicts, probe_run, findings, assignments, distribution, input_labels: dict[str, str], out_path: Path
-):
-    try:
-        report = report_mod.build_report(
-            corpus, verdicts, probe_run, findings, assignments, distribution, input_labels=input_labels
-        )
-    except report_mod.ReportError as exc:
-        raise StageError("report", str(exc)) from exc
+def stage_report(corpus, verdicts, probe_run, findings, assignments, distribution, out_path: Path):
+    report = report_mod.build_report(corpus, verdicts, probe_run, findings, assignments, distribution)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(report_mod.render_report(report, "json"))
     return report
@@ -189,16 +141,9 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _load_corpus_or_fail(path: str):
-    try:
-        return corpus_mod.load_corpus(path)
-    except corpus_mod.CorpusError as exc:
-        raise StageError("corpus", str(exc)) from exc
-
-
 def cmd_discover(args) -> int:
     config = _config_from_args(args)
-    corpus = _load_corpus_or_fail(args.corpus)
+    corpus = corpus_mod.load_corpus(args.corpus)
     manifests_dir = Path(args.manifests_dir) if args.manifests_dir else Path(args.out).parent / "manifests"
     result = stage_discover(corpus, config, Path(args.out), manifests_dir)
     exposed = sum(1 for v in result.verdicts.values() if v.verdict == discovery_mod.VERDICT_ACCESSIBLE)
@@ -208,24 +153,24 @@ def cmd_discover(args) -> int:
 
 def cmd_probe(args) -> int:
     config = _config_from_args(args)
-    corpus = _load_corpus_or_fail(args.corpus)
-    manifests, rejected = _load_manifests(Path(args.manifests), "probe")
+    corpus = corpus_mod.load_corpus(args.corpus)
+    manifests, rejected = artifacts.read_manifests(Path(args.manifests))
     run = stage_probe(manifests, rejected, config, corpus.snapshot_label, Path(args.out))
     print(f"probed {len(run.results)} plugins, skipped {len(run.skipped)} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_consistency(args) -> int:
-    corpus = _load_corpus_or_fail(args.corpus)
-    manifests, _ = _load_manifests(Path(args.manifests), "consistency")
+    corpus = corpus_mod.load_corpus(args.corpus)
+    manifests, _ = artifacts.read_manifests(Path(args.manifests))
     findings = stage_consistency(corpus, manifests, Path(args.out))
     print(f"found {len(findings)} consistency findings -> {args.out}")
     return EXIT_OK
 
 
 def cmd_scopes(args) -> int:
-    corpus = _load_corpus_or_fail(args.corpus)
-    manifests, _ = _load_manifests(Path(args.manifests), "scopes")
+    corpus = corpus_mod.load_corpus(args.corpus)
+    manifests, _ = artifacts.read_manifests(Path(args.manifests))
     lexicon = scoperisk_mod.load_seed_lexicon(args.seed_lexicon) if args.seed_lexicon else None
     assignments, _ = stage_scopes(manifests, corpus.snapshot_label, Path(args.out), lexicon)
     print(f"categorized {len(assignments)} OAuth scopes -> {args.out}")
@@ -233,13 +178,13 @@ def cmd_scopes(args) -> int:
 
 
 def cmd_report(args) -> int:
-    corpus = _load_corpus_or_fail(args.corpus)
-    verdicts = discovery_mod.verdicts_from_doc(_read_json(Path(args.verdicts), "report"))
-    probe_run, probe_label = probe_mod.probe_run_from_doc(_read_json(Path(args.outcomes), "report"))
-    findings, findings_label = consistency_mod.findings_from_doc(_read_json(Path(args.findings), "report"))
-    assignments, distribution, scopes_label = scoperisk_mod.scopes_from_doc(_read_json(Path(args.scopes), "report"))
-    labels = {"outcomes": probe_label, "findings": findings_label, "scopes": scopes_label}
-    report = stage_report(corpus, verdicts, probe_run, findings, assignments, distribution, labels, Path(args.out))
+    corpus = corpus_mod.load_corpus(args.corpus)
+    label = corpus.snapshot_label
+    verdicts = artifacts.read_verdicts(Path(args.verdicts), (r.plugin_id for r in corpus.records))
+    probe_run = artifacts.read_outcomes(Path(args.outcomes), label)
+    findings = artifacts.read_findings(Path(args.findings), label)
+    assignments, distribution = artifacts.read_scopes(Path(args.scopes), label)
+    report = stage_report(corpus, verdicts, probe_run, findings, assignments, distribution, Path(args.out))
     if args.format == "markdown":
         md_path = Path(args.out).with_suffix(".md")
         md_path.write_bytes(report_mod.render_report(report, "markdown"))
@@ -250,11 +195,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    try:
-        before = report_mod.load_report(args.before)
-        after = report_mod.load_report(args.after)
-    except (report_mod.ReportError, FileNotFoundError, json.JSONDecodeError) as exc:
-        raise StageError("diff", str(exc)) from exc
+    before = report_mod.load_report(args.before)
+    after = report_mod.load_report(args.after)
     diff = report_mod.diff_reports(before, after)
     payload = report_mod.render_diff(diff, args.format)
     if args.out:
@@ -291,9 +233,14 @@ def cmd_serve_fixtures(args) -> int:
     return EXIT_OK
 
 
-def _fingerprint(*parts: bytes | str) -> str:
+def _fingerprint(*parts: bytes | str | Path) -> str:
+    """SHA-256 of the parts; a file adds its name, length and bytes, read one file at a time."""
     digest = hashlib.sha256()
     for part in parts:
+        if isinstance(part, Path):
+            data = part.read_bytes()
+            digest.update(f"{part.name}\x1f{len(data)}\x1f".encode("utf-8"))
+            part = data
         digest.update(part.encode("utf-8") if isinstance(part, str) else part)
         digest.update(b"\x1f")
     return digest.hexdigest()
@@ -301,11 +248,10 @@ def _fingerprint(*parts: bytes | str) -> str:
 
 def cmd_run_all(args) -> int:
     config = _config_from_args(args)
-    corpus_path = Path(args.corpus)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = _load_corpus_or_fail(args.corpus)
-    corpus_bytes = corpus_path.read_bytes()
+    corpus = corpus_mod.load_corpus(args.corpus)
+    corpus_bytes = Path(args.corpus).read_bytes()
     label = corpus.snapshot_label
 
     verdicts_path = out_dir / "verdicts.json"
@@ -316,37 +262,42 @@ def cmd_run_all(args) -> int:
     report_path = out_dir / "report.json"
     cache_path = out_dir / "cache.json"
 
-    cache: dict = {}
-    if cache_path.is_file():
-        try:
-            cache = json.loads(cache_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            cache = {}
+    try:
+        cache = json.loads(cache_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        cache = {}
+    if not isinstance(cache, dict):
+        cache = {}
 
+    # A stage's cache entry hashes its input key with the bytes it wrote, so
+    # an artifact changed on disk since is not served.
     fetch_knobs = f"{config.base_url_override}|{config.timeout_ms}|{config.retries}"
-    discover_fp = _fingerprint(corpus_bytes, "discover", fetch_knobs)
-    if args.cached and cache.get("discover") == discover_fp and verdicts_path.is_file() and manifests_dir.is_dir():
-        verdicts = discovery_mod.verdicts_from_doc(_read_json(verdicts_path, "discover"))
-        manifests, rejected = _load_manifests(manifests_dir, "discover")
+    discover_key = _fingerprint(corpus_bytes, "discover", fetch_knobs)
+
+    def discover_entry() -> str:
+        return _fingerprint(discover_key, verdicts_path, *sorted(manifests_dir.glob("*.json")))
+
+    if args.cached and verdicts_path.is_file() and manifests_dir.is_dir() and cache.get("discover") == discover_entry():
+        verdicts = artifacts.read_verdicts(verdicts_path, (r.plugin_id for r in corpus.records))
+        manifests, rejected = artifacts.read_manifests(manifests_dir)
         print("discover: cached")
     else:
         discovered = stage_discover(corpus, config, verdicts_path, manifests_dir)
         verdicts, manifests, rejected = discovered.verdicts, discovered.manifests, {}
-        cache["discover"] = discover_fp
-        _write_json(cache_path, cache)
+        cache["discover"] = discover_entry()
+        artifacts.write_json(cache_path, cache)
         print("discover: done")
 
-    probe_fp = _fingerprint(
-        discover_fp, "probe", fetch_knobs, str(config.probe_budget), str(config.redact_tokens)
+    probe_key = _fingerprint(
+        cache["discover"], "probe", fetch_knobs, str(config.probe_budget), str(config.redact_tokens)
     )
-    input_labels: dict[str, str] = {}
-    if args.cached and cache.get("probe") == probe_fp and outcomes_path.is_file():
-        probe_run, input_labels["outcomes"] = probe_mod.probe_run_from_doc(_read_json(outcomes_path, "probe"))
+    if args.cached and outcomes_path.is_file() and cache.get("probe") == _fingerprint(probe_key, outcomes_path):
+        probe_run = artifacts.read_outcomes(outcomes_path, label)
         print("probe: cached")
     else:
         probe_run = stage_probe(manifests, rejected, config, label, outcomes_path)
-        cache["probe"] = probe_fp
-        _write_json(cache_path, cache)
+        cache["probe"] = _fingerprint(probe_key, outcomes_path)
+        artifacts.write_json(cache_path, cache)
         print("probe: done")
 
     findings = stage_consistency(corpus, manifests, findings_path)
@@ -354,7 +305,7 @@ def cmd_run_all(args) -> int:
     assignments, distribution = stage_scopes(manifests, label, scopes_path)
     print("scopes: done")
 
-    report = stage_report(corpus, verdicts, probe_run, findings, assignments, distribution, input_labels, report_path)
+    report = stage_report(corpus, verdicts, probe_run, findings, assignments, distribution, report_path)
     (out_dir / "report.md").write_bytes(report_mod.render_report(report, "markdown"))
     print(f"report: done -> {report_path}")
     return EXIT_OK
@@ -477,8 +428,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except StageError as exc:
-        print(f"error in stage {exc.stage}: {exc}", file=sys.stderr)
+    except (corpus_mod.CorpusError, artifacts.ArtifactError, report_mod.ReportError) as exc:
+        print(f"error in stage {args.command}: {exc}", file=sys.stderr)
         return EXIT_STAGE_ERROR
 
 

@@ -9,7 +9,7 @@ developer. All detectors are pure functions of corpus + manifests.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Corpus, PluginRecord
 from .manifest import ManifestDocument, manifest_fingerprint
@@ -41,12 +41,6 @@ class ConsistencyFinding:
 
     def members(self) -> list[str]:
         return list(self.evidence.get("members", []))
-
-
-@dataclass
-class DiscrepancySet:
-    findings: list[ConsistencyFinding] = field(default_factory=list)
-    per_developer: dict[str, int] = field(default_factory=dict)
 
 
 def normalize_text(value: str) -> str:
@@ -195,7 +189,7 @@ def detect_rank_gaming(
     return findings
 
 
-def aggregate_discrepancies(findings: list[ConsistencyFinding], corpus: Corpus) -> DiscrepancySet:
+def aggregate_discrepancies(findings: list[ConsistencyFinding], corpus: Corpus) -> dict[str, int]:
     """Count findings per developer domain; unknown developers binned
     under "unknown". Every finding is counted exactly once, group findings
     under their representative plugin's developer."""
@@ -204,7 +198,7 @@ def aggregate_discrepancies(findings: list[ConsistencyFinding], corpus: Corpus) 
     for finding in findings:
         developer = developers.get(finding.plugin_id, UNKNOWN_DEVELOPER)
         per_developer[developer] = per_developer.get(developer, 0) + 1
-    return DiscrepancySet(findings=list(findings), per_developer=per_developer)
+    return per_developer
 
 
 def analyze_consistency(
@@ -243,28 +237,3 @@ def count_strict_only(corpus: Corpus, manifests: dict[str, ManifestDocument]) ->
             if not strict_match(left, right) and consistency_match(left, right):
                 strict_only += 1
     return strict_only
-
-
-def findings_to_doc(
-    findings: list[ConsistencyFinding],
-    discrepancies: DiscrepancySet,
-    snapshot_label: str,
-    strict_only: int = 0,
-) -> dict:
-    return {
-        "schema_version": 1,
-        "snapshot_label": snapshot_label,
-        "findings": [
-            {"plugin_id": f.plugin_id, "kind": f.kind, "evidence": f.evidence} for f in findings
-        ],
-        "per_developer": dict(sorted(discrepancies.per_developer.items())),
-        "strict_only_mismatches": strict_only,
-    }
-
-
-def findings_from_doc(doc: dict) -> tuple[list[ConsistencyFinding], str]:
-    findings = [
-        ConsistencyFinding(plugin_id=row["plugin_id"], kind=row["kind"], evidence=row.get("evidence", {}))
-        for row in doc.get("findings", [])
-    ]
-    return findings, doc.get("snapshot_label", "")

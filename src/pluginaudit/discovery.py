@@ -288,35 +288,3 @@ def discover_corpus(corpus: Corpus, fetcher: Fetcher) -> DiscoveryResult:
         if manifest is not None:
             out.manifests[plugin_id] = manifest
     return out
-
-
-def verdicts_to_doc(verdicts: dict[str, AccessibilityVerdict]) -> list[dict]:
-    """The verdicts artifact: a JSON array, one row per plugin."""
-    rows = []
-    for plugin_id in sorted(verdicts):
-        v = verdicts[plugin_id]
-        rows.append(
-            {
-                "plugin_id": v.plugin_id,
-                "verdict": v.verdict,
-                "winning_url": v.winning_url,
-                "http_status": v.http_status,
-                "candidates_tried": v.candidates_tried,
-                "evidence": v.evidence,
-            }
-        )
-    return rows
-
-
-def verdicts_from_doc(rows: list[dict]) -> dict[str, AccessibilityVerdict]:
-    out = {}
-    for row in rows:
-        out[row["plugin_id"]] = AccessibilityVerdict(
-            plugin_id=row["plugin_id"],
-            verdict=row["verdict"],
-            winning_url=row.get("winning_url"),
-            http_status=row.get("http_status"),
-            evidence=row.get("evidence", ""),
-            candidates_tried=int(row.get("candidates_tried", 0)),
-        )
-    return out

@@ -66,7 +66,7 @@ _FAMILY_BY_AUTH = {
     AUTH_SERVICE_BEARER: FAMILY_BEARER,
     AUTH_USER_BEARER: FAMILY_USER_HTTP,
 }
-_KNOWN_FAMILIES = (FAMILY_NO_TOKEN, FAMILY_OAUTH, FAMILY_BEARER, FAMILY_USER_HTTP)
+ALL_FAMILIES = (FAMILY_NO_TOKEN, FAMILY_OAUTH, FAMILY_BEARER, FAMILY_USER_HTTP)
 
 _RATE_LIMIT_PHRASES = ("rate limit", "too many requests", "quota exceeded", "throttled")
 
@@ -314,7 +314,7 @@ def summarize_token_types(plugins: list[tuple[str, str, bool]]) -> dict[str, dic
     for family in PAPER_FAMILIES + (FAMILY_USER_HTTP,):
         table[family] = {"total": 0, "succeeded": 0, "failed": 0, "success_rate": None}
     for auth_type, _case, succeeded in plugins:
-        family = auth_type if auth_type in _KNOWN_FAMILIES else _FAMILY_BY_AUTH.get(auth_type, FAMILY_USER_HTTP)
+        family = auth_type if auth_type in ALL_FAMILIES else _FAMILY_BY_AUTH.get(auth_type, FAMILY_USER_HTTP)
         row = table[family]
         row["total"] += 1
         row["succeeded" if succeeded else "failed"] += 1
@@ -428,67 +428,3 @@ def probe_manifests(
             result.plugin_id = plugin_id
             run.results[plugin_id] = result
     return run
-
-
-def _outcome_to_doc(outcome: ProbeOutcome) -> dict:
-    return {
-        "method": outcome.request.endpoint.method,
-        "url": outcome.request.full_url,
-        "token_variant": outcome.request.token_variant,
-        "status": outcome.http_status,
-        "valid_data": outcome.valid_data,
-        "t_r": outcome.t_r,
-        "t_v": outcome.t_v,
-        "case": outcome.case,
-        "failure_cause": outcome.failure_cause,
-        "server_side": outcome.server_side,
-    }
-
-
-def probe_run_to_doc(run: ProbeRunResult, snapshot_label: str) -> dict:
-    results = {}
-    for plugin_id in sorted(run.results):
-        r = run.results[plugin_id]
-        results[plugin_id] = {
-            "auth_family": r.auth_family,
-            "plugin_case": r.plugin_case,
-            "succeeded": r.succeeded,
-            "failure_causes": r.failure_causes,
-            "outcomes": [_outcome_to_doc(o) for o in r.outcomes],
-        }
-    return {
-        "schema_version": 1,
-        "snapshot_label": snapshot_label,
-        "results": results,
-        "skipped": dict(sorted(run.skipped.items())),
-        "transcript": [
-            {
-                "plugin_id": t.plugin_id,
-                "method": t.method,
-                "url": t.url,
-                "token_variant": t.token_variant,
-                "headers": t.headers,
-                "status": t.status,
-                "body_sha256": t.body_sha256,
-                "attempts": t.attempts,
-            }
-            for t in run.transcript
-        ],
-    }
-
-
-def probe_run_from_doc(doc: dict) -> tuple[ProbeRunResult, str]:
-    """Rebuild from its artifact the part of a probe run that the report
-    reads: the plugin-level results and the skip reasons. Per-request
-    outcomes and the transcript are left empty."""
-    run = ProbeRunResult()
-    for plugin_id, row in doc.get("results", {}).items():
-        run.results[plugin_id] = PluginProbeResult(
-            plugin_id=plugin_id,
-            auth_family=row["auth_family"],
-            plugin_case=row["plugin_case"],
-            succeeded=bool(row["succeeded"]),
-            failure_causes=list(row.get("failure_causes", [])),
-        )
-    run.skipped = dict(doc.get("skipped", {}))
-    return run, doc.get("snapshot_label", "")

@@ -95,19 +95,8 @@ def build_report(
     findings: list[ConsistencyFinding],
     scope_assignments: list[tuple[str, str]],
     scope_distribution: dict[str, dict],
-    input_labels: dict[str, str] | None = None,
 ) -> AuditReport:
-    """Aggregate all layer outputs for one snapshot into a report.
-
-    input_labels maps artifact name -> snapshot_label; any label differing
-    from the corpus label is a hard error (mixing snapshots silently would
-    corrupt every table).
-    """
-    label = corpus.snapshot_label
-    for name, other in (input_labels or {}).items():
-        if other != label:
-            raise ReportError(f"snapshot label mismatch: corpus is {label!r} but {name} is {other!r}")
-
+    """Aggregate all layer outputs for one snapshot into a report."""
     accessibility = {verdict: 0 for verdict in ALL_VERDICTS}
     for v in verdicts.values():
         accessibility[v.verdict] = accessibility.get(v.verdict, 0) + 1
@@ -176,7 +165,7 @@ def build_report(
 
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "snapshot_label": label,
+        "snapshot_label": corpus.snapshot_label,
         "corpus_size": len(corpus),
         "accessibility_table": accessibility,
         "probed_count": len(probe_run.results),
@@ -308,7 +297,12 @@ def render_diff(diff: ReportDiff, fmt: str = "json") -> bytes:
 
 
 def load_report(path) -> AuditReport:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ReportError(f"not a report file (expected schema v{REPORT_SCHEMA_VERSION}): {path}")
+    """Read a report for diffing; it must carry integer `metrics`."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
+        raise ReportError(f"cannot read report {path}: {exc}") from exc
+    metrics = doc.get("metrics") if isinstance(doc, dict) and doc.get("schema_version") == REPORT_SCHEMA_VERSION else None
+    if not isinstance(metrics, dict) or not all(type(value) is int for value in metrics.values()):
+        raise ReportError(f"not a report file (expected schema v{REPORT_SCHEMA_VERSION} with integer metrics): {path}")
     return AuditReport(doc=doc)

@@ -229,22 +229,6 @@ def distribution_report(assignments: list[tuple[str, str]]) -> dict[str, dict]:
     }
 
 
-def scopes_to_doc(
-    assignments: list[tuple[str, str]], distribution: dict[str, dict], snapshot_label: str
-) -> dict:
-    return {
-        "schema_version": 1,
-        "snapshot_label": snapshot_label,
-        "assignments": [[plugin_id, category] for plugin_id, category in sorted(assignments)],
-        "distribution": distribution,
-    }
-
-
-def scopes_from_doc(doc: dict) -> tuple[list[tuple[str, str]], dict[str, dict], str]:
-    assignments = [(row[0], row[1]) for row in doc.get("assignments", [])]
-    return assignments, doc.get("distribution", {}), doc.get("snapshot_label", "")
-
-
 def load_seed_lexicon(path) -> dict[str, tuple[str, ...]]:
     """Seed lexicon from a JSON config: {category: [seed strings]}."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))

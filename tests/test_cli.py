@@ -213,7 +213,8 @@ def test_diff_formats(tmp_path, fmt):
 @pytest.fixture
 def small_store(tmp_path):
     """Two accessible plugins, one hidden redirect and one native plugin,
-    served by a fixture store; yields the run-all argv without --cached."""
+    served by a fixture store; yields the run-all argv without --cached.
+    a1.example's API has two endpoints, so it is probed with two requests."""
     plan = FixturePlan(profile="small", seed=0)
     for host in ("a1.example", "a2.example"):
         site = FixtureSite(host=host, well_known=WK_MANIFEST)
@@ -224,6 +225,12 @@ def small_store(tmp_path):
             "api": {"type": "openapi", "url": f"https://{host}/openapi.json"},
         }
         plan.sites[host] = site
+    plan.sites["a1.example"].openapi = {
+        "openapi": "3.0.1",
+        "info": {"title": "A1", "version": "1"},
+        "servers": [{"url": "https://a1.example/api"}],
+        "paths": {"/one": {"get": {}}, "/two": {"get": {}}},
+    }
     plan.sites["r.example"] = FixtureSite(host="r.example", well_known=WK_REDIRECT)
     index = tmp_path / "index.ndjson"
     index.write_text(
@@ -285,10 +292,36 @@ def test_run_all_parses_each_manifest_once(small_store, monkeypatch, tmp_path):
     assert calls == [True] * accessible
 
 
-def test_run_all_cached_outcomes_label_mismatch_exits_1(small_store, tmp_path, capsys):
+def test_run_all_cached_does_not_serve_edited_outcomes(small_store, tmp_path, capsys):
     assert cli.main(small_store) == 0
+    fresh = (tmp_path / "out" / "report.json").read_bytes()
     outcomes = tmp_path / "out" / "outcomes.json"
     doc = json.loads(outcomes.read_text())
     outcomes.write_text(json.dumps({**doc, "snapshot_label": "other"}))
-    assert cli.main(small_store + ["--cached"]) == 1
-    assert "snapshot label mismatch" in capsys.readouterr().err
+    capsys.readouterr()
+    assert cli.main(small_store + ["--cached"]) == 0
+    assert "probe: done" in capsys.readouterr().out.splitlines()
+    assert json.loads(outcomes.read_text())["snapshot_label"] == "small"
+    assert (tmp_path / "out" / "report.json").read_bytes() == fresh
+
+
+def test_run_all_cached_reprobes_after_a_probe_rewrote_outcomes(small_store, tmp_path, capsys):
+    corpus, out_dir, fetch_flags = small_store[2], Path(small_store[4]), small_store[5:]
+    assert cli.main(small_store) == 0
+    fresh_report, fresh_outcomes = (out_dir / "report.json").read_bytes(), (out_dir / "outcomes.json").read_bytes()
+    probe = ["probe", "--corpus", corpus, "--manifests", str(out_dir / "manifests"), "--out", str(out_dir / "outcomes.json")]
+    assert cli.main(probe + ["--budget", "1"] + fetch_flags) == 0
+    assert (out_dir / "outcomes.json").read_bytes() != fresh_outcomes
+    capsys.readouterr()
+    assert cli.main(small_store + ["--cached"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "discover: cached" in lines and "probe: done" in lines
+    assert (out_dir / "outcomes.json").read_bytes() == fresh_outcomes
+    assert (out_dir / "report.json").read_bytes() == fresh_report
+
+
+def test_run_all_treats_a_non_object_cache_as_empty(small_store, tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "cache.json").write_text("[]")
+    assert cli.main(small_store) == 0
+    assert sorted(json.loads((tmp_path / "out" / "cache.json").read_text())) == ["discover", "probe"]

@@ -186,16 +186,15 @@ def test_aggregate_counts_per_developer():
         _record(pid="p4", developer="dev-b.io"),
         _record(pid="p5", developer="dev-b.io"),
     ]
-    result = aggregate_discrepancies(findings, _corpus(records))
-    assert result.per_developer == {"dev-a.io": 3, "dev-b.io": 2}
-    assert sum(result.per_developer.values()) == len(findings)
+    per_developer = aggregate_discrepancies(findings, _corpus(records))
+    assert per_developer == {"dev-a.io": 3, "dev-b.io": 2}
+    assert sum(per_developer.values()) == len(findings)
 
 
 def test_aggregate_unknown_developer_binned():
     findings = [ConsistencyFinding(plugin_id="ghost", kind=KIND_INCONSISTENT_NAME, evidence={})]
-    result = aggregate_discrepancies(findings, _corpus([]))
-    assert result.per_developer == {"unknown": 1}
-    assert aggregate_discrepancies([], _corpus([])).per_developer == {}
+    assert aggregate_discrepancies(findings, _corpus([])) == {"unknown": 1}
+    assert aggregate_discrepancies([], _corpus([])) == {}
 
 
 def test_analyze_consistency_is_deterministic():

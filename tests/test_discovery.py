@@ -17,9 +17,6 @@ from pluginaudit.discovery import (
     VERDICT_OPENAI_PROTECTED,
     classify_accessibility,
     generate_candidates,
-    verdicts_from_doc,
-    verdicts_to_doc,
-    AccessibilityVerdict,
 )
 from pluginaudit.fetch import FetchResult
 from pluginaudit.manifest import parse_manifest
@@ -195,11 +192,3 @@ def test_classification_is_replayable():
     results = [(_candidate(url), _result(url, 200, MANIFEST_BODY))]
     manifest = parse_manifest(MANIFEST_BODY)
     assert classify_accessibility(record, results, manifest) == classify_accessibility(record, results, manifest)
-
-
-def test_verdict_doc_round_trip():
-    verdicts = {
-        "a": AccessibilityVerdict(plugin_id="a", verdict=VERDICT_ACCESSIBLE, winning_url="u", http_status=200, evidence="e", candidates_tried=1),
-        "b": AccessibilityVerdict(plugin_id="b", verdict=VERDICT_NATIVE_UNREACHABLE, candidates_tried=4),
-    }
-    assert verdicts_from_doc(verdicts_to_doc(verdicts)) == verdicts

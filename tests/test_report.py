@@ -89,12 +89,6 @@ def test_single_plugin_report_counts():
     assert sum(doc["consistency_table"].values()) == 0
 
 
-def test_build_report_label_mismatch_is_error():
-    corpus, verdicts, run, findings, scopes, distribution = _small_inputs()
-    with pytest.raises(ReportError, match="label mismatch"):
-        build_report(corpus, verdicts, run, findings, scopes, distribution, input_labels={"outcomes": "other"})
-
-
 def test_irregular_manifests_reduce_file_leakage():
     corpus, verdicts, run, findings, scopes, distribution = _small_inputs()
     run.skipped["p2"] = "irregular_manifest: missing_description"
@@ -230,9 +224,19 @@ def test_load_report_round_trip(tmp_path):
     path.write_bytes(render_report(report, "json"))
     assert load_report(path).doc == report.doc
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema_version": 99}))
+    for content in (
+        json.dumps({"schema_version": 99}),
+        json.dumps({"schema_version": 1, "snapshot_label": "x"}),  # no metrics
+        json.dumps({"schema_version": 1, "metrics": []}),
+        json.dumps({"schema_version": 1, "metrics": {"file_leakage": "10"}}),
+        json.dumps([1]),
+        "{not json",
+    ):
+        bad.write_text(content)
+        with pytest.raises(ReportError):
+            load_report(bad)
     with pytest.raises(ReportError):
-        load_report(bad)
+        load_report(tmp_path / "missing.json")
 
 
 def test_canonical_json_sorted_and_compact():
