@@ -153,6 +153,8 @@ def read_outcomes(path: Path, snapshot_label: str) -> ProbeRunResult:
             plugin_id, row["auth_family"], row["plugin_case"], row["succeeded"], failure_causes=row["failure_causes"]
         )
     _expect(all(isinstance(reason, str) for reason in doc["skipped"].values()), path, "a skip reason is not a string")
+    both = sorted(run.results.keys() & doc["skipped"].keys())
+    _expect(not both, path, f"plugins both in results and in skipped: {both}")
     run.skipped = doc["skipped"]
     return run
 

@@ -428,7 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (corpus_mod.CorpusError, artifacts.ArtifactError, report_mod.ReportError) as exc:
+    except (
+        corpus_mod.CorpusError, artifacts.ArtifactError, report_mod.ReportError, scoperisk_mod.LexiconError
+    ) as exc:
         print(f"error in stage {args.command}: {exc}", file=sys.stderr)
         return EXIT_STAGE_ERROR
 

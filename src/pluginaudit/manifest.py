@@ -36,6 +36,10 @@ FLAG_UNKNOWN_AUTH = "unknown_auth_type"
 FLAG_EMPTY_API = "empty_api"
 FLAG_INVALID_SERVERS = "invalid_servers"
 
+# Nesting deep enough to exhaust the interpreter's recursion limit (1000
+# nested arrays, 2 KB, suffice) is a syntax error, not a crash.
+_TOO_DEEP = "document nested too deeply"
+
 
 class ParseError(Exception):
     """Typed parse failure; kind is 'syntax' or 'missing_field'."""
@@ -117,8 +121,10 @@ def parse_manifest(data: bytes) -> ManifestDocument:
     """
     try:
         doc = json.loads(data.decode("utf-8", errors="replace"))
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError.syntax(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError.syntax(_TOO_DEEP) from exc
     if not isinstance(doc, dict):
         raise ParseError.syntax("manifest is not a JSON object")
 
@@ -194,7 +200,16 @@ def _parse_auth(raw: object, flags: list[str]) -> AuthSpec:
 
 
 def parse_openapi(data: bytes, origin: str) -> OpenApiDescription:
-    """Parse an OpenAPI description (JSON or YAML) fetched from `origin`.
+    """Parse an OpenAPI description fetched from `origin`.
+
+    The text is read as JSON, which most stores serve, and only text that
+    is not JSON is read as YAML with PyYAML's pure-Python loader, which is
+    far slower. A value parses the same either way, except where JSON and
+    YAML 1.1 read a text differently: JSON accepts tab indentation and keys
+    over 1024 characters, reads `1e3` and `NaN` as floats, and joins a
+    surrogate-pair escape into one code point. A UTF-8 BOM is not JSON and
+    parses as YAML. Text neither accepts raises ParseError with YAML's
+    message.
 
     Extracts version, title, servers (relative server URLs resolved against
     the origin; a missing servers block defaults to the origin itself), all
@@ -204,9 +219,14 @@ def parse_openapi(data: bytes, origin: str) -> OpenApiDescription:
     """
     text = data.decode("utf-8", errors="replace")
     try:
-        doc = yaml.safe_load(text)
+        try:
+            doc = json.loads(text)
+        except ValueError:
+            doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ParseError.syntax(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError.syntax(_TOO_DEEP) from exc
     if not isinstance(doc, dict):
         raise ParseError.syntax("OpenAPI document is not a mapping")
 

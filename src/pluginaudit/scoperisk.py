@@ -229,13 +229,21 @@ def distribution_report(assignments: list[tuple[str, str]]) -> dict[str, dict]:
     }
 
 
+class LexiconError(Exception):
+    """A seed lexicon file that cannot be read, is not a category -> seed
+    list object, or names a category the report does not count."""
+
+
 def load_seed_lexicon(path) -> dict[str, tuple[str, ...]]:
     """Seed lexicon from a JSON config: {category: [seed strings]}."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError("seed lexicon must be a JSON object of category -> seed list")
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise LexiconError(f"cannot read seed lexicon {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not all(isinstance(seeds, list) for seeds in doc.values()):
+        raise LexiconError(f"seed lexicon {path} must be a JSON object of category -> seed list")
     unknown = set(doc) - set(ALL_CATEGORIES)
     if unknown:
-        raise ValueError(f"unknown scope categories in lexicon: {sorted(unknown)}")
+        raise LexiconError(f"unknown scope categories in lexicon {path}: {sorted(unknown)}")
     return {category: tuple(str(s) for s in seeds) for category, seeds in doc.items()}
 

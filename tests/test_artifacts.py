@@ -199,6 +199,7 @@ MALFORMED = {
     "unknown-verdict": ("verdicts", lambda docs: docs["verdicts"][0].update(verdict="bogus")),
     "results-not-an-object": ("outcomes", lambda docs: docs["outcomes"].update(results=[])),
     "unknown-plugin-case": ("outcomes", lambda docs: docs["outcomes"]["results"]["p1"].update(plugin_case="case9")),
+    "probed-and-skipped": ("outcomes", lambda docs: docs["outcomes"]["skipped"].update(p1="empty_api")),
     "findings-a-list": ("findings", lambda docs: docs.update(findings=[])),
     "short-scope-row": ("scopes", lambda docs: docs["scopes"].update(assignments=[["x"]])),
 }

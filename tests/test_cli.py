@@ -325,3 +325,36 @@ def test_run_all_treats_a_non_object_cache_as_empty(small_store, tmp_path):
     (tmp_path / "out" / "cache.json").write_text("[]")
     assert cli.main(small_store) == 0
     assert sorted(json.loads((tmp_path / "out" / "cache.json").read_text())) == ["discover", "probe"]
+
+
+@pytest.mark.parametrize(
+    "lexicon, message",
+    [
+        (None, "cannot read seed lexicon"),
+        ("{bad", "cannot read seed lexicon"),
+        ('{"identity_email": ["mail"], "nope": ["x"]}', "unknown scope categories in lexicon"),
+        ('{"identity_email": "mail"}', "seed lexicon"),
+    ],
+    ids=["missing", "not-json", "unknown-category", "seeds-not-a-list"],
+)
+def test_scopes_bad_seed_lexicon_exits_1(tmp_path, capsys, lexicon, message):
+    corpus_doc = {"schema_version": 1, "snapshot_label": "x", "created_at": "now", "records": [], "ingest_errors": []}
+    (tmp_path / "corpus.json").write_text(json.dumps(corpus_doc))
+    (tmp_path / "manifests").mkdir()
+    lexicon_path = tmp_path / "lexicon.json"
+    if lexicon is not None:
+        lexicon_path.write_text(lexicon)
+    rc = cli.main(
+        [
+            "scopes",
+            "--corpus", str(tmp_path / "corpus.json"),
+            "--manifests", str(tmp_path / "manifests"),
+            "--out", str(tmp_path / "scopes.json"),
+            "--seed-lexicon", str(lexicon_path),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in stage scopes: {message}")
+    assert str(lexicon_path) in err
+    assert not (tmp_path / "scopes.json").exists()

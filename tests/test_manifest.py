@@ -4,6 +4,10 @@ import hashlib
 import json
 
 import pytest
+import yaml
+from hypothesis import given, strategies as st
+
+from pluginaudit import fixture
 
 from pluginaudit.manifest import (
     FLAG_EMPTY_API,
@@ -117,10 +121,17 @@ def test_service_bearer_verification_tokens():
     assert parsed.auth.verification_tokens == {"openai": "abc123"}
 
 
+# 1000 nested arrays (2 KB) exceed the interpreter's recursion limit in
+# both the JSON and the YAML parser.
+DEEPLY_NESTED = b"[" * 1000
+
+
 def test_parse_is_total_over_garbage():
-    for junk in (b"", b"\x00\xff", b"[1,2,3]", b'"just a string"', b"{", b"null"):
+    for junk in (b"", b"\x00\xff", b"[1,2,3]", b'"just a string"', b"{", b"null", DEEPLY_NESTED):
         with pytest.raises(ParseError):
             parse_manifest(junk)
+        with pytest.raises(ParseError):
+            parse_openapi(junk, "https://x.io/openapi.json")
 
 
 SAMPLE_OPENAPI = {
@@ -201,8 +212,148 @@ def test_parse_openapi_zero_paths_flagged_not_error():
 
 
 def test_parse_openapi_garbage_is_syntax_error():
-    with pytest.raises(ParseError):
-        parse_openapi(b'{"openapi": broken', "https://example.com/openapi.json")
+    # Text that is not JSON falls back to YAML, and YAML's message is kept,
+    # so an api_unparseable skip reason reads as it always has.
+    broken = '{"openapi": broken'
+    with pytest.raises(yaml.YAMLError) as yaml_err:
+        yaml.safe_load(broken)
+    with pytest.raises(ParseError) as err:
+        parse_openapi(broken.encode(), "https://example.com/openapi.json")
+    assert err.value.kind == "syntax"
+    assert err.value.detail == str(yaml_err.value)
+
+
+# --------------------------------------------------------------------------
+# JSON first, YAML as the fallback: one value must parse the same through
+# both paths, except for the differences pinned one by one below.
+
+_leaf = st.one_of(st.text(max_size=12), st.integers(), st.booleans())
+_value = st.recursive(
+    _leaf,
+    lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=8), kids, max_size=3)),
+    max_leaves=8,
+)
+_schema_name = st.sampled_from(["Todo", "TodoList", "Error"])
+_schema = st.one_of(_schema_name.map(lambda name: {"$ref": f"#/components/schemas/{name}"}), _value)
+_body = st.fixed_dictionaries(
+    {"content": st.dictionaries(st.sampled_from(["application/json", "text/plain"]), st.fixed_dictionaries({"schema": _schema}), max_size=2)}
+)
+_operation = st.fixed_dictionaries(
+    {},
+    optional={
+        "operationId": st.text(max_size=8),
+        "requestBody": _body,
+        "responses": st.dictionaries(st.sampled_from(["200", "201", "404", "default"]), _body, max_size=2),
+    },
+)
+_methods = st.dictionaries(st.sampled_from(["get", "post", "put", "delete", "patch"]), st.one_of(_operation, _leaf), max_size=3)
+_url = st.one_of(st.sampled_from(["https://api.example", "http://h.example/v1/", "/v2", "v3/", ""]), st.text(max_size=10))
+_openapi_value = st.fixed_dictionaries(
+    {},
+    optional={
+        "openapi": st.one_of(st.sampled_from(["3.0.1", "3.1.0"]), _leaf),
+        "info": st.fixed_dictionaries({}, optional={"title": _leaf}),
+        "servers": st.one_of(st.lists(st.one_of(st.fixed_dictionaries({"url": _url}), _url, _leaf), max_size=3), _leaf),
+        "paths": st.dictionaries(st.one_of(st.text(max_size=10), st.text(max_size=10).map(lambda p: "/" + p)), _methods, max_size=3),
+        "components": st.fixed_dictionaries({"schemas": st.dictionaries(_schema_name, _value, max_size=3)}),
+    },
+)
+
+
+def _parse_or_kind(text: str) -> object:
+    try:
+        return parse_openapi(text.encode("utf-8"), "https://o.example/openapi.json")
+    except ParseError as exc:
+        return exc.kind
+
+
+@given(st.one_of(_openapi_value, _value))
+def test_json_and_yaml_text_of_one_value_parse_equal(value):
+    # Block-style YAML is not JSON, so the second text takes the YAML path.
+    assert _parse_or_kind(json.dumps(value)) == _parse_or_kind(yaml.safe_dump(value, sort_keys=False))
+
+
+def test_tab_indented_json_parses():
+    # YAML forbids tabs as indentation; such an API used to be skipped as
+    # api_unparseable.
+    text = json.dumps(SAMPLE_OPENAPI, indent="\t")
+    with pytest.raises(yaml.YAMLError):
+        yaml.safe_load(text)
+    assert parse_openapi(text.encode(), "https://example.com/openapi.json") == parse_openapi(
+        _bytes(SAMPLE_OPENAPI), "https://example.com/openapi.json"
+    )
+
+
+def test_json_key_longer_than_1024_characters_parses():
+    # YAML caps implicit keys at 1024 characters.
+    long_path = "/" + "k" * 1100
+    text = json.dumps(dict(SAMPLE_OPENAPI, paths={long_path: {"get": {}}}))
+    with pytest.raises(yaml.YAMLError):
+        yaml.safe_load(text)
+    api = parse_openapi(text.encode(), "https://example.com/openapi.json")
+    assert [(e.path, e.method) for e in api.endpoints] == [(long_path, "GET")]
+
+
+def test_json_exponent_is_a_float():
+    # YAML 1.1 reads 1e3 (no dot) as the string '1e3'; JSON reads a number.
+    text = json.dumps(SAMPLE_OPENAPI).replace('"3.0.1"', "1e3")
+    assert yaml.safe_load(text)["openapi"] == "1e3"
+    assert parse_openapi(text.encode(), "https://example.com/openapi.json").openapi_version == "1000.0"
+
+
+def test_json_nan_is_a_float():
+    # json.loads accepts the NaN constant; YAML 1.1 spells it .nan and reads
+    # NaN as a string.
+    text = json.dumps(SAMPLE_OPENAPI).replace('"3.0.1"', "NaN")
+    assert yaml.safe_load(text)["openapi"] == "NaN"
+    assert parse_openapi(text.encode(), "https://example.com/openapi.json").openapi_version == "nan"
+
+
+def test_json_surrogate_pair_escape_is_one_code_point():
+    # YAML keeps the two surrogate halves as two characters.
+    text = json.dumps(SAMPLE_OPENAPI).replace('"TODO API"', '"\\ud83d\\ude00"')
+    assert yaml.safe_load(text)["info"]["title"] == "\ud83d\ude00"
+    assert parse_openapi(text.encode(), "https://example.com/openapi.json").title == "\U0001F600"
+
+
+def test_utf8_bom_parses_through_the_fallback():
+    # json.loads rejects a leading BOM; YAML skips it.
+    data = b"\xef\xbb\xbf" + _bytes(SAMPLE_OPENAPI)
+    assert parse_openapi(data, "https://example.com/openapi.json") == parse_openapi(
+        _bytes(SAMPLE_OPENAPI), "https://example.com/openapi.json"
+    )
+
+
+def test_fixture_openapi_traffic_takes_the_json_path(monkeypatch):
+    # Every OpenAPI body the paper-tables store serves, as the fixture
+    # server writes it; only the deliberately broken ones may reach YAML.
+    plan = fixture.generate_plan(fixture.PROFILE_PAPER_TABLES, 42)
+    safe_load = yaml.safe_load
+    fallback_hosts = []
+    host = None
+
+    def counting_safe_load(text):
+        fallback_hosts.append(host)
+        return safe_load(text)
+
+    monkeypatch.setattr(yaml, "safe_load", counting_safe_load)
+    parsed = 0
+    for host, site in sorted(plan.sites.items()):
+        if site.openapi is not None:
+            body = fixture._json_bytes(site.openapi)
+        elif site.openapi_raw is not None:
+            body = site.openapi_raw.encode("utf-8")
+        else:
+            continue
+        try:
+            parse_openapi(body, f"https://{host}/openapi.json")
+            parsed += 1
+        except ParseError:
+            pass
+    raw_hosts = sorted(h for h, site in plan.sites.items() if site.openapi is None and site.openapi_raw is not None)
+    assert parsed == sum(site.openapi is not None for site in plan.sites.values())
+    assert fallback_hosts == raw_hosts
+    assert len(raw_hosts) == 20 and all(h.startswith("broken-api-") for h in raw_hosts)
 
 
 def _hand_canonical(doc: dict) -> bytes:

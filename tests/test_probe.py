@@ -25,11 +25,13 @@ from pluginaudit.probe import (
     LEAKED_TOKEN,
     NO_TOKEN,
     SKIP_API_TOO_LARGE,
+    SKIP_API_UNPARSEABLE,
     build_probe_matrix,
     classify_case,
     classify_failure,
     classify_plugin_case,
     evaluate_outcome,
+    probe_manifests,
     probe_plugin,
     summarize_token_types,
     synthesize_body,
@@ -260,3 +262,23 @@ def test_openapi_over_body_cap_is_skipped_as_too_large():
         server.stop()
     assert result is None and transcript == []
     assert reason.startswith(SKIP_API_TOO_LARGE)
+
+
+def test_deeply_nested_openapi_is_skipped_not_fatal():
+    # 2 KB of nested arrays exceeds the parsers' recursion limit; the one
+    # hostile document must cost only its own plugin, not the run.
+    plan = FixturePlan(profile="t", seed=0)
+    manifests = {}
+    for host in ("deep.example", "good.example"):
+        plan.sites[host] = FixtureSite(host=host, well_known=WK_MANIFEST)
+        manifests[host] = parse_manifest(_manifest({"type": "none"}).replace(b"p.example", host.encode()))
+    plan.sites["deep.example"].openapi_raw = "[" * 1000
+    plan.sites["good.example"].openapi_raw = _api({"/a": _GET}).decode().replace("p.example", "good.example")
+    server = serve_fixtures(plan, 0)
+    try:
+        fetcher = Fetcher(per_host_delay_ms=0, retries=0, base_url=server.base_url, max_concurrency=2)
+        run = probe_manifests(manifests, fetcher)
+    finally:
+        server.stop()
+    assert run.skipped["deep.example"].startswith(f"{SKIP_API_UNPARSEABLE}: syntax: ")
+    assert list(run.results) == ["good.example"]
