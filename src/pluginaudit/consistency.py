@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from .corpus import Corpus, PluginRecord
-from .manifest import ManifestDocument, manifest_fingerprint
+from .manifest import ManifestDocument
 from .urlnorm import normalize_url_loose
 
 KIND_INCONSISTENT_NAME = "inconsistent_name"
@@ -125,7 +125,7 @@ def detect_shared_manifests(manifests: dict[str, ManifestDocument]) -> list[Cons
     by_model_name: dict[str, list[str]] = {}
     for plugin_id in sorted(manifests):
         manifest = manifests[plugin_id]
-        by_fingerprint.setdefault(manifest_fingerprint(manifest), []).append(plugin_id)
+        by_fingerprint.setdefault(manifest.fingerprint, []).append(plugin_id)
         by_model_name.setdefault(manifest.name_for_model, []).append(plugin_id)
 
     findings: list[ConsistencyFinding] = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from .corpus import Corpus, PluginRecord
-from .fetch import Fetcher, FetchResult, TRANSPORT_ERROR
+from .fetch import BODY_PREFIX_LIMIT, Fetcher, FetchResult, TRANSPORT_ERROR
 from .manifest import ManifestDocument, ParseError, parse_manifest
 from .urlnorm import host_of, is_absolute_http, origin_of, registrable_domain, strip_query_fragment
 
@@ -159,6 +159,9 @@ def classify_accessibility(
     4. seed on an openai.com domain, denied statuses  -> openai_protected
     5. any 2xx (none of them a manifest)              -> hidden_redirect
     6. otherwise                                      -> native_unreachable
+
+    A 2xx body cut off at the body cap was never parsed, so it is no
+    evidence for rule 5; under rule 6 the evidence names the first one.
     """
     if not fetch_results:
         raise ValueError("classify_accessibility needs at least one fetch result")
@@ -206,7 +209,7 @@ def classify_accessibility(
         )
 
     for candidate, result in fetch_results:
-        if not result.ok:
+        if not result.ok or result.truncated:
             continue
         final_host = host_of(result.final_url)
         left_domain = bool(final_host) and seed_domain and registrable_domain(final_host) != seed_domain
@@ -220,12 +223,17 @@ def classify_accessibility(
             candidates_tried=tried,
         )
 
-    detail = sorted({s for s in statuses if s != TRANSPORT_ERROR}) or ["transport failure"]
+    too_large = [r.final_url for _, r in fetch_results if r.ok and r.truncated]
+    if too_large:
+        evidence = f"2xx body over the {BODY_PREFIX_LIMIT // 1024} KiB cap, not parsed: {too_large[0]}"
+    else:
+        detail = sorted({s for s in statuses if s != TRANSPORT_ERROR}) or ["transport failure"]
+        evidence = f"all {tried} candidates denied: {detail}"
     return AccessibilityVerdict(
         plugin_id=plugin.plugin_id,
         verdict=VERDICT_NATIVE_UNREACHABLE,
         http_status=statuses[0] if statuses and statuses[0] != TRANSPORT_ERROR else None,
-        evidence=f"all {tried} candidates denied: {detail}",
+        evidence=evidence,
         candidates_tried=tried,
     )
 
@@ -261,7 +269,7 @@ def _discover_one(record: PluginRecord, fetcher: Fetcher) -> tuple[str, Accessib
     for candidate in candidates:
         result = fetcher.fetch(candidate.url)
         results.append((candidate, result))
-        if not result.ok:
+        if not result.ok or result.truncated:
             continue
         try:
             manifest = parse_manifest(result.body)

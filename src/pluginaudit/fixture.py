@@ -650,6 +650,9 @@ def _make_handler(server: FixtureServer):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body go out in two writes; with Nagle on, the body
+        # waits ~40 ms for the client's delayed ACK on every response.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):  # noqa: ARG002 - silence stdlib logging
             pass

@@ -80,6 +80,7 @@ class ManifestDocument:
     auth: AuthSpec
     api: ApiSpec
     raw_source: bytes
+    fingerprint: str
     description_for_human: str | None = None
     description_for_model: str | None = None
     legal_info_url: str | None = None
@@ -127,6 +128,10 @@ def parse_manifest(data: bytes) -> ManifestDocument:
         raise ParseError.syntax(_TOO_DEEP) from exc
     if not isinstance(doc, dict):
         raise ParseError.syntax("manifest is not a JSON object")
+    try:
+        fingerprint = hashlib.sha256(canonical_manifest_bytes(doc)).hexdigest()
+    except RecursionError as exc:
+        raise ParseError.syntax(_TOO_DEEP) from exc
 
     flags: list[str] = []
 
@@ -161,6 +166,7 @@ def parse_manifest(data: bytes) -> ManifestDocument:
         auth=auth,
         api=api,
         raw_source=bytes(data),
+        fingerprint=fingerprint,
         description_for_human=_text(doc.get("description_for_human")),
         description_for_model=description_for_model,
         legal_info_url=_text(doc.get("legal_info_url")),
@@ -323,16 +329,12 @@ def _response_schema(op: dict, schemas: dict[str, object]) -> object | None:
     return None
 
 
-def canonical_manifest_bytes(raw_source: bytes) -> bytes:
-    """Whitespace/key-order normalized JSON bytes for fingerprinting."""
-    doc = json.loads(raw_source.decode("utf-8", errors="replace"))
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+def canonical_manifest_bytes(doc: dict) -> bytes:
+    """Key-sorted, whitespace-free JSON bytes of a parsed manifest.
 
-
-def manifest_fingerprint(manifest: ManifestDocument) -> str:
-    """SHA-256 over the canonicalized manifest bytes.
-
-    Byte-identical documents and documents differing only in key order or
-    whitespace hash equal; any content change changes the digest.
+    Its SHA-256 is ManifestDocument.fingerprint: documents differing only in
+    key order or whitespace hash equal; any content change changes it.
     """
-    return hashlib.sha256(canonical_manifest_bytes(manifest.raw_source)).hexdigest()
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    # A lone surrogate escape ("\ud800") is valid JSON but not UTF-8.
+    return text.encode("utf-8", errors="surrogatepass")

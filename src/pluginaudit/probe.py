@@ -233,7 +233,8 @@ def evaluate_outcome(response: FetchResult, endpoint: Endpoint) -> bool:
         return False
     try:
         value = json.loads(response.body.decode("utf-8", errors="replace"))
-    except (json.JSONDecodeError, ValueError):
+    except (ValueError, RecursionError):
+        # Not JSON, or nested too deeply to read: either way not valid data.
         return False
     if endpoint.response_schema is not None:
         return _top_level_shape_matches(value, endpoint.response_schema)

@@ -19,7 +19,7 @@ from pluginaudit.consistency import (
     strict_match,
 )
 from pluginaudit.corpus import Corpus, PluginRecord
-from pluginaudit.manifest import parse_manifest
+from pluginaudit.manifest import ParseError, parse_manifest
 
 
 def _record(pid="p1", title="Digital Pet", legal="https://a.io/legal", description=None, developer="a.io"):
@@ -209,6 +209,34 @@ def test_analyze_consistency_is_deterministic():
     assert first == second
     kinds = sorted(f.kind for f in first)
     assert KIND_QUANTIFIER_PREFIX in kinds
+
+
+def test_manifest_nested_to_the_parse_limit_does_not_abort_consistency():
+    # Find the deepest value parse_manifest accepts from this frame;
+    # consistency runs on a deeper stack and must not parse it again.
+    head = json.dumps(
+        {
+            "name_for_human": "Digital Pet",
+            "name_for_model": "DigitalPet",
+            "description_for_model": "d",
+            "api": {"type": "openapi", "url": "https://a.io/openapi.json"},
+        }
+    )[:-1]
+
+    def raw(depth: int) -> bytes:
+        return (head + ', "x": ' + "[" * depth + "]" * depth + "}").encode()
+
+    accepted, rejected = 1, 1100
+    while rejected - accepted > 1:
+        depth = (accepted + rejected) // 2
+        try:
+            parse_manifest(raw(depth))
+            accepted = depth
+        except ParseError:
+            rejected = depth
+    manifests = {"p1": parse_manifest(raw(accepted)), "p2": parse_manifest(raw(accepted))}
+    findings = analyze_consistency(_corpus([_record(pid="p1"), _record(pid="p2")]), manifests)
+    assert KIND_SHARED_MANIFEST_GROUP in {f.kind for f in findings}
 
 
 def test_count_strict_only():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pluginaudit.corpus import PluginRecord
+from pluginaudit.corpus import Corpus, PluginRecord
 from pluginaudit.discovery import (
     CandidateUrl,
     InvalidSeed,
@@ -16,9 +16,11 @@ from pluginaudit.discovery import (
     VERDICT_NATIVE_UNREACHABLE,
     VERDICT_OPENAI_PROTECTED,
     classify_accessibility,
+    discover_corpus,
     generate_candidates,
 )
-from pluginaudit.fetch import FetchResult
+from pluginaudit.fetch import Fetcher, FetchResult
+from pluginaudit.fixture import FixturePlan, FixtureSite, WK_MANIFEST, serve_fixtures
 from pluginaudit.manifest import parse_manifest
 from pluginaudit.urlnorm import host_of, registrable_domain
 
@@ -192,3 +194,26 @@ def test_classification_is_replayable():
     results = [(_candidate(url), _result(url, 200, MANIFEST_BODY))]
     manifest = parse_manifest(MANIFEST_BODY)
     assert classify_accessibility(record, results, manifest) == classify_accessibility(record, results, manifest)
+
+
+def test_manifest_over_body_cap_is_not_parsed_or_counted_as_redirect():
+    # Valid JSON that only parses whole: its cut-off prefix is neither a
+    # manifest nor evidence of a 2xx page without one.
+    site = FixtureSite(host="big.example", well_known=WK_MANIFEST)
+    site.manifest = json.loads(MANIFEST_BODY)
+    site.manifest["description_for_model"] = "d" * 300_000
+    plan = FixturePlan(profile="t", seed=0)
+    plan.sites["big.example"] = site
+    corpus = Corpus(snapshot_label="t", created_at="now", records=[_record("big", "https://big.example/legal")])
+    server = serve_fixtures(plan, 0)
+    try:
+        fetcher = Fetcher(per_host_delay_ms=0, retries=0, base_url=server.base_url)
+        result = discover_corpus(corpus, fetcher)
+    finally:
+        server.stop()
+    verdict = result.verdicts["big"]
+    assert result.manifests == {}
+    assert verdict.verdict == VERDICT_NATIVE_UNREACHABLE
+    assert "256 KiB" in verdict.evidence
+    assert "https://big.example/.well-known/ai-plugin.json" in verdict.evidence
+

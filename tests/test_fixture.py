@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -13,6 +15,7 @@ from pluginaudit.fixture import (
     PROFILE_PAPER_TABLES,
     PROFILE_REVISIT,
     WK_MANIFEST,
+    WK_REDIRECT,
     generate_paper_plan,
     generate_plan,
     generate_revisit_plan,
@@ -21,7 +24,7 @@ from pluginaudit.fixture import (
     save_plan,
     serve_fixtures,
 )
-from pluginaudit.manifest import parse_manifest, manifest_fingerprint
+from pluginaudit.manifest import parse_manifest
 
 
 # Loopback only: never route these requests through an environment proxy.
@@ -84,6 +87,39 @@ def test_client_hanging_up_mid_body_prints_no_traceback(capfd):
         server.stop()
     err = capfd.readouterr().err
     assert "Traceback" not in err and "Exception occurred" not in err
+
+
+def test_keep_alive_responses_are_not_held_back():
+    # With Nagle on, a response written as headers then body waits ~40 ms
+    # for the client's delayed ACK: 50 requests would take about 2 s.
+    plan = _tiny_plan()
+    plan.sites["moved.example"] = FixtureSite(host="moved.example", well_known=WK_REDIRECT)
+    plan.sites["tiny.example"].endpoints.append(
+        FixtureEndpoint(path="/api/busy", method="GET", body_ok={"ok": True}, rate_limit_after=0)
+    )
+    requests = [
+        ("/tiny.example/.well-known/ai-plugin.json", 200),
+        ("/moved.example/.well-known/ai-plugin.json", 302),
+        ("/tiny.example/nothing-here", 404),
+        ("/tiny.example/api/busy", 429),
+    ]
+    server = serve_fixtures(plan, 0)
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+    try:
+        start = time.monotonic()
+        for i in range(50):
+            path, expected = requests[i % len(requests)]
+            conn.request("GET", path)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == expected
+            if expected == 429:
+                assert response.getheader("Retry-After") == "1"
+        elapsed = time.monotonic() - start
+    finally:
+        conn.close()
+        server.stop()
+    assert elapsed < 1.0
 
 
 def test_rate_limit_counter_semantics():
@@ -154,8 +190,8 @@ def test_paper_plan_population_shape():
     # Every index entry dedups to a distinct plugin.
     keys = Counter((e["title"], e["legal_info_url"]) for e in plan.index)
     assert max(keys.values()) == 1
-    manifest = parse_manifest(json.dumps(plan.sites["mixerbox.example"].manifest).encode())
-    assert manifest_fingerprint(manifest) == manifest_fingerprint(manifest)
+    raw = json.dumps(plan.sites["mixerbox.example"].manifest).encode()
+    assert parse_manifest(raw).fingerprint == parse_manifest(raw).fingerprint
 
 
 def test_paper_plan_index_is_shuffled_but_deterministic():

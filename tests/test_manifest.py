@@ -15,7 +15,6 @@ from pluginaudit.manifest import (
     FLAG_MISSING_DESCRIPTION,
     FLAG_OAUTH_INCOMPLETE,
     ParseError,
-    manifest_fingerprint,
     parse_manifest,
     parse_openapi,
 )
@@ -377,7 +376,7 @@ def test_fingerprint_ignores_key_order_and_whitespace():
         json.dumps({k: base[k] for k in sorted(base, reverse=True)}, separators=(", ", ": ")).encode(),
     ]
     oracle = hashlib.sha256(_hand_canonical(base)).hexdigest()
-    digests = {manifest_fingerprint(parse_manifest(raw)) for raw in permutations}
+    digests = {parse_manifest(raw).fingerprint for raw in permutations}
     assert digests == {oracle}
 
 
@@ -386,10 +385,19 @@ def test_fingerprint_changes_with_content():
     changed = dict(SAMPLE_MANIFEST)
     changed["name_for_model"] = "todo2"
     b = parse_manifest(_bytes(changed))
-    assert manifest_fingerprint(a) != manifest_fingerprint(b)
+    assert a.fingerprint != b.fingerprint
 
 
 def test_fingerprint_equal_for_identical_bytes():
     a = parse_manifest(_bytes(SAMPLE_MANIFEST))
     b = parse_manifest(_bytes(SAMPLE_MANIFEST))
-    assert manifest_fingerprint(a) == manifest_fingerprint(b)
+    assert a.fingerprint == b.fingerprint
+
+
+def test_fingerprint_of_lone_surrogate_escape():
+    # "\ud800" is valid JSON whose decoded text has no UTF-8 encoding.
+    raw = _bytes(SAMPLE_MANIFEST)
+    a = parse_manifest(raw.replace(b'"todo"', b'"todo\\ud800"'))
+    b = parse_manifest(raw.replace(b'"todo"', b'"todo\\ud801"'))
+    assert a.name_for_model == "todo\ud800"
+    assert a.fingerprint != b.fingerprint != parse_manifest(raw).fingerprint

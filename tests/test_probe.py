@@ -144,6 +144,8 @@ def test_evaluate_outcome_rules():
     assert evaluate_outcome(_response(200, b"[1, 2]"), _PLAIN_ENDPOINT) is True
     # Top-level shape mismatch fails.
     assert evaluate_outcome(_response(200, b"[1, 2]"), _SCHEMA_ENDPOINT) is False
+    # Nested past the recursion limit: unreadable, so not valid data.
+    assert evaluate_outcome(_response(200, b"[" * 1000), _PLAIN_ENDPOINT) is False
 
 
 # The five-case table over all eight (Tr, Tv, O) triples.
@@ -282,3 +284,27 @@ def test_deeply_nested_openapi_is_skipped_not_fatal():
         server.stop()
     assert run.skipped["deep.example"].startswith(f"{SKIP_API_UNPARSEABLE}: syntax: ")
     assert list(run.results) == ["good.example"]
+
+
+def test_deeply_nested_response_body_is_not_fatal():
+    # deep.example's one endpoint is served by nest.example, whose only
+    # document is 1000 nested arrays: a 2xx body that is not valid data.
+    plan = FixturePlan(profile="t", seed=0)
+    manifests = {}
+    for host in ("deep.example", "good.example"):
+        plan.sites[host] = FixtureSite(host=host, well_known=WK_MANIFEST)
+        manifests[host] = parse_manifest(_manifest({"type": "none"}).replace(b"p.example", host.encode()))
+    plan.sites["deep.example"].openapi_raw = (
+        _api({"/openapi.json": _GET}).decode().replace("https://p.example/api", "https://nest.example")
+    )
+    plan.sites["good.example"].openapi_raw = _api({"/a": _GET}).decode().replace("p.example", "good.example")
+    plan.sites["nest.example"] = FixtureSite(host="nest.example", openapi_raw="[" * 1000)
+    server = serve_fixtures(plan, 0)
+    try:
+        fetcher = Fetcher(per_host_delay_ms=0, retries=0, base_url=server.base_url, max_concurrency=2)
+        run = probe_manifests(manifests, fetcher)
+    finally:
+        server.stop()
+    assert sorted(run.results) == ["deep.example", "good.example"] and not run.skipped
+    deep = run.results["deep.example"].outcomes
+    assert deep and all(o.http_status == 200 and not o.valid_data for o in deep)
