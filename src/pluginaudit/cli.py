@@ -429,7 +429,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (
-        corpus_mod.CorpusError, artifacts.ArtifactError, report_mod.ReportError, scoperisk_mod.LexiconError
+        corpus_mod.CorpusError,
+        artifacts.ArtifactError,
+        report_mod.ReportError,
+        scoperisk_mod.LexiconError,
+        fixture_mod.PlanError,
     ) as exc:
         print(f"error in stage {args.command}: {exc}", file=sys.stderr)
         return EXIT_STAGE_ERROR

@@ -139,22 +139,31 @@ def load_corpus(path: str | Path) -> Corpus:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CorpusError(f"corpus file {path} has schema version {version!r}, expected {SCHEMA_VERSION}")
+    if not isinstance(doc["records"], list):
+        raise CorpusError(f"corpus file {path}: records is not a list")
     records = []
-    for raw in doc["records"]:
-        flags = tuple(raw.get("flags") or ())
-        records.append(
-            PluginRecord(
-                plugin_id=raw["plugin_id"],
-                store_title=raw["store_title"],
-                name_for_human_store=raw["name_for_human_store"],
-                legal_info_url=raw.get("legal_info_url"),
-                logo_url=raw.get("logo_url"),
-                store_description=raw.get("store_description"),
-                developer_domain=raw.get("developer_domain"),
-                flags=flags,
+    for index, raw in enumerate(doc["records"]):
+        if not isinstance(raw, dict):
+            raise CorpusError(f"corpus file {path}: record {index} is not an object")
+        try:
+            records.append(
+                PluginRecord(
+                    plugin_id=raw["plugin_id"],
+                    store_title=raw["store_title"],
+                    name_for_human_store=raw["name_for_human_store"],
+                    legal_info_url=raw.get("legal_info_url"),
+                    logo_url=raw.get("logo_url"),
+                    store_description=raw.get("store_description"),
+                    developer_domain=raw.get("developer_domain"),
+                    flags=tuple(raw.get("flags") or ()),
+                )
             )
-        )
-    errors = [IngestError(**e) for e in doc.get("ingest_errors", [])]
+        except KeyError as exc:
+            raise CorpusError(f"corpus file {path}: record {index} has no {exc.args[0]!r}") from None
+    try:
+        errors = [IngestError(**e) for e in doc.get("ingest_errors", [])]
+    except TypeError as exc:
+        raise CorpusError(f"corpus file {path}: malformed ingest_errors: {exc}") from None
     return Corpus(
         snapshot_label=doc.get("snapshot_label", ""),
         created_at=doc.get("created_at", ""),

@@ -46,8 +46,6 @@ ALL_VERDICTS = (
     VERDICT_NATIVE_UNREACHABLE,
 )
 
-_DENIED_STATUSES = {403, 404, 406}
-
 
 class InvalidSeed(Exception):
     """Seed URL is relative or has no http(s) scheme."""

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from urllib.parse import quote, urlsplit, urljoin
 
-from .urlnorm import host_of
+from .urlnorm import host_of, origin_of
 
 MAX_REDIRECTS = 5
 BODY_PREFIX_LIMIT = 256 * 1024
@@ -39,6 +39,8 @@ CONNECTIONS_PER_THREAD = 4
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
 # A reused keep-alive connection the server has already closed.
 _STALE_CONNECTION = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
+# Dropped when a redirect leaves the origin, as browsers and `requests` do.
+_CREDENTIAL_HEADERS = {"authorization", "cookie", "proxy-authorization"}
 # Characters left as they are in the request target (as `requests` did);
 # everything else, e.g. spaces and non-ASCII, is percent-encoded.
 _TARGET_SAFE = "!#$%&'()*+,/:;=?@[]~"
@@ -211,7 +213,11 @@ class Fetcher:
         headers: dict[str, str] | None = None,
         body: bytes | None = None,
     ) -> FetchResult:
-        """Fetch one URL, following redirects manually and retrying politely."""
+        """Fetch one URL, following redirects manually and retrying politely.
+
+        A hop to another origin drops the credential headers; a 303, or a
+        301/302 after a POST, continues as a GET without a body.
+        """
         headers = dict(headers or {})
         headers.setdefault("User-Agent", "plugin-store-audit/0.1")
         # Bodies are read as sent: ask for no compression, any media type.
@@ -219,6 +225,7 @@ class Fetcher:
         headers.setdefault("Accept-Encoding", "identity")
         chain: list[str] = []
         current = url
+        hop_method = method
         attempts_total = 0
         last_error = None
 
@@ -227,7 +234,7 @@ class Fetcher:
             for attempt in range(self.retries + 1):
                 attempts_total += 1
                 try:
-                    response, payload = self._single_request(method, current, headers, body)
+                    response, payload = self._single_request(hop_method, current, headers, body)
                 except _TRANSPORT_ERRORS as exc:
                     last_error = f"{type(exc).__name__}: {exc}"
                     response = None
@@ -256,7 +263,13 @@ class Fetcher:
             location = response.getheader("Location")
             if 300 <= status < 400 and location and hop < MAX_REDIRECTS:
                 chain.append(current)
-                current = urljoin(current, location)
+                target = urljoin(current, location)
+                if origin_of(target) != origin_of(current):
+                    headers = {k: v for k, v in headers.items() if k.lower() not in _CREDENTIAL_HEADERS}
+                if status == 303 or (status in (301, 302) and hop_method == "POST"):
+                    hop_method, body = "GET", None
+                    headers = {k: v for k, v in headers.items() if k.lower() != "content-type"}
+                current = target
                 continue
 
             result = FetchResult(

@@ -1,14 +1,14 @@
 """Deterministic local plugin-store emulator for offline audit runs.
 
-A fixture plan declares the store index, per-host manifest/API documents,
-and per-endpoint behaviors (auth enforcement, fixed failure statuses,
-counter-based rate limits). The bundled "paper-tables" profile generates a
-1032-plugin population whose full audit reproduces the reference result
-tables; the "revisit" profile generates the remediated population used for
-before/after diffing.
+A fixture plan is plain data: the store index, per-host manifest/API
+documents, and per-endpoint responses (a fixed status and body, or a 401
+unless the endpoint's token is presented). The bundled "paper-tables"
+profile generates a 1032-plugin population whose full audit reproduces the
+reference result tables; the "revisit" profile generates the remediated
+population used for before/after diffing.
 
-All responses are a pure function of (plan, per-endpoint request counter);
-nothing depends on the wall clock.
+Every response is a pure function of (plan, request); nothing depends on
+the wall clock or on earlier requests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import random
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -39,65 +39,29 @@ def _builtin_denial(host: str) -> int | None:
     return None
 
 
-WK_MANIFEST = "manifest"
-WK_REDIRECT = "redirect"
-WK_DENIED_404 = "denied:404"
-
-
 @dataclass
 class FixtureEndpoint:
+    """Answers status_ok with body_ok; when required_token is set, only to
+    `Authorization: Bearer <required_token>`, and 401 otherwise."""
+
     path: str
     method: str = "GET"
     status_ok: int = 200
     body_ok: dict | None = None
-    requires_token: bool = False
     required_token: str | None = None
-    fail_status: int = 401
-    rate_limit_after: int | None = None
-
-    def to_doc(self) -> dict:
-        return {
-            "path": self.path,
-            "method": self.method,
-            "status_ok": self.status_ok,
-            "body_ok": self.body_ok,
-            "requires_token": self.requires_token,
-            "required_token": self.required_token,
-            "fail_status": self.fail_status,
-            "rate_limit_after": self.rate_limit_after,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FixtureEndpoint":
-        return cls(**doc)
 
 
 @dataclass
 class FixtureSite:
+    """A site with a manifest serves it at the well-known path; one with
+    redirect_to sends every well-known path there; any other answers 404."""
+
     host: str
-    well_known: str = WK_DENIED_404
     manifest: dict | None = None
     redirect_to: str | None = None
     openapi: dict | None = None
     openapi_raw: str | None = None
     endpoints: list[FixtureEndpoint] = field(default_factory=list)
-
-    def to_doc(self) -> dict:
-        return {
-            "host": self.host,
-            "well_known": self.well_known,
-            "manifest": self.manifest,
-            "redirect_to": self.redirect_to,
-            "openapi": self.openapi,
-            "openapi_raw": self.openapi_raw,
-            "endpoints": [e.to_doc() for e in self.endpoints],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FixtureSite":
-        doc = dict(doc)
-        doc["endpoints"] = [FixtureEndpoint.from_doc(e) for e in doc.get("endpoints", [])]
-        return cls(**doc)
 
 
 @dataclass
@@ -107,33 +71,57 @@ class FixturePlan:
     index: list[dict] = field(default_factory=list)
     sites: dict[str, FixtureSite] = field(default_factory=dict)
 
-    def to_doc(self) -> dict:
-        return {
-            "profile": self.profile,
-            "seed": self.seed,
-            "index": self.index,
-            "sites": {host: site.to_doc() for host, site in sorted(self.sites.items())},
-        }
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FixturePlan":
-        sites = {host: FixtureSite.from_doc(site) for host, site in doc.get("sites", {}).items()}
-        return cls(
-            profile=doc.get("profile", ""),
-            seed=int(doc.get("seed", 0)),
-            index=list(doc.get("index", [])),
-            sites=sites,
-        )
+class PlanError(Exception):
+    """Raised for a plan file that cannot be read or does not fit the plan fields."""
 
 
 def save_plan(plan: FixturePlan, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(plan.to_doc(), sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(plan, default=vars, sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _from_doc(cls, doc: object, where: str):
+    """cls(**doc), or PlanError naming the first key of doc that does not fit cls."""
+    if not isinstance(doc, dict):
+        raise PlanError(f"{where} is not an object")
+    try:
+        return cls(**doc)
+    except TypeError:
+        names = [f.name for f in fields(cls)]
+    for key in doc:
+        if key not in names:
+            raise PlanError(f"unknown key {key!r} in {where}")
+    # Fields without a default come first, so the first one absent is required.
+    missing = next(name for name in names if name not in doc)
+    raise PlanError(f"missing key {missing!r} in {where}")
 
 
 def load_plan(path: str | Path) -> FixturePlan:
-    return FixturePlan.from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a plan written by save_plan. Raises PlanError, naming the file
+    and the offending key, when the file cannot be read or parsed or its
+    keys do not match the plan fields, as in a plan of an older format."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PlanError(f"cannot read plan file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise PlanError(f"plan file {path}: not valid JSON: {exc}") from exc
+    try:
+        plan = _from_doc(FixturePlan, doc, "the plan")
+        if not isinstance(plan.sites, dict):
+            raise PlanError("key 'sites' in the plan is not an object")
+        for host, site_doc in plan.sites.items():
+            where = f"sites[{host!r}]"
+            site = plan.sites[host] = _from_doc(FixtureSite, site_doc, where)
+            if not isinstance(site.endpoints, list):
+                raise PlanError(f"key 'endpoints' in {where} is not a list")
+            site.endpoints = [
+                _from_doc(FixtureEndpoint, e, f"{where}.endpoints[{i}]") for i, e in enumerate(site.endpoints)
+            ]
+    except PlanError as exc:
+        raise PlanError(f"plan file {path}: {exc}") from None
+    return plan
 
 
 def index_ndjson(plan: FixturePlan) -> str:
@@ -316,7 +304,7 @@ class _PlanBuilder:
         self.add_index_entry(title, legal, description=store_description, host=host)
         if skip_site:
             return
-        site = FixtureSite(host=host, well_known=WK_MANIFEST)
+        site = FixtureSite(host=host)
         site.manifest = _manifest_doc(
             host,
             name,
@@ -340,16 +328,8 @@ class _PlanBuilder:
         return self.plan
 
 
-def _ok_endpoint(requires_token: bool = False, token: str | None = None, fail_status: int = 401) -> FixtureEndpoint:
-    return FixtureEndpoint(
-        path="/api/status",
-        method="GET",
-        status_ok=200,
-        body_ok={"status": "ok"},
-        requires_token=requires_token,
-        required_token=token,
-        fail_status=fail_status,
-    )
+def _ok_endpoint(token: str | None = None) -> FixtureEndpoint:
+    return FixtureEndpoint(path="/api/status", body_ok={"status": "ok"}, required_token=token)
 
 
 def _fail_endpoint(status: int, path: str = "/api/status") -> FixtureEndpoint:
@@ -376,7 +356,7 @@ def _add_oauth_population(builder: _PlanBuilder, n_case1: int, n_case3: int, n_c
             builder.accessible_plugin(
                 slug,
                 _auth_oauth(host, scope, verification_token=token),
-                [_ok_endpoint(requires_token=True, token=token)],
+                [_ok_endpoint(token=token)],
             )
         elif slug.startswith("oauth-c3"):
             builder.accessible_plugin(slug, _auth_oauth(host, scope), [_ok_endpoint()])
@@ -384,7 +364,7 @@ def _add_oauth_population(builder: _PlanBuilder, n_case1: int, n_case3: int, n_c
             builder.accessible_plugin(
                 slug,
                 _auth_oauth(host, scope),
-                [_ok_endpoint(requires_token=True, token=f"secret-{slug}")],
+                [_ok_endpoint(token=f"secret-{slug}")],
             )
 
 
@@ -410,7 +390,7 @@ def generate_paper_plan(seed: int) -> FixturePlan:
 
     # 17 listings sharing one manifest on one host; 16 store titles differ
     # from the shared name_for_human (16 of the 34 inconsistent names).
-    mixerbox = FixtureSite(host="mixerbox.example", well_known=WK_MANIFEST)
+    mixerbox = FixtureSite(host="mixerbox.example")
     mixerbox.manifest = _manifest_doc("mixerbox.example", "MixerBox OnePlayer", _AUTH_NONE)
     mixerbox.openapi = _openapi_doc("mixerbox.example", "MixerBox OnePlayer API")
     mixerbox.endpoints = [_ok_endpoint()]
@@ -470,17 +450,17 @@ def generate_paper_plan(seed: int) -> FixturePlan:
     for i in range(1, 6):
         slug = f"bearer-c1-{i:02d}"
         token = f"vt-{slug}"
-        b.accessible_plugin(slug, _auth_service_bearer(token), [_ok_endpoint(requires_token=True, token=token)])
+        b.accessible_plugin(slug, _auth_service_bearer(token), [_ok_endpoint(token=token)])
     for i in range(1, 14):
         slug = f"bearer-c2-la-{i:02d}"
-        b.accessible_plugin(slug, _auth_service_bearer(None), [_ok_endpoint(requires_token=True, token=f"secret-{slug}")])
+        b.accessible_plugin(slug, _auth_service_bearer(None), [_ok_endpoint(token=f"secret-{slug}")])
     for i in range(1, 17):
         b.accessible_plugin(f"bearer-c2-ce-{i:02d}", _auth_service_bearer(None), [_fail_endpoint(400)])
 
     # User-token plugins (outside the three classic families).
     for i in range(1, 3):
         slug = f"user-c2-{i:02d}"
-        b.accessible_plugin(slug, _AUTH_USER_BEARER, [_ok_endpoint(requires_token=True, token=f"secret-{slug}")])
+        b.accessible_plugin(slug, _AUTH_USER_BEARER, [_ok_endpoint(token=f"secret-{slug}")])
 
     # Irregular manifests (no model description): exposed but not probed.
     for i in range(1, 6):
@@ -500,9 +480,7 @@ def generate_paper_plan(seed: int) -> FixturePlan:
         slug = f"redir-{i:03d}"
         host = f"{slug}.example"
         b.add_index_entry(_title_from_slug(slug), f"https://{host}/legal", "Audit fixture plugin.", host)
-        b.add_site(
-            FixtureSite(host=host, well_known=WK_REDIRECT, redirect_to=f"https://{LANDING_HOST}/welcome")
-        )
+        b.add_site(FixtureSite(host=host, redirect_to=f"https://{LANDING_HOST}/welcome"))
 
     # Hosted/protected categories are driven purely by the seed host.
     for i in range(1, 13):
@@ -557,10 +535,10 @@ def generate_revisit_plan(seed: int) -> FixturePlan:
     for i in range(1, 4):
         slug = f"bearer-c1-{i:02d}"
         token = f"vt-{slug}"
-        b.accessible_plugin(slug, _auth_service_bearer(token), [_ok_endpoint(requires_token=True, token=token)])
+        b.accessible_plugin(slug, _auth_service_bearer(token), [_ok_endpoint(token=token)])
     for i in range(1, 11):
         slug = f"bearer-c2-la-{i:02d}"
-        b.accessible_plugin(slug, _auth_service_bearer(None), [_ok_endpoint(requires_token=True, token=f"secret-{slug}")])
+        b.accessible_plugin(slug, _auth_service_bearer(None), [_ok_endpoint(token=f"secret-{slug}")])
 
     for i in range(1, 11):
         b.accessible_plugin(f"broken-api-{i:02d}", _AUTH_NONE, [], openapi='{"openapi": broken')
@@ -569,7 +547,7 @@ def generate_revisit_plan(seed: int) -> FixturePlan:
         slug = f"redir-{i:03d}"
         host = f"{slug}.example"
         b.add_index_entry(_title_from_slug(slug), f"https://{host}/legal", "Audit fixture plugin.", host)
-        b.add_site(FixtureSite(host=host, well_known=WK_REDIRECT, redirect_to=f"https://{LANDING_HOST}/welcome"))
+        b.add_site(FixtureSite(host=host, redirect_to=f"https://{LANDING_HOST}/welcome"))
     for i in range(1, 4):
         b.add_index_entry(f"Openai Prot {i:02d}", f"https://chat.openai.com/fixture-prot-{i:02d}")
     b.add_index_entry("Gdoc Hosted 01", "https://drive.google.com/file/d/fixdoc01")
@@ -605,11 +583,7 @@ class _HTTPServer(ThreadingHTTPServer):
 
 class FixtureServer:
     def __init__(self, plan: FixturePlan, port: int = 0):
-        self.plan = plan
-        self._counters: dict[tuple[str, str, str], int] = {}
-        self._lock = threading.Lock()
-        handler = _make_handler(self)
-        self.httpd = _HTTPServer(("127.0.0.1", port), handler)
+        self.httpd = _HTTPServer(("127.0.0.1", port), _make_handler(plan))
         self.httpd.daemon_threads = True
         self.port = self.httpd.server_address[1]
         self.base_url = f"http://127.0.0.1:{self.port}"
@@ -628,12 +602,6 @@ class FixtureServer:
     def wait(self) -> None:
         self._thread.join()
 
-    def bump_counter(self, host: str, path: str, method: str) -> int:
-        with self._lock:
-            key = (host, path, method)
-            self._counters[key] = self._counters.get(key, 0) + 1
-            return self._counters[key]
-
 
 def serve_fixtures(plan: FixturePlan, port: int = 0) -> FixtureServer:
     """Start the fixture server on 127.0.0.1; raises OSError if the port is
@@ -645,9 +613,7 @@ def _json_bytes(doc: object) -> bytes:
     return json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")
 
 
-def _make_handler(server: FixtureServer):
-    plan = server.plan
-
+def _make_handler(plan: FixturePlan):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         # Headers and body go out in two writes; with Nagle on, the body
@@ -668,13 +634,10 @@ def _make_handler(server: FixtureServer):
             if body:
                 self.wfile.write(body)
 
-        def _drain_body(self) -> None:
+        def _handle(self) -> None:
             length = int(self.headers.get("Content-Length", 0) or 0)
             if length:
                 self.rfile.read(length)
-
-        def _handle(self, method: str) -> None:
-            self._drain_body()
             raw_path = self.path.split("?", 1)[0]
             if raw_path == "/index.ndjson":
                 self._respond(200, index_ndjson(plan).encode("utf-8"), "application/x-ndjson")
@@ -683,12 +646,12 @@ def _make_handler(server: FixtureServer):
             host = parts[0]
             rest = "/" + (parts[1] if len(parts) > 1 else "")
 
-            site = plan.sites.get(host)
-            if site is not None:
-                self._serve_site(site, method, rest)
-                return
             if host == LANDING_HOST:
                 self._respond(200, _LANDING_BODY, "text/html")
+                return
+            site = plan.sites.get(host)
+            if site is not None:
+                self._serve_site(site, rest)
                 return
             denial = _builtin_denial(host)
             if denial is not None:
@@ -696,18 +659,12 @@ def _make_handler(server: FixtureServer):
                 return
             self._respond(404, _json_bytes({"error": "no such host"}))
 
-        def _serve_site(self, site: FixtureSite, method: str, rest: str) -> None:
-            if site.host == LANDING_HOST:
-                self._respond(200, _LANDING_BODY, "text/html")
-                return
+        def _serve_site(self, site: FixtureSite, rest: str) -> None:
             if rest in ("/.well-known/ai-plugin.json", "/.well-known/", "/.well-known"):
-                if site.well_known == WK_MANIFEST:
-                    if rest == "/.well-known/ai-plugin.json":
-                        self._respond(200, _json_bytes(site.manifest))
-                    else:
-                        self._respond(404, _json_bytes({"error": "not found"}))
-                elif site.well_known == WK_REDIRECT:
-                    self._respond(302, b"", headers={"Location": site.redirect_to or f"https://{LANDING_HOST}/"})
+                if site.manifest is not None and rest == "/.well-known/ai-plugin.json":
+                    self._respond(200, _json_bytes(site.manifest))
+                elif site.manifest is None and site.redirect_to is not None:
+                    self._respond(302, b"", headers={"Location": site.redirect_to})
                 else:
                     self._respond(404, _json_bytes({"error": "not found"}))
                 return
@@ -720,41 +677,20 @@ def _make_handler(server: FixtureServer):
                     self._respond(404, _json_bytes({"error": "not found"}))
                 return
             for endpoint in site.endpoints:
-                if endpoint.path == rest and endpoint.method == method:
-                    self._serve_endpoint(site, endpoint)
+                if endpoint.path == rest and endpoint.method == self.command:
+                    self._serve_endpoint(endpoint)
                     return
             self._respond(404, _json_bytes({"error": "not found"}))
 
-        def _serve_endpoint(self, site: FixtureSite, endpoint: FixtureEndpoint) -> None:
-            count = server.bump_counter(site.host, endpoint.path, endpoint.method)
-            if endpoint.rate_limit_after is not None and count > endpoint.rate_limit_after:
-                self._respond(
-                    429,
-                    _json_bytes({"error": "rate limit exceeded"}),
-                    headers={"Retry-After": "1"},
-                )
-                return
-            if endpoint.requires_token:
-                presented = self.headers.get("Authorization", "")
-                if endpoint.required_token and presented == f"Bearer {endpoint.required_token}":
-                    self._respond(endpoint.status_ok, _json_bytes(endpoint.body_ok or {"status": "ok"}))
-                else:
-                    self._respond(endpoint.fail_status, _json_bytes({"error": "authorization required"}))
+        def _serve_endpoint(self, endpoint: FixtureEndpoint) -> None:
+            token = endpoint.required_token
+            if token is not None and self.headers.get("Authorization", "") != f"Bearer {token}":
+                self._respond(401, _json_bytes({"error": "authorization required"}))
                 return
             status = endpoint.status_ok
             headers = {"Retry-After": "1"} if status == 429 else None
             self._respond(status, _json_bytes(endpoint.body_ok or {"status": "ok"}), headers=headers)
 
-        def do_GET(self):
-            self._handle("GET")
-
-        def do_POST(self):
-            self._handle("POST")
-
-        def do_PUT(self):
-            self._handle("PUT")
-
-        def do_DELETE(self):
-            self._handle("DELETE")
+        do_GET = do_POST = do_PUT = do_DELETE = _handle
 
     return Handler

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pluginaudit import cli, manifest as manifest_mod
-from pluginaudit.fixture import FixturePlan, FixtureSite, WK_MANIFEST, WK_REDIRECT, serve_fixtures
+from pluginaudit.fixture import FixturePlan, FixtureSite, serve_fixtures
 
 
 def test_ingest_writes_corpus(tmp_path, capsys):
@@ -73,6 +73,19 @@ def test_gen_plan_and_serve_port_conflict(tmp_path):
         server.stop()
 
 
+def test_serve_fixtures_on_bad_plan_exits_1(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"profile": "old", "seed": 0, "index": [], "sites": {
+        "a.example": {"host": "a.example", "rate_limit": 3, "endpoints": []},
+    }}))
+    assert cli.main(["serve-fixtures", "--plan", str(plan_path), "--port", "0"]) == 1
+    err = capsys.readouterr().err
+    assert str(plan_path) in err and "'rate_limit'" in err
+    plan_path.write_text("{")
+    assert cli.main(["serve-fixtures", "--plan", str(plan_path), "--port", "0"]) == 1
+    assert str(plan_path) in capsys.readouterr().err
+
+
 def test_diff_cli_markdown(tmp_path, capsys):
     def write_report(path, leak):
         doc = {
@@ -132,9 +145,9 @@ def test_probe_missing_manifest_dir_exits_1(tmp_path):
 
 
 def test_json_logs_emit_one_line_per_fetch(tmp_path, capsys):
-    from pluginaudit.fixture import FixturePlan, FixtureSite, WK_MANIFEST, serve_fixtures
+    from pluginaudit.fixture import FixturePlan, FixtureSite, serve_fixtures
 
-    site = FixtureSite(host="solo.example", well_known=WK_MANIFEST)
+    site = FixtureSite(host="solo.example")
     site.manifest = {
         "name_for_human": "Solo",
         "name_for_model": "solo",
@@ -217,7 +230,7 @@ def small_store(tmp_path):
     a1.example's API has two endpoints, so it is probed with two requests."""
     plan = FixturePlan(profile="small", seed=0)
     for host in ("a1.example", "a2.example"):
-        site = FixtureSite(host=host, well_known=WK_MANIFEST)
+        site = FixtureSite(host=host)
         site.manifest = {
             "name_for_human": host,
             "name_for_model": host.split(".")[0],
@@ -231,7 +244,7 @@ def small_store(tmp_path):
         "servers": [{"url": "https://a1.example/api"}],
         "paths": {"/one": {"get": {}}, "/two": {"get": {}}},
     }
-    plan.sites["r.example"] = FixtureSite(host="r.example", well_known=WK_REDIRECT)
+    plan.sites["r.example"] = FixtureSite(host="r.example", redirect_to="https://landing.adsite.example/")
     index = tmp_path / "index.ndjson"
     index.write_text(
         "".join(

@@ -111,11 +111,27 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.created_at == corpus.created_at
 
 
-def test_load_truncated_file_raises_schema_error(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"schema_version": 1, "records": [', "not valid JSON"),
+        ('{"schema_version": 1, "records": {"plugin_id": "x"}}', "records is not a list"),
+        ('{"schema_version": 1, "records": ["x"]}', "record 0 is not an object"),
+        (
+            '{"schema_version": 1, "records": [{"plugin_id": "a", "store_title": "A", "name_for_human_store": "A"},'
+            ' {"store_title": "B", "name_for_human_store": "B"}]}',
+            "record 1 has no 'plugin_id'",
+        ),
+        ('{"schema_version": 1, "records": [], "ingest_errors": [{"line": 1}]}', "malformed ingest_errors"),
+    ],
+    ids=["truncated", "records-not-a-list", "record-not-an-object", "record-without-plugin-id", "bad-ingest-error"],
+)
+def test_load_malformed_file_raises_corpus_error(tmp_path, text, message):
     path = tmp_path / "broken.json"
-    path.write_text('{"schema_version": 1, "records": [')
-    with pytest.raises(CorpusError, match="not valid JSON"):
+    path.write_text(text)
+    with pytest.raises(CorpusError, match=message) as raised:
         load_corpus(path)
+    assert str(path) in str(raised.value)
 
 
 def test_load_future_schema_version_rejected(tmp_path):

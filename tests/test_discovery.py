@@ -20,7 +20,7 @@ from pluginaudit.discovery import (
     generate_candidates,
 )
 from pluginaudit.fetch import Fetcher, FetchResult
-from pluginaudit.fixture import FixturePlan, FixtureSite, WK_MANIFEST, serve_fixtures
+from pluginaudit.fixture import FixturePlan, FixtureSite, serve_fixtures
 from pluginaudit.manifest import parse_manifest
 from pluginaudit.urlnorm import host_of, registrable_domain
 
@@ -199,7 +199,7 @@ def test_classification_is_replayable():
 def test_manifest_over_body_cap_is_not_parsed_or_counted_as_redirect():
     # Valid JSON that only parses whole: its cut-off prefix is neither a
     # manifest nor evidence of a 2xx page without one.
-    site = FixtureSite(host="big.example", well_known=WK_MANIFEST)
+    site = FixtureSite(host="big.example")
     site.manifest = json.loads(MANIFEST_BODY)
     site.manifest["description_for_model"] = "d" * 300_000
     plan = FixturePlan(profile="t", seed=0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -7,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from pluginaudit.fetch import BODY_PREFIX_LIMIT, Fetcher, rewrite_to_base
-from pluginaudit.fixture import FixtureEndpoint, FixturePlan, FixtureSite, WK_REDIRECT, serve_fixtures
+from pluginaudit.fixture import FixtureEndpoint, FixturePlan, FixtureSite, serve_fixtures
 
 
 def _plan() -> FixturePlan:
@@ -18,9 +19,7 @@ def _plan() -> FixturePlan:
     ]
     plan = FixturePlan(profile="t", seed=0)
     plan.sites["f.example"] = site
-    plan.sites["r.example"] = FixtureSite(
-        host="r.example", well_known=WK_REDIRECT, redirect_to="https://landing.adsite.example/welcome"
-    )
+    plan.sites["r.example"] = FixtureSite(host="r.example", redirect_to="https://landing.adsite.example/welcome")
     return plan
 
 
@@ -114,13 +113,20 @@ class _CountingHandler(BaseHTTPRequestHandler):
         pass
 
     def do_GET(self):
-        self.server.requests.append((self.path, self.headers))
+        length = int(self.headers.get("Content-Length", 0) or 0)
+        self.server.requests.append((self.path, self.headers, self.command, self.rfile.read(length)))
         if self.path == "/big":
             self._send(200, b"z" * (BODY_PREFIX_LIMIT + 100))
         elif self.path == "/lower-redirect":
             self._send(302, b"", {"location": "/ok"})
+        elif self.path.startswith("/redirect-"):
+            # /redirect-<status>?<location>
+            status, _, location = self.path[len("/redirect-"):].partition("?")
+            self._send(int(status), b"", {"Location": location})
         else:
             self._send(200, b'{"ok": true}')
+
+    do_POST = do_GET
 
     def _send(self, status, body, headers=None):
         self.send_response(status)
@@ -149,20 +155,28 @@ class _CountingServer(ThreadingHTTPServer):
         return request
 
 
-@pytest.fixture
-def origin():
+@contextlib.contextmanager
+def _serving():
     server = _CountingServer()
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
-    fetcher = Fetcher(per_host_delay_ms=0, retries=2, timeout_ms=2000)
     try:
-        yield server, fetcher
+        yield server
     finally:
-        fetcher.close()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def origin():
+    with _serving() as server:
+        fetcher = Fetcher(per_host_delay_ms=0, retries=2, timeout_ms=2000)
+        try:
+            yield server, fetcher
+        finally:
+            fetcher.close()
 
 
 def test_sequential_fetches_share_one_connection(origin):
@@ -222,3 +236,46 @@ def test_unsendable_urls_and_headers_are_quoted_or_transport_errors(origin):
     finally:
         fetcher.close()
     assert len(server.requests) == 1
+
+
+_CREDENTIALS = {"Authorization": "Bearer LEAKED", "Cookie": "session=1", "Proxy-Authorization": "Basic eDp5"}
+
+
+def test_cross_origin_redirect_drops_credentials(origin):
+    server, fetcher = origin
+    with _serving() as other:
+        result = fetcher.fetch(f"{server.url}/redirect-302?{other.url}/ok", headers=dict(_CREDENTIALS))
+        assert (result.status, result.final_url) == (200, f"{other.url}/ok")
+        assert server.requests[-1][1]["Authorization"] == "Bearer LEAKED"
+        delivered = other.requests[-1][1]
+        assert [delivered[name] for name in _CREDENTIALS] == [None, None, None]
+
+
+def test_same_origin_redirect_keeps_credentials(origin):
+    server, fetcher = origin
+    result = fetcher.fetch(f"{server.url}/redirect-302?/ok", headers=dict(_CREDENTIALS))
+    assert (result.status, result.final_url) == (200, f"{server.url}/ok")
+    delivered = server.requests[-1][1]
+    assert [delivered[name] for name in _CREDENTIALS] == list(_CREDENTIALS.values())
+
+
+@pytest.mark.parametrize("status", [303, 302, 301])
+def test_redirect_after_post_continues_as_bodiless_get(origin, status):
+    server, fetcher = origin
+    result = fetcher.fetch(
+        f"{server.url}/redirect-{status}?/ok",
+        method="POST",
+        headers={"Content-Type": "application/json"},
+        body=b'{"query": "x"}',
+    )
+    assert result.status == 200
+    path, headers, command, body = server.requests[-1]
+    assert (path, command, body) == ("/ok", "GET", b"")
+    assert headers["Content-Type"] is None and headers["Content-Length"] is None
+    assert server.requests[0][2:] == ("POST", b'{"query": "x"}')
+
+
+def test_temporary_redirect_keeps_method_and_body(origin):
+    server, fetcher = origin
+    fetcher.fetch(f"{server.url}/redirect-307?/ok", method="POST", body=b"{}")
+    assert [request[2:] for request in server.requests] == [("POST", b"{}"), ("POST", b"{}")]

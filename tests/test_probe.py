@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pluginaudit.fetch import BODY_PREFIX_LIMIT, Fetcher, FetchResult, TRANSPORT_ERROR
-from pluginaudit.fixture import FixturePlan, FixtureSite, WK_MANIFEST, serve_fixtures
+from pluginaudit.fixture import FixturePlan, FixtureSite, serve_fixtures
 from pluginaudit.manifest import Endpoint, parse_manifest, parse_openapi
 from pluginaudit.probe import (
     ALL_CASES,
@@ -251,7 +251,7 @@ def test_openapi_over_body_cap_is_skipped_as_too_large():
     # Valid JSON that only parses whole: the cut-off prefix must not be
     # reported as an unparseable API.
     padding = "x" * BODY_PREFIX_LIMIT
-    site = FixtureSite(host="p.example", well_known=WK_MANIFEST)
+    site = FixtureSite(host="p.example")
     site.openapi_raw = _api({"/a": _GET}).decode().replace('"P API"', f'"P API {padding}"')
     plan = FixturePlan(profile="t", seed=0)
     plan.sites["p.example"] = site
@@ -272,7 +272,7 @@ def test_deeply_nested_openapi_is_skipped_not_fatal():
     plan = FixturePlan(profile="t", seed=0)
     manifests = {}
     for host in ("deep.example", "good.example"):
-        plan.sites[host] = FixtureSite(host=host, well_known=WK_MANIFEST)
+        plan.sites[host] = FixtureSite(host=host)
         manifests[host] = parse_manifest(_manifest({"type": "none"}).replace(b"p.example", host.encode()))
     plan.sites["deep.example"].openapi_raw = "[" * 1000
     plan.sites["good.example"].openapi_raw = _api({"/a": _GET}).decode().replace("p.example", "good.example")
@@ -292,7 +292,7 @@ def test_deeply_nested_response_body_is_not_fatal():
     plan = FixturePlan(profile="t", seed=0)
     manifests = {}
     for host in ("deep.example", "good.example"):
-        plan.sites[host] = FixtureSite(host=host, well_known=WK_MANIFEST)
+        plan.sites[host] = FixtureSite(host=host)
         manifests[host] = parse_manifest(_manifest({"type": "none"}).replace(b"p.example", host.encode()))
     plan.sites["deep.example"].openapi_raw = (
         _api({"/openapi.json": _GET}).decode().replace("https://p.example/api", "https://nest.example")
