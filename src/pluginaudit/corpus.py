@@ -126,6 +126,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
+_REQUIRED_TEXT = ("plugin_id", "store_title", "name_for_human_store")
+_OPTIONAL_TEXT = ("legal_info_url", "logo_url", "store_description", "developer_domain")
+
+
 def load_corpus(path: str | Path) -> Corpus:
     path = Path(path)
     try:
@@ -145,21 +149,18 @@ def load_corpus(path: str | Path) -> Corpus:
     for index, raw in enumerate(doc["records"]):
         if not isinstance(raw, dict):
             raise CorpusError(f"corpus file {path}: record {index} is not an object")
-        try:
-            records.append(
-                PluginRecord(
-                    plugin_id=raw["plugin_id"],
-                    store_title=raw["store_title"],
-                    name_for_human_store=raw["name_for_human_store"],
-                    legal_info_url=raw.get("legal_info_url"),
-                    logo_url=raw.get("logo_url"),
-                    store_description=raw.get("store_description"),
-                    developer_domain=raw.get("developer_domain"),
-                    flags=tuple(raw.get("flags") or ()),
-                )
-            )
-        except KeyError as exc:
-            raise CorpusError(f"corpus file {path}: record {index} has no {exc.args[0]!r}") from None
+        for key in _REQUIRED_TEXT:
+            if key not in raw:
+                raise CorpusError(f"corpus file {path}: record {index} has no {key!r}")
+            if not isinstance(raw[key], str):
+                raise CorpusError(f"corpus file {path}: record {index}: {key!r} is not a string")
+        for key in _OPTIONAL_TEXT:
+            if not isinstance(raw.get(key), (str, type(None))):
+                raise CorpusError(f"corpus file {path}: record {index}: {key!r} is neither a string nor null")
+        flags = raw.get("flags", [])
+        if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):
+            raise CorpusError(f"corpus file {path}: record {index}: 'flags' is not a list of strings")
+        records.append(PluginRecord(**{key: raw.get(key) for key in _REQUIRED_TEXT + _OPTIONAL_TEXT}, flags=tuple(flags)))
     try:
         errors = [IngestError(**e) for e in doc.get("ingest_errors", [])]
     except TypeError as exc:

@@ -6,14 +6,26 @@ recorded; retries with exponential backoff apply to transport errors and
 host) is keyed to the *logical* host of the original URL, so an offline run
 with --base-url rewriting still schedules like a live one.
 
-The transport is stdlib `http.client`: each thread keeps a few keep-alive
-connections, one per transport origin. Environment proxies are not used,
-and HTTPS verifies against the system's CA store.
+The transport is a small HTTP/1.1 client on plain sockets; each thread
+keeps a few keep-alive connections, one per transport origin. A request
+goes out in one write. The status line and header fields are read here,
+at most 100 lines of at most 64 KiB per header block as `http.client`
+reads them; trailers and 1xx responses, which are skipped, get the same
+limits. The body is framed by `Transfer-Encoding: chunked`, else
+`Content-Length`, else the server closing the connection; HEAD, 1xx, 204
+and 304 responses have none. At most BODY_PREFIX_LIMIT + 1 body bytes are
+read. A connection is reused only when its last body was read to its
+framed end and nothing arrived after it. Environment proxies are not used,
+and HTTPS verifies against the system's CA store. Failures raise
+`http.client`'s exception classes.
 """
 
 from __future__ import annotations
 
 import http.client
+import re
+import select
+import socket
 import ssl
 import threading
 import time
@@ -21,9 +33,8 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from urllib.parse import quote, urlsplit, urljoin
-
-from .urlnorm import host_of, origin_of
+from typing import NamedTuple
+from urllib.parse import SplitResult, quote, urljoin, urlsplit
 
 MAX_REDIRECTS = 5
 BODY_PREFIX_LIMIT = 256 * 1024
@@ -44,6 +55,19 @@ _CREDENTIAL_HEADERS = {"authorization", "cookie", "proxy-authorization"}
 # Characters left as they are in the request target (as `requests` did);
 # everything else, e.g. spaces and non-ASCII, is percent-encoded.
 _TARGET_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+# `http.client`'s limits: lines per header block, bytes per line.
+_MAX_LINES = 100
+_MAX_LINE = 65536
+_RECV_SIZE = 16384  # the largest TLS record
+_BODY_METHODS = {"PATCH", "POST", "PUT"}
+# What `http.client` refuses to send.
+_METHOD_CTL = re.compile("[\x00-\x1f]")
+_HOST_CTL = re.compile("[\x00-\x20\x7f]")
+_LEGAL_NAME = re.compile(rb"[^:\s][^:\r\n]*").fullmatch
+_ILLEGAL_VALUE = re.compile(rb"\n(?![ \t])|\r(?![ \t\n])").search
+# A field name as `http.client`'s `email` parsing accepts it: visible ASCII.
+_FIELD_NAME = re.compile(r"[!-9;-~]+").fullmatch
 
 
 @dataclass(frozen=True)
@@ -71,9 +95,257 @@ def rewrite_to_base(url: str, base_url: str) -> str:
     in the first path segment so the fixture can route per virtual host.
     """
     parts = urlsplit(url)
-    path = parts.path or "/"
     query = f"?{parts.query}" if parts.query else ""
-    return f"{base_url.rstrip('/')}/{parts.netloc}{path}{query}"
+    return f"{base_url.rstrip('/')}{_path_on_base(parts)}{query}"
+
+
+def _path_on_base(parts: SplitResult) -> str:
+    return f"/{parts.netloc}{parts.path or '/'}"
+
+
+def _origin(parts: SplitResult) -> tuple[str, str]:
+    """Scheme and netloc, compared case-insensitively (urlsplit lowercases the scheme)."""
+    return parts.scheme, parts.netloc.lower()
+
+
+class _Response(NamedTuple):
+    status: int
+    fields: list[tuple[str, str]]  # header fields in arrival order
+    body: bytes                    # at most BODY_PREFIX_LIMIT + 1 bytes
+
+    def header(self, name: str, default: str | None = None) -> str | None:
+        """Every value of one field (name in lower case) joined by ", "."""
+        values = [value for key, value in self.fields if key.lower() == name]
+        return ", ".join(values) if values else default
+
+
+class _Connection:
+    """A keep-alive socket to one transport origin, and the bytes read from
+    it but not yet parsed. Every request on it carries host_header."""
+
+    def __init__(self, host: str, port: int, host_header: bytes, context: ssl.SSLContext | None):
+        self.address = (host, port)
+        self.host_header = host_header
+        self.context = context
+        self.sock: socket.socket | None = None
+        self.buf = b""
+        self.pos = 0
+
+    def open(self, timeout: float) -> None:
+        self.sock = socket.create_connection(self.address, timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self.context is not None:
+            self.sock = self.context.wrap_socket(self.sock, server_hostname=self.address[0])
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+        self.buf, self.pos = b"", 0
+
+    def idle(self) -> bool:
+        """The server has neither closed the kept-alive socket nor sent on it.
+
+        select() takes descriptors below FD_SETSIZE (1024 on Linux); an audit
+        holds a few dozen."""
+        return not select.select([self.sock], [], [], 0)[0]
+
+    def _fill(self) -> bool:
+        # Every read asks for a whole TLS record, so no decrypted byte is
+        # left behind in the TLS layer.
+        data = self.sock.recv(_RECV_SIZE)
+        if not data:
+            return False
+        self.buf = self.buf[self.pos:] + data
+        self.pos = 0
+        return True
+
+    def readline(self, what: str) -> bytes:
+        """One line with its LF, or what is left before EOF (b"" at EOF)."""
+        while True:
+            end = self.buf.find(b"\n", self.pos, self.pos + _MAX_LINE)
+            if end >= 0:
+                line, self.pos = self.buf[self.pos:end + 1], end + 1
+                return line
+            if len(self.buf) - self.pos > _MAX_LINE:
+                raise http.client.LineTooLong(what)
+            if not self._fill():
+                line, self.pos = self.buf[self.pos:], len(self.buf)
+                return line
+
+    def read(self, size: int) -> bytes:
+        """size bytes, fewer only at EOF."""
+        data = self.buf[self.pos:self.pos + size]
+        self.pos += len(data)
+        parts = [data]
+        missing = size - len(data)
+        while missing > 0 and self._fill():
+            data = self.buf[:missing]
+            self.pos = len(data)
+            parts.append(data)
+            missing -= len(data)
+        return b"".join(parts)
+
+
+def _host_header(host: str, port: int, default_port: int) -> bytes:
+    """The Host value `http.client` sends: IDNA, IPv6 in brackets without its
+    zone, and no port when it is the scheme's default."""
+    try:
+        value = host.encode("ascii")
+    except UnicodeEncodeError:
+        value = host.encode("idna")
+    if ":" in host:
+        value = b"[" + value.partition(b"%")[0] + b"]"
+    return value if port == default_port else b"%s:%d" % (value, port)
+
+
+def _request_bytes(method: str, target: str, host: bytes, headers: dict[str, str], body: bytes | None) -> bytes:
+    """Request line, headers and body in one buffer; what `http.client`
+    would refuse to send raises ValueError."""
+    match = _METHOD_CTL.search(method)
+    if match:
+        raise ValueError(f"method can't contain control characters. {method!r} (found at least {match.group()!r})")
+    lines = [f"{method} {target} HTTP/1.1".encode("ascii")]
+    names = {name.lower() for name in headers}
+    if "host" not in names:
+        lines.append(b"Host: " + host)
+    if "content-length" not in names and "transfer-encoding" not in names:
+        if body is not None:
+            lines.append(b"Content-Length: %d" % len(body))
+        elif method.upper() in _BODY_METHODS:
+            lines.append(b"Content-Length: 0")
+    for name, value in headers.items():
+        name_bytes = name.encode("ascii")
+        if not _LEGAL_NAME(name_bytes):
+            raise ValueError(f"Invalid header name {name_bytes!r}")
+        value_bytes = value.encode("latin-1")
+        if _ILLEGAL_VALUE(value_bytes):
+            raise ValueError(f"Invalid header value {value_bytes!r}")
+        lines.append(name_bytes + b": " + value_bytes)
+    head = b"\r\n".join(lines) + b"\r\n\r\n"
+    return head + body if body else head
+
+
+def _read_status(conn: _Connection) -> tuple[int, int]:
+    """Status code and HTTP version (10 or 11) of one status line."""
+    line = conn.readline("status line").decode("latin-1")
+    if not line:
+        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+    words = line.split(None, 2)
+    if len(words) < 2 or not words[0].startswith("HTTP/"):
+        raise http.client.BadStatusLine(line)
+    try:
+        status = int(words[1])
+    except ValueError:
+        raise http.client.BadStatusLine(line) from None
+    if not 100 <= status <= 999:
+        raise http.client.BadStatusLine(line)
+    if words[0] in ("HTTP/1.0", "HTTP/0.9"):
+        return status, 10
+    if words[0].startswith("HTTP/1."):
+        return status, 11
+    raise http.client.UnknownProtocol(words[0])
+
+
+def _read_lines(conn: _Connection, what: str) -> list[bytes]:
+    """The lines of one header block or trailer, up to its blank line or EOF."""
+    lines = []
+    while True:
+        line = conn.readline(what)
+        if line in (b"\r\n", b"\n", b""):
+            return lines
+        lines.append(line)
+        if len(lines) >= _MAX_LINES:
+            raise http.client.HTTPException(f"got more than {_MAX_LINES} headers")
+
+
+def _parse_fields(lines: list[bytes]) -> list[tuple[str, str]]:
+    """Header fields as `http.client` returned them: a folded value keeps its
+    line breaks, a line with no name is skipped, and any other line that is
+    not `name: value` ends the fields."""
+    fields: list[list[str]] = []
+    current = None
+    for raw in lines:
+        line = raw.decode("latin-1")
+        if line[0] in " \t":
+            if current is not None:
+                current[1] += line
+            continue
+        name, colon, value = line.partition(":")
+        if colon and not name:
+            current = None
+            continue
+        if not colon or not _FIELD_NAME(name):
+            break
+        current = [name, value.lstrip(" \t")]
+        fields.append(current)
+    return [(name, value.rstrip("\r\n")) for name, value in fields]
+
+
+def _read_chunked(conn: _Connection) -> tuple[bytes, bool]:
+    """A chunked body up to the cap, and whether it was read to its end."""
+    limit = BODY_PREFIX_LIMIT + 1
+    body = bytearray()
+    while True:
+        line = conn.readline("chunk size")
+        try:
+            size = int(line.partition(b";")[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise http.client.IncompleteRead(bytes(body))
+        if size == 0:
+            _read_lines(conn, "trailer line")
+            return bytes(body), True
+        want = min(size, limit - len(body))
+        data = conn.read(want)
+        body += data
+        if len(data) < want:
+            raise http.client.IncompleteRead(bytes(body))
+        if len(body) == limit:
+            return bytes(body), False
+        if len(conn.read(2)) < 2:  # the line break after the chunk's data
+            raise http.client.IncompleteRead(bytes(body))
+
+
+def _read_response(conn: _Connection, method: str) -> tuple[_Response, bool]:
+    """One response, and whether the connection may carry the next request."""
+    for _ in range(_MAX_LINES):
+        status, version = _read_status(conn)
+        fields = _parse_fields(_read_lines(conn, "header line"))
+        if not 100 <= status < 200:
+            break
+    else:
+        raise http.client.HTTPException(f"got more than {_MAX_LINES} interim responses")
+    first: dict[str, str] = {}
+    for name, value in fields:
+        first.setdefault(name.lower(), value)
+    connection = first.get("connection", "").lower()
+    if version == 11:
+        close = "close" in connection
+    else:
+        close = not (
+            first.get("keep-alive")
+            or "keep-alive" in connection
+            or "keep-alive" in first.get("proxy-connection", "").lower()
+        )
+    limit = BODY_PREFIX_LIMIT + 1
+    if method == "HEAD" or status in (204, 304):
+        body, framed = b"", True
+    elif first.get("transfer-encoding", "").lower() == "chunked":
+        body, framed = _read_chunked(conn)
+    else:
+        try:
+            length = int(first.get("content-length", ""))
+        except ValueError:
+            length = -1
+        if length >= 0:
+            body = conn.read(min(length, limit))
+            framed = len(body) == length
+        else:  # delimited by the server closing the connection
+            body, framed = conn.read(limit), False
+    keep = framed and not close and conn.pos == len(conn.buf)
+    return _Response(status, fields, body), keep
 
 
 def _close_pools(pools: dict[threading.Thread, OrderedDict]) -> None:
@@ -102,6 +374,7 @@ class Fetcher:
         self.timeout = max(1, int(timeout_ms)) / 1000.0
         self.retries = max(0, int(retries))
         self.base_url = base_url.rstrip("/") if base_url else None
+        self._base = urlsplit(self.base_url) if self.base_url else None
         self._log_fn = log_fn
         self._host_locks: dict[str, threading.Lock] = {}
         self._host_last: dict[str, float] = {}
@@ -112,27 +385,33 @@ class Fetcher:
         # A Fetcher dropped without close() still closes its sockets.
         weakref.finalize(self, _close_pools, self._pools)
 
-    def _connection(self, scheme: str, netloc: str) -> http.client.HTTPConnection:
+    def _connection(self, origin: SplitResult) -> _Connection:
         """This thread's keep-alive connection to one transport origin."""
         pool = getattr(self._local, "pool", None)
         if pool is None:
             pool = self._local.pool = OrderedDict()
             with self._registry_lock:
                 self._pools[threading.current_thread()] = pool
-        conn = pool.pop((scheme, netloc), None)
+        key = (origin.scheme, origin.netloc)
+        conn = pool.pop(key, None)
         if conn is None:
-            parts = urlsplit(f"//{netloc}")
-            if not parts.hostname:
-                raise http.client.InvalidURL(f"no host in {netloc!r}")
-            if scheme == "https":
+            host = origin.hostname
+            if not host:
+                raise http.client.InvalidURL(f"no host in {origin.netloc!r}")
+            match = _HOST_CTL.search(host)
+            if match:
+                raise http.client.InvalidURL(
+                    f"URL can't contain control characters. {host!r} (found at least {match.group()!r})"
+                )
+            default_port = 443 if origin.scheme == "https" else 80
+            port = default_port if origin.port is None else origin.port
+            context = None
+            if origin.scheme == "https":
                 if self._ssl_context is None:
                     self._ssl_context = ssl.create_default_context()
-                conn = http.client.HTTPSConnection(
-                    parts.hostname, parts.port, timeout=self.timeout, context=self._ssl_context
-                )
-            else:
-                conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=self.timeout)
-        pool[(scheme, netloc)] = conn
+                context = self._ssl_context
+            conn = _Connection(host, port, _host_header(host, port, default_port), context)
+        pool[key] = conn
         while len(pool) > CONNECTIONS_PER_THREAD:
             pool.popitem(last=False)[1].close()
         return conn
@@ -146,65 +425,65 @@ class Fetcher:
         with self._registry_lock:
             return self._host_locks.setdefault(host, threading.Lock())
 
-    def _transport_url(self, url: str) -> str:
-        if self.base_url:
-            return rewrite_to_base(url, self.base_url)
-        return url
-
     def _single_request(
-        self, method: str, url: str, headers: dict[str, str], body: bytes | None
-    ) -> tuple[http.client.HTTPResponse, bytes]:
+        self, method: str, parts: SplitResult, headers: dict[str, str], body: bytes | None
+    ) -> _Response:
         # Per-host serial queue: the lock spans the request so one logical
         # host never sees overlapping traffic from this process.
-        host = host_of(url)
+        host = parts.hostname or ""
         with self._host_lock(host):
             last = self._host_last.get(host, 0.0)
             wait = last + self.per_host_delay - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
             try:
-                return self._exchange(method, self._transport_url(url), headers, body)
+                return self._exchange(method, parts, headers, body)
             finally:
                 self._host_last[host] = time.monotonic()
 
     def _exchange(
-        self, method: str, url: str, headers: dict[str, str], body: bytes | None
-    ) -> tuple[http.client.HTTPResponse, bytes]:
+        self, method: str, parts: SplitResult, headers: dict[str, str], body: bytes | None
+    ) -> _Response:
         """One request/response on a pooled connection.
 
-        Returns the (closed) response and up to BODY_PREFIX_LIMIT + 1 body
-        bytes, so the caller can tell a cut-off body from a whole one.
+        The response carries up to BODY_PREFIX_LIMIT + 1 body bytes, so the
+        caller can tell a cut-off body from a whole one. With a base URL the
+        request goes to the fixture server, the logical host in its path.
         """
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https"):
-            raise http.client.InvalidURL(f"unsupported URL scheme in {url!r}")
-        target = quote(parts.path or "/", safe=_TARGET_SAFE)
+        origin = self._base or parts
+        if origin.scheme not in ("http", "https"):
+            raise http.client.InvalidURL(f"unsupported URL scheme in {parts.geturl()!r}")
+        target = self._base.path + _path_on_base(parts) if self._base else parts.path or "/"
         if parts.query:
-            target += "?" + quote(parts.query, safe=_TARGET_SAFE)
-        conn = self._connection(parts.scheme, parts.netloc)
-        reused = conn.sock is not None
+            target += "?" + parts.query
+        conn = self._connection(origin)
+        request = _request_bytes(method, quote(target, safe=_TARGET_SAFE), conn.host_header, headers, body)
         try:
+            if conn.sock is not None and not conn.idle():
+                conn.close()  # closed by the server, or it sent bytes nobody asked for
+            reused = conn.sock is not None
             try:
-                conn.request(method, target, body=body, headers=headers)
-                response = conn.getresponse()
+                if not reused:
+                    conn.open(self.timeout)
+                conn.sock.sendall(request)
+                response, keep = _read_response(conn, method)
             except _STALE_CONNECTION:
                 if not reused:
                     raise
                 # The server closed the idle connection; reconnecting once is
                 # not a retry attempt.
                 conn.close()
-                conn.request(method, target, body=body, headers=headers)
-                response = conn.getresponse()
-            payload = response.read(BODY_PREFIX_LIMIT + 1)
+                conn.open(self.timeout)
+                conn.sock.sendall(request)
+                response, keep = _read_response(conn, method)
         except _TRANSPORT_ERRORS:
             conn.close()
             raise
-        if not response.isclosed():
-            # Unread bytes (or a body cut at the cap) remain on the socket,
-            # so this connection is never reused.
+        if keep:
+            conn.buf, conn.pos = b"", 0
+        else:
             conn.close()
-        response.close()
-        return response, payload
+        return response
 
     def fetch(
         self,
@@ -216,7 +495,9 @@ class Fetcher:
         """Fetch one URL, following redirects manually and retrying politely.
 
         A hop to another origin drops the credential headers; a 303, or a
-        301/302 after a POST, continues as a GET without a body.
+        301/302 after a POST, continues as a GET without a body. A URL that
+        cannot be split (e.g. an unclosed IPv6 bracket in a Location) ends
+        the fetch as a transport error.
         """
         headers = dict(headers or {})
         headers.setdefault("User-Agent", "plugin-store-audit/0.1")
@@ -228,13 +509,17 @@ class Fetcher:
         hop_method = method
         attempts_total = 0
         last_error = None
+        try:
+            parts = urlsplit(url)
+        except ValueError as exc:
+            return self._failed(method, url, url, chain, f"{type(exc).__name__}: {exc}", 1)
 
         for hop in range(MAX_REDIRECTS + 1):
             response = None
             for attempt in range(self.retries + 1):
                 attempts_total += 1
                 try:
-                    response, payload = self._single_request(hop_method, current, headers, body)
+                    response = self._single_request(hop_method, parts, headers, body)
                 except _TRANSPORT_ERRORS as exc:
                     last_error = f"{type(exc).__name__}: {exc}"
                     response = None
@@ -248,51 +533,49 @@ class Fetcher:
                 if attempt < self.retries:
                     time.sleep(min(2.0, 0.2 * (2 ** attempt)))
             if response is None:
-                result = FetchResult(
-                    url=url,
-                    final_url=current,
-                    status=TRANSPORT_ERROR,
-                    redirect_chain=tuple(chain),
-                    error=last_error or "transport failure",
-                    attempts=attempts_total,
-                )
-                self._log(method, result)
-                return result
+                return self._failed(method, url, current, chain, last_error or "transport failure", attempts_total)
 
             status = response.status
-            location = response.getheader("Location")
+            location = response.header("location")
             if 300 <= status < 400 and location and hop < MAX_REDIRECTS:
+                try:
+                    target = urljoin(current, location)
+                    target_parts = urlsplit(target)
+                except ValueError as exc:
+                    return self._failed(method, url, current, chain, f"{type(exc).__name__}: {exc}", attempts_total)
                 chain.append(current)
-                target = urljoin(current, location)
-                if origin_of(target) != origin_of(current):
+                if _origin(target_parts) != _origin(parts):
                     headers = {k: v for k, v in headers.items() if k.lower() not in _CREDENTIAL_HEADERS}
                 if status == 303 or (status in (301, 302) and hop_method == "POST"):
                     hop_method, body = "GET", None
                     headers = {k: v for k, v in headers.items() if k.lower() != "content-type"}
-                current = target
+                current, parts = target, target_parts
                 continue
 
             result = FetchResult(
                 url=url,
                 final_url=current,
                 status=status,
-                headers=dict(response.getheaders()),
-                body=payload[:BODY_PREFIX_LIMIT],
-                content_type=response.getheader("Content-Type", ""),
+                headers=dict(response.fields),
+                body=response.body[:BODY_PREFIX_LIMIT],
+                content_type=response.header("content-type", ""),
                 redirect_chain=tuple(chain),
                 attempts=attempts_total,
-                truncated=len(payload) > BODY_PREFIX_LIMIT,
+                truncated=len(response.body) > BODY_PREFIX_LIMIT,
             )
             self._log(method, result)
             return result
 
+        return self._failed(method, url, current, chain, "redirect limit exceeded", attempts_total)
+
+    def _failed(self, method: str, url: str, final_url: str, chain: list[str], error: str, attempts: int) -> FetchResult:
         result = FetchResult(
             url=url,
-            final_url=current,
+            final_url=final_url,
             status=TRANSPORT_ERROR,
             redirect_chain=tuple(chain),
-            error="redirect limit exceeded",
-            attempts=attempts_total,
+            error=error,
+            attempts=attempts,
         )
         self._log(method, result)
         return result

@@ -616,8 +616,8 @@ def _json_bytes(doc: object) -> bytes:
 def _make_handler(plan: FixturePlan):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
-        # Headers and body go out in two writes; with Nagle on, the body
-        # waits ~40 ms for the client's delayed ACK on every response.
+        # With Nagle on, the last segment of a response longer than one
+        # segment waits ~40 ms for the client's delayed ACK.
         disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):  # noqa: ARG002 - silence stdlib logging
@@ -630,9 +630,11 @@ def _make_handler(plan: FixturePlan):
             if body:
                 self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            if body:
+            if self.request_version == "HTTP/0.9":  # the body alone, as end_headers() would leave it
                 self.wfile.write(body)
+            else:  # end_headers() and the body in one write
+                self._headers_buffer.append(b"\r\n" + body)
+                self.flush_headers()
 
         def _handle(self) -> None:
             length = int(self.headers.get("Content-Length", 0) or 0)

@@ -111,6 +111,13 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.created_at == corpus.created_at
 
 
+def _record_doc(**fields) -> str:
+    """A one-record corpus file whose record has the given fields overridden."""
+    record = {"plugin_id": "a", "store_title": "A", "name_for_human_store": "A", "flags": []}
+    record.update(fields)
+    return json.dumps({"schema_version": 1, "records": [record]})
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -123,8 +130,22 @@ def test_save_load_round_trip(tmp_path):
             "record 1 has no 'plugin_id'",
         ),
         ('{"schema_version": 1, "records": [], "ingest_errors": [{"line": 1}]}', "malformed ingest_errors"),
+        (_record_doc(plugin_id=7), "record 0: 'plugin_id' is not a string"),
+        (_record_doc(store_title=None), "record 0: 'store_title' is not a string"),
+        (_record_doc(name_for_human_store=["A"]), "record 0: 'name_for_human_store' is not a string"),
+        (_record_doc(legal_info_url=5), "record 0: 'legal_info_url' is neither a string nor null"),
+        (_record_doc(logo_url={}), "record 0: 'logo_url' is neither a string nor null"),
+        (_record_doc(store_description=1.5), "record 0: 'store_description' is neither a string nor null"),
+        (_record_doc(developer_domain=True), "record 0: 'developer_domain' is neither a string nor null"),
+        (_record_doc(flags="legal_missing"), "record 0: 'flags' is not a list of strings"),
+        (_record_doc(flags=[1]), "record 0: 'flags' is not a list of strings"),
+        (_record_doc(flags=None), "record 0: 'flags' is not a list of strings"),
     ],
-    ids=["truncated", "records-not-a-list", "record-not-an-object", "record-without-plugin-id", "bad-ingest-error"],
+    ids=[
+        "truncated", "records-not-a-list", "record-not-an-object", "record-without-plugin-id", "bad-ingest-error",
+        "int-plugin-id", "null-store-title", "list-name", "int-legal-url", "object-logo-url", "float-description",
+        "bool-developer-domain", "string-flags", "int-flag", "null-flags",
+    ],
 )
 def test_load_malformed_file_raises_corpus_error(tmp_path, text, message):
     path = tmp_path / "broken.json"

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import contextlib
+import http.client
+import io
+import select
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
+from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pluginaudit.fetch import BODY_PREFIX_LIMIT, Fetcher, rewrite_to_base
+from pluginaudit.fetch import _RECV_SIZE, _TRANSPORT_ERRORS, BODY_PREFIX_LIMIT, Fetcher, rewrite_to_base
 from pluginaudit.fixture import FixtureEndpoint, FixturePlan, FixtureSite, serve_fixtures
 
 
@@ -279,3 +286,415 @@ def test_temporary_redirect_keeps_method_and_body(origin):
     server, fetcher = origin
     fetcher.fetch(f"{server.url}/redirect-307?/ok", method="POST", body=b"{}")
     assert [request[2:] for request in server.requests] == [("POST", b"{}"), ("POST", b"{}")]
+
+
+def test_unfollowable_location_is_a_transport_error(origin):
+    server, fetcher = origin
+    result = fetcher.fetch(f"{server.url}/redirect-302?http://[::1")
+    assert (result.status, result.error) == (0, "ValueError: Invalid IPv6 URL")
+    assert (result.final_url, result.redirect_chain) == (f"{server.url}/redirect-302?http://[::1", ())
+
+
+def test_no_http_client_connection_or_response_is_made(origin):
+    server, fetcher = origin
+    with mock.patch.object(http.client, "HTTPConnection", side_effect=AssertionError), \
+            mock.patch.object(http.client, "HTTPResponse", side_effect=AssertionError):
+        assert fetcher.fetch(f"{server.url}/ok").status == 200
+
+
+# --- The HTTP/1.1 exchange against http.client -------------------------------
+
+_FOLLOW_UP = b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nfollow-up"
+_OVER = BODY_PREFIX_LIMIT + 100
+
+
+class _ScriptedOrigin:
+    """Raw-socket origin. It answers the first request on its first
+    connection with the script's exact bytes (and hangs up after them if
+    `hang_up`), and any other request with _FOLLOW_UP. It counts connections."""
+
+    def __init__(self, script: bytes, hang_up: bool):
+        self.script, self.hang_up = script, hang_up
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.connections = 0
+        self._accepting = threading.Thread(target=self._accept, daemon=True)
+
+    def __enter__(self):
+        self._accepting.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+        self.listener.close()
+        self._accepting.join(timeout=5)
+        assert not self._accepting.is_alive()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            reply = self.script if self.connections == 1 else _FOLLOW_UP
+            threading.Thread(target=self._serve, args=(conn, reply), daemon=True).start()
+
+    def _serve(self, conn, reply):
+        with conn, conn.makefile("rb") as requests:
+            try:
+                while _read_request_head(requests):
+                    conn.sendall(reply)
+                    if self.hang_up and reply is self.script:
+                        return
+                    reply = _FOLLOW_UP
+            except OSError:  # the client hung up mid-body
+                pass
+
+
+def _read_request_head(requests) -> bool:
+    while True:
+        line = requests.readline()
+        if not line:
+            return False
+        if line == b"\r\n":
+            return True
+
+
+def _chunked(body: bytes, size: int, trailer: bytes = b"") -> bytes:
+    chunks = [b"%x\r\n%s\r\n" % (len(body[i:i + size]), body[i:i + size]) for i in range(0, len(body), size)]
+    return b"".join(chunks) + b"0\r\n" + trailer + b"\r\n"
+
+
+_OK_CHUNKED = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Type: text/plain\r\n\r\n"
+
+# id: (method, response bytes, origin hangs up after them, connection reused)
+_EXCHANGES = {
+    "chunked": ("GET", _OK_CHUNKED + b"5\r\nhello\r\n6;ext=1\r\n world\r\n0\r\n\r\n", False, True),
+    "chunked-trailers": ("GET", _OK_CHUNKED + _chunked(b"hello world", 4, b"Retry-After: 9\r\nX-Sum: 1\r\n"), False, True),
+    "chunked-over-cap": ("GET", _OK_CHUNKED + _chunked(b"z" * _OVER, 50000), False, False),
+    "chunked-at-cap": ("GET", _OK_CHUNKED + _chunked(b"z" * BODY_PREFIX_LIMIT, 65536), False, True),
+    "length-over-cap": ("GET", b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % _OVER + b"z" * _OVER, False, False),
+    "length-cap-plus-one": (
+        "GET", b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (BODY_PREFIX_LIMIT + 1) + b"z" * (BODY_PREFIX_LIMIT + 1),
+        False, True,
+    ),
+    "close-delimited": ("GET", b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n<html>until close</html>", True, False),
+    "http-1.0": ("GET", b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok", True, False),
+    "http-1.0-keep-alive": ("GET", b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok", False, True),
+    "connection-close": ("GET", b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", True, False),
+    "100-continue": ("GET", b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 201 Created\r\nContent-Length: 2\r\n\r\nok", False, True),
+    "head": ("HEAD", b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 1234\r\n\r\n", False, True),
+    "204": ("GET", b"HTTP/1.1 204 No Content\r\nContent-Length: 5\r\n\r\n", False, True),
+    "304": ("GET", b"HTTP/1.1 304 Not Modified\r\nContent-Type: text/plain\r\nContent-Length: 10\r\n\r\n", False, True),
+    "folded-header": (
+        "GET", b"HTTP/1.1 200 OK\r\nContent-Type: text/plain;\r\n charset=utf-8\r\nX-Note: a\r\n\tb\r\nContent-Length: 2\r\n\r\nok",
+        False, True,
+    ),
+    "duplicate-location": (
+        "GET", b"HTTP/1.1 302 Found\r\nLocation: /a\r\nlocation: /b\r\nContent-Length: 0\r\n\r\n", False, True,
+    ),
+    "429-retry-after": (
+        "GET", b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 1\r\nContent-Length: 2\r\n\r\n{}", False, True,
+    ),
+    "bare-lf": ("GET", b"HTTP/1.1 200 OK\nContent-Length: 2\nContent-Type: a/b\n\nok", False, True),
+}
+
+
+def _view(status, getheader, fields, body):
+    return {
+        "status": status,
+        "location": getheader("Location"),
+        "content-type": getheader("Content-Type"),
+        "retry-after": getheader("Retry-After"),
+        "headers": dict(fields),
+        "body": body[:BODY_PREFIX_LIMIT],
+        "truncated": len(body) > BODY_PREFIX_LIMIT,
+    }
+
+
+def _new_exchange(method, script, hang_up):
+    with _ScriptedOrigin(script, hang_up) as origin:
+        fetcher = Fetcher(per_host_delay_ms=0, retries=0, timeout_ms=2000)
+        try:
+            parts = urlsplit(f"http://127.0.0.1:{origin.port}/")
+            first = fetcher._exchange(method, parts, {}, None)
+            second = fetcher._exchange("GET", parts, {}, None)
+        finally:
+            fetcher.close()
+        view = _view(first.status, lambda name: first.header(name.lower()), first.fields, first.body)
+        return view, second.body, origin.connections
+
+
+def _http_client_exchange(method, script, hang_up):
+    """The same two requests through http.client, handled as the fetcher
+    handled them before it spoke HTTP itself."""
+    with _ScriptedOrigin(script, hang_up) as origin:
+        conn = http.client.HTTPConnection("127.0.0.1", origin.port, timeout=2)
+        try:
+            conn.request(method, "/")
+            response = conn.getresponse()
+            body = response.read(BODY_PREFIX_LIMIT + 1)
+            if not response.isclosed():
+                conn.close()
+            first = _view(response.status, response.getheader, response.getheaders(), body)
+            conn.request("GET", "/")
+            second = conn.getresponse().read()
+        finally:
+            conn.close()
+        return first, second, origin.connections
+
+
+@pytest.mark.parametrize("case", list(_EXCHANGES))
+def test_exchange_agrees_with_http_client(case):
+    method, script, hang_up, reused = _EXCHANGES[case]
+    new = _new_exchange(method, script, hang_up)
+    oracle = _http_client_exchange(method, script, hang_up)
+    assert new[0] == oracle[0]
+    assert new[1] == oracle[1] == b"follow-up"
+    assert new[2] == oracle[2] == (1 if reused else 2)
+
+
+def test_interim_responses_are_skipped():
+    # http.client returns a 103 as the final response; the exchange reads on.
+    script = b"HTTP/1.1 103 Early Hints\r\nLink: </a.css>\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    view, second, connections = _new_exchange("GET", script, False)
+    assert (view["status"], view["body"], view["headers"]) == (200, b"ok", {"Content-Length": "2"})
+    assert (second, connections) == (b"follow-up", 1)
+
+
+# --- What the exchange sends ---------------------------------------------------
+
+
+class _FakeSocket:
+    """A connected socket: records what is sent, and answers recv() from
+    `stream` (bytes, or an iterator of bytes) in pieces of the given sizes."""
+
+    def __init__(self, stream, sizes=(65536,)):
+        self.stream = iter([stream]) if isinstance(stream, bytes) else stream
+        self.sizes = sizes
+        self.pending = b""
+        self.sent = b""
+        self.recvs = self.received = 0
+        self.closed = False
+
+    def setsockopt(self, *args):
+        pass
+
+    def sendall(self, data):
+        self.sent += data
+
+    def recv(self, size):
+        while not self.pending:
+            self.pending = next(self.stream, None)
+            if self.pending is None:
+                self.pending = b""
+                return b""
+        size = min(size, self.sizes[self.recvs % len(self.sizes)])
+        data, self.pending = self.pending[:size], self.pending[size:]
+        self.recvs += 1
+        self.received += len(data)
+        return data
+
+    def close(self):
+        self.closed = True
+
+
+def _fetch_over(sock, url="http://origin.test/", method="GET", headers=None, body=None):
+    fetcher = Fetcher(per_host_delay_ms=0, retries=0)
+    with mock.patch("socket.create_connection", return_value=sock) as connect:
+        result = fetcher.fetch(url, method=method, headers=headers, body=body)
+    fetcher.close()
+    return result, connect
+
+
+def _http_client_request(url, method, headers, body) -> bytes:
+    parts = urlsplit(url)
+    recorder = _FakeSocket(b"")
+    conn = http.client.HTTPConnection(parts.hostname, parts.port or 80)
+    conn.sock = recorder
+    conn.request(method, parts.path + (f"?{parts.query}" if parts.query else ""), body=body, headers=headers)
+    return recorder.sent
+
+
+_HEADERS = {"User-Agent": "plugin-store-audit/0.1", "Accept": "*/*", "Accept-Encoding": "identity"}
+
+
+@pytest.mark.parametrize(
+    "url, method, body",
+    [
+        ("http://example.com/p?q=1", "GET", None),
+        ("http://Example.COM:80/p", "POST", None),
+        ("http://example.com:8080/p", "PATCH", None),
+        ("http://example.com/p", "GET", b""),
+        ("http://example.com/p", "DELETE", None),
+        ("http://[::1]:8080/p", "PUT", b'{"a": 1}'),
+        ("http://[::1]:80/p", "GET", None),
+        ("http://[::1]/p", "GET", None),
+        ("http://[fe80::1%25eth0]:81/p", "GET", None),
+        ("http://bücher.example:8080/p", "POST", b"x"),
+    ],
+)
+def test_request_bytes_match_http_client(url, method, body):
+    sock = _FakeSocket(b"HTTP/1.1 204 No Content\r\n\r\n")
+    headers = {"Authorization": "Bearer t", "Content-Type": "application/json"}
+    result, connect = _fetch_over(sock, url, method, dict(headers), body)
+    assert result.status == 204
+    assert sock.sent == _http_client_request(url, method, {**headers, **_HEADERS}, body)
+    parts = urlsplit(url)
+    assert connect.call_args.args[0] == (parts.hostname, parts.port or 80)
+
+
+@pytest.mark.parametrize(
+    "method, headers",
+    [
+        ("GET", {"Authorization": "Bearer a\r\nX: y"}),
+        ("GET", {"X-Token": "a\nb"}),
+        ("GET", {"X-Token": "☃"}),
+        ("GET", {"X:Y": "1"}),
+        ("GET", {" X": "1"}),
+        ("GET", {"Ñ": "1"}),
+        ("GE\x00T", {}),
+    ],
+)
+def test_unsendable_request_fails_before_any_byte_as_http_client_does(method, headers):
+    sock = _FakeSocket(b"HTTP/1.1 204 No Content\r\n\r\n")
+    result, connect = _fetch_over(sock, method=method, headers=dict(headers))
+    with pytest.raises(ValueError) as raised:
+        _http_client_request("http://origin.test/", method, {**headers, **_HEADERS}, None)
+    assert (result.status, result.error) == (0, f"{type(raised.value).__name__}: {raised.value}")
+    assert sock.sent == b"" and not connect.called
+
+
+# --- Hostile origins -------------------------------------------------------------
+
+_FRAGMENTS = st.sampled_from([
+    b"HTTP/1.1 200 OK\r\n", b"HTTP/1.0 204 x\r\n", b"HTTP/1.1 100 Continue\r\n", b"HTTP/1.1 999\r\n", b"HTTP/2 200\r\n",
+    b"Transfer-Encoding: chunked\r\n", b"Content-Length: 3\r\n", b"Content-Length: -1\r\n", b"Connection: close\r\n",
+    b" folded\r\n", b":\r\n", b"No colon\r\n", b"\r\n", b"\n", b"\r", b"0\r\n", b"3\r\n", b"-3\r\n", b"0x3\r\n",
+    b"ffffffffffffffff\r\n", b"abc",
+])
+_ORIGIN_BYTES = st.lists(st.one_of(_FRAGMENTS, st.binary(max_size=24)), max_size=24).map(b"".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_ORIGIN_BYTES, sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4), method=st.sampled_from(["GET", "HEAD"]))
+def test_any_origin_bytes_give_a_response_or_a_transport_error(data, sizes, method):
+    fetcher = Fetcher(per_host_delay_ms=0, retries=0)
+    with mock.patch("socket.create_connection", return_value=_FakeSocket(data, sizes)):
+        try:
+            response = fetcher._exchange(method, urlsplit("http://origin.test/"), {}, None)
+        except _TRANSPORT_ERRORS:
+            return
+    assert 100 <= response.status <= 999 and len(response.body) <= BODY_PREFIX_LIMIT + 1
+
+
+def _endless(head: bytes, chunk: int | None):
+    yield head
+    block = b"z" * 65536 if chunk is None else b"%x\r\n%s\r\n" % (chunk, b"z" * chunk)
+    while True:
+        yield block
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    framing=st.sampled_from(["chunked", "length", "close"]),
+    chunk=st.integers(512, 70000),
+    piece=st.integers(4096, 70000),
+)
+def test_endless_body_is_cut_at_the_cap(framing, chunk, piece):
+    head = {
+        "chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+        "length": b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n",
+        "close": b"HTTP/1.1 200 OK\r\n\r\n",
+    }[framing]
+    sock = _FakeSocket(_endless(head, chunk if framing == "chunked" else None), (piece,))
+    result, _ = _fetch_over(sock)
+    assert result.truncated and len(result.body) == BODY_PREFIX_LIMIT and sock.closed
+    wire_for_cap = BODY_PREFIX_LIMIT + 1
+    if framing == "chunked":
+        wire_for_cap += -(-wire_for_cap // chunk) * len(b"%x\r\n\r\n" % chunk)
+    assert sock.received <= len(head) + wire_for_cap + _RECV_SIZE  # at most one receive block past the cap
+
+
+@pytest.mark.parametrize("size_line", [b"-1\r\n", b"-0x10\r\n", b"zz\r\n", b"\r\n"])
+def test_bad_chunk_size_is_an_incomplete_read(size_line):
+    # http.client would read a negative size as "everything until EOF".
+    result, _ = _fetch_over(_FakeSocket(_OK_CHUNKED + size_line + b"z" * 100000))
+    assert (result.status, result.error) == (0, "IncompleteRead: IncompleteRead(0 bytes read)")
+
+
+def _http_client_parses(data: bytes) -> bool:
+    response = http.client.HTTPResponse(mock.Mock(makefile=lambda mode: io.BytesIO(data)), method="GET")
+    try:
+        response.begin()
+        response.read(BODY_PREFIX_LIMIT + 1)
+    except http.client.HTTPException:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lines=st.integers(95, 104),
+    long_line=st.sampled_from([None, 65535, 65536, 65537, 70000]),
+    in_trailer=st.booleans(),
+)
+def test_header_and_trailer_limits(lines, long_line, in_trailer):
+    block = [b"X-%d: v\r\n" % i for i in range(lines)]
+    if long_line is not None:
+        block[lines // 2] = b"X-Long: " + b"a" * (long_line - 10) + b"\r\n"
+    if in_trailer:
+        data = _OK_CHUNKED + b"2\r\nok\r\n0\r\n" + b"".join(block) + b"\r\n"
+    else:
+        data = b"HTTP/1.1 200 OK\r\n" + b"".join(block) + b"\r\nbody until close"
+    result, _ = _fetch_over(_FakeSocket(data))
+    gives_up = lines >= 100 or (long_line or 0) > 65536
+    assert (result.status == 0) == gives_up
+    if gives_up:
+        assert result.error.startswith(("LineTooLong", "HTTPException"))
+    if not (in_trailer and lines >= 100):  # http.client does not count trailer lines
+        assert _http_client_parses(data) == (not gives_up)
+
+
+def _tcp_pair() -> tuple[socket.socket, socket.socket]:
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname(), timeout=0.5)
+        server, _ = listener.accept()
+    return client, server
+
+
+_FRAMED = {
+    "length": ("GET", b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfirst", b"first"),
+    "chunked": ("GET", _OK_CHUNKED + b"5\r\nfirst\r\n0\r\n\r\n", b"first"),
+    "204": ("GET", b"HTTP/1.1 204 No Content\r\n\r\n", b""),
+    "head": ("HEAD", b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n", b""),
+}
+_SMUGGLED = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nEVIL"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    framed=st.sampled_from(list(_FRAMED)),
+    extra=st.one_of(st.binary(min_size=1, max_size=64), st.just(_SMUGGLED)),
+    late=st.booleans(),
+)
+def test_bytes_past_a_framed_body_are_never_the_next_response(framed, extra, late):
+    method, first_response, first_body = _FRAMED[framed]
+    (first, first_origin), (second, second_origin) = _tcp_pair(), _tcp_pair()
+    fetcher = Fetcher(per_host_delay_ms=0, retries=0, timeout_ms=1000)
+    try:
+        first_origin.sendall(first_response + (b"" if late else extra))
+        second_origin.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfresh")
+        parts = urlsplit("http://origin.test/")
+        with mock.patch("socket.create_connection", side_effect=[first, second]):
+            response = fetcher._exchange(method, parts, {}, None)
+            assert response.body == first_body
+            if late:
+                first_origin.sendall(extra)
+                assert select.select([first], [], [], 1)[0]  # the extra bytes have arrived
+            assert fetcher._exchange("GET", parts, {}, None).body == b"fresh"
+    finally:
+        fetcher.close()
+        for sock in (first, first_origin, second, second_origin):
+            sock.close()
