@@ -390,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-plan", help="generate a fixture plan")
     p.set_defaults(func=cmd_gen_plan)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--profile", choices=[fixture_mod.PROFILE_PAPER_TABLES, fixture_mod.PROFILE_REVISIT],
-                   default=fixture_mod.PROFILE_PAPER_TABLES)
+    p.add_argument("--profile", choices=list(fixture_mod.PROFILES), default=fixture_mod.PROFILE_PAPER_TABLES)
     p.add_argument("--out", required=True)
     p.add_argument("--index-out", dest="index_out")
 

@@ -48,6 +48,9 @@ CONNECTIONS_PER_THREAD = 4
 # ValueError covers what cannot go on the wire at all, e.g. a newline in a
 # header value taken from a manifest or a non-numeric port.
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
+# Sending again would fail the same way (a certificate that fails to verify
+# is a ValueError too), so these end a fetch without retries.
+_UNSENDABLE = (ValueError, http.client.InvalidURL)
 # A reused keep-alive connection the server has already closed.
 _STALE_CONNECTION = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
 # Dropped when a redirect leaves the origin, as browsers and `requests` do.
@@ -494,10 +497,12 @@ class Fetcher:
     ) -> FetchResult:
         """Fetch one URL, following redirects manually and retrying politely.
 
-        A hop to another origin drops the credential headers; a 303, or a
-        301/302 after a POST, continues as a GET without a body. A URL that
-        cannot be split (e.g. an unclosed IPv6 bracket in a Location) ends
-        the fetch as a transport error.
+        A hop to another origin drops the credential headers and the body
+        (a 307/308 keeps its method); a 303, or a 301/302 after a POST,
+        continues as a GET without a body. A URL that cannot be split (e.g.
+        an unclosed IPv6 bracket in a Location) ends the fetch as a
+        transport error, and so, without retries, does a request that cannot
+        be sent.
         """
         headers = dict(headers or {})
         headers.setdefault("User-Agent", "plugin-store-audit/0.1")
@@ -520,6 +525,8 @@ class Fetcher:
                 attempts_total += 1
                 try:
                     response = self._single_request(hop_method, parts, headers, body)
+                except _UNSENDABLE as exc:
+                    return self._failed(method, url, current, chain, f"{type(exc).__name__}: {exc}", attempts_total)
                 except _TRANSPORT_ERRORS as exc:
                     last_error = f"{type(exc).__name__}: {exc}"
                     response = None
@@ -544,10 +551,14 @@ class Fetcher:
                 except ValueError as exc:
                     return self._failed(method, url, current, chain, f"{type(exc).__name__}: {exc}", attempts_total)
                 chain.append(current)
-                if _origin(target_parts) != _origin(parts):
+                cross_origin = _origin(target_parts) != _origin(parts)
+                if cross_origin:
                     headers = {k: v for k, v in headers.items() if k.lower() not in _CREDENTIAL_HEADERS}
-                if status == 303 or (status in (301, 302) and hop_method == "POST"):
-                    hop_method, body = "GET", None
+                to_get = status == 303 or (status in (301, 302) and hop_method == "POST")
+                if to_get:
+                    hop_method = "GET"
+                if to_get or cross_origin:
+                    body = None
                     headers = {k: v for k, v in headers.items() if k.lower() != "content-type"}
                 current, parts = target, target_parts
                 continue

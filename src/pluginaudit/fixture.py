@@ -2,10 +2,13 @@
 
 A fixture plan is plain data: the store index, per-host manifest/API
 documents, and per-endpoint responses (a fixed status and body, or a 401
-unless the endpoint's token is presented). The bundled "paper-tables"
-profile generates a 1032-plugin population whose full audit reproduces the
-reference result tables; the "revisit" profile generates the remediated
-population used for before/after diffing.
+unless the endpoint's token is presented). Each bundled profile is a table
+of rows, `PROFILES[profile]`: a row is (kind, count, argument), and one
+interpreter turns the rows into index entries and sites, then shuffles the
+index by seed. "paper-tables" is the population whose audit reproduces the
+paper's reference tables; "revisit" is the remediated population used for
+before/after diffing. Each row kind also states the dossier its plugins
+are built to get; `expected_labels(profile)` lists them per index entry.
 
 Every response is a pure function of (plan, request); nothing depends on
 the wall clock or on earlier requests.
@@ -17,9 +20,12 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+
+from .corpus import make_plugin_id
 
 PROFILE_PAPER_TABLES = "paper-tables"
 PROFILE_REVISIT = "revisit"
@@ -148,7 +154,7 @@ def _manifest_doc(
     host: str,
     name_for_human: str,
     auth: dict,
-    description: str | None = "Audit fixture plugin.",
+    description: str = "Audit fixture plugin.",
     include_model_description: bool = True,
     legal_path: str = "/legal",
 ) -> dict:
@@ -161,47 +167,21 @@ def _manifest_doc(
         "logo_url": f"https://{host}/logo.png",
         "contact_email": f"support@{host}",
         "legal_info_url": f"https://{host}{legal_path}",
+        "description_for_human": description,
     }
-    if description is not None:
-        doc["description_for_human"] = description
     if include_model_description:
         doc["description_for_model"] = f"Use this plugin to reach {name_for_human}."
     return doc
 
 
 def _openapi_doc(host: str, title: str, with_search: bool = False) -> dict:
-    paths: dict = {
-        "/status": {
-            "get": {
-                "operationId": "getStatus",
-                "responses": {
-                    "200": {
-                        "description": "ok",
-                        "content": {
-                            "application/json": {"schema": {"$ref": "#/components/schemas/StatusResponse"}}
-                        },
-                    }
-                },
-            }
-        }
-    }
+    def json_body(schema: str) -> dict:
+        return {"content": {"application/json": {"schema": {"$ref": f"#/components/schemas/{schema}"}}}}
+
+    ok = {"200": {"description": "ok", **json_body("StatusResponse")}}
+    paths = {"/status": {"get": {"operationId": "getStatus", "responses": ok}}}
     if with_search:
-        paths["/search"] = {
-            "post": {
-                "operationId": "search",
-                "requestBody": {
-                    "content": {"application/json": {"schema": {"$ref": "#/components/schemas/SearchRequest"}}}
-                },
-                "responses": {
-                    "200": {
-                        "description": "ok",
-                        "content": {
-                            "application/json": {"schema": {"$ref": "#/components/schemas/StatusResponse"}}
-                        },
-                    }
-                },
-            }
-        }
+        paths["/search"] = {"post": {"operationId": "search", "requestBody": json_body("SearchRequest"), "responses": ok}}
     return {
         "openapi": "3.0.1",
         "info": {"title": title, "version": "1.0"},
@@ -242,32 +222,145 @@ def _auth_service_bearer(verification_token: str | None) -> dict:
 
 _AUTH_USER_BEARER = {"type": "user_http", "authorization_type": "bearer"}
 
-_MIXERBOX_VARIANTS = (
-    "Calculator", "ChatPDF", "Calendar", "Translate", "WebSearchG", "Weather",
-    "NewsGPT", "Podcasts", "ImageGen", "Prompt", "FindMyMusic", "ChatVideo",
-    "ChatMap", "Diagrams", "QR", "Scholar",
-)
+# Each profile's population as rows of (kind, count, argument), in index
+# order before the seeded shuffle; a row adds `count` index entries. Kinds
+# named after a verdict are listings the audit cannot reach a manifest
+# from; every other kind is an accessible plugin "<kind>-NN" on its own
+# "<kind>-NN.example" site, numbered on across the rows of that kind. The
+# argument is, for
+#   shared-manifest: the listing names on one host; the first names its manifest;
+#   rank-twin: the slug of a plugin that is listed next to its "a-" twin;
+#   open-ok: how many of the first plugins also serve a POST route;
+#   oauth-*: the scope category the row is built to get, and the scope.
+PROFILES = {
+    PROFILE_PAPER_TABLES: (
+        ("shared-manifest", 17, (
+            "OnePlayer", "Calculator", "ChatPDF", "Calendar", "Translate", "WebSearchG", "Weather", "NewsGPT",
+            "Podcasts", "ImageGen", "Prompt", "FindMyMusic", "ChatVideo", "ChatMap", "Diagrams", "QR", "Scholar",
+        )),
+        ("rank-twin", 2, "digital-pet"),
+        ("name-drift", 18, None),
+        ("desc-drift", 8, None),
+        ("legal-drift", 27, None),
+        ("open-ok", 69, 5),
+        ("ce-fail", 49, None),
+        ("rl-fail", 48, None),
+        ("dual-fail", 1, None),
+        ("oauth-c1", 1, ("project_task", "project")),
+        ("oauth-c1", 1, ("project_task", "basic_access email offline_access manage_library")),
+        ("oauth-c1", 1, ("execute_actions", "nla:exposed_actions")),
+        ("oauth-c3", 6, ("read_write", "read+write")),
+        ("oauth-c3", 1, ("read_write", "read write read offline_access")),
+        ("oauth-c3", 4, ("openai_platform", "openai")),
+        ("oauth-c3", 1, ("openai_platform", "oai11/global")),
+        ("oauth-c3", 1, ("openai_platform", "openid email https://openai.videoinsights.io/all")),
+        ("oauth-c3", 4, ("identity_email", "email")),
+        ("oauth-c3", 2, ("identity_email", "profile")),
+        ("oauth-c3", 1, ("identity_email", "w_member_social openid profile email")),
+        ("oauth-c3", 1, ("identity_email", "openid offline_access")),
+        ("oauth-c3", 3, ("identity_email", "playlist-modify-public user-read-email")),
+        ("oauth-c2", 34, ("unspecified", None)),
+        ("oauth-c2", 8, ("global_access", "all")),
+        ("oauth-c2", 1, ("global_access", "baas-full-access")),
+        ("bearer-c1", 5, None),
+        ("bearer-c2-la", 13, None),
+        ("bearer-c2-ce", 16, None),
+        ("user-c2", 2, None),
+        ("irr-manifest", 5, None),
+        ("broken-api", 20, None),
+        ("empty-api", 3, None),
+        ("hidden_redirect", 104, None),
+        ("openai_protected", 12, None),
+        ("hosted_google_doc", 6, None),
+        ("hosted_github", 19, None),
+        ("native_unreachable", 518, None),
+    ),
+    PROFILE_REVISIT: (
+        ("name-drift", 30, None),
+        ("desc-drift", 6, None),
+        ("legal-drift", 25, None),
+        ("open-ok", 28, 0),
+        ("ce-fail", 64, None),
+        ("rl-fail", 64, None),
+        ("oauth-c1", 1, ("global_access", "all")),
+        ("oauth-c1", 1, ("read_write", "read+write")),
+        ("oauth-c3", 1, ("identity_email", "email")),
+        ("oauth-c3", 1, ("openai_platform", "openai")),
+        ("oauth-c3", 1, ("project_task", "project")),
+        ("oauth-c3", 12, ("unspecified", None)),
+        ("oauth-c2", 25, ("unspecified", None)),
+        ("bearer-c1", 3, None),
+        ("bearer-c2-la", 10, None),
+        ("broken-api", 10, None),
+        ("hidden_redirect", 20, None),
+        ("openai_protected", 3, None),
+        ("hosted_google_doc", 1, None),
+        ("hosted_github", 4, None),
+        ("native_unreachable", 60, None),
+    ),
+}
 
-# OAuth scope strings by category, in deterministic assignment order.
-_SCOPES_GLOBAL = ["all"] * 8 + ["baas-full-access"]
-_SCOPES_READ_WRITE = ["read+write"] * 6 + ["read write read offline_access"]
-_SCOPES_OPENAI = ["openai"] * 4 + ["oai11/global", "openid email https://openai.videoinsights.io/all"]
-_SCOPES_IDENTITY = (
-    ["email"] * 4
-    + ["profile"] * 2
-    + ["w_member_social openid profile email", "openid offline_access"]
-    + ["playlist-modify-public user-read-email"] * 3
-)
-_SCOPES_PROJECT = ["project", "basic_access email offline_access manage_library"]
-_SCOPES_EXECUTE = ["nla:exposed_actions"]
+# The dossier an accessible kind is built to get: (case, auth family,
+# succeeded, failure causes, finding kinds, skip-reason kind). The listing
+# of a shared-manifest row named like its manifest, and the first plugin
+# of a rank-twin row, get no finding.
+_ACCESSIBLE_LABELS = {
+    "shared-manifest": ("case4", "no_token", True, (), ("inconsistent_name",), None),
+    "rank-twin": ("case4", "no_token", True, (), ("quantifier_prefix",), None),
+    "name-drift": ("case4", "no_token", True, (), ("inconsistent_name",), None),
+    "desc-drift": ("case4", "no_token", True, (), ("different_description",), None),
+    "legal-drift": ("case4", "no_token", True, (), ("mismatched_legal_url",), None),
+    "open-ok": ("case4", "no_token", True, (), (), None),
+    "ce-fail": ("case5", "no_token", False, ("client_error",), (), None),
+    "rl-fail": ("case5", "no_token", False, ("rate_limited",), (), None),
+    "dual-fail": ("case5", "no_token", False, ("client_error", "rate_limited"), (), None),
+    "oauth-c1": ("case1", "oauth", True, ("lack_authorization",), (), None),
+    "oauth-c3": ("case3", "oauth", True, (), (), None),
+    "oauth-c2": ("case2", "oauth", False, ("lack_authorization",), (), None),
+    "bearer-c1": ("case1", "bearer", True, ("lack_authorization",), (), None),
+    "bearer-c2-la": ("case2", "bearer", False, ("lack_authorization",), (), None),
+    "bearer-c2-ce": ("case2", "bearer", False, ("client_error",), (), None),
+    "user-c2": ("case2", "user_http", False, ("lack_authorization",), (), None),
+    "irr-manifest": (None, None, None, (), (), "irregular_manifest"),
+    "broken-api": (None, None, None, (), (), "api_unparseable"),
+    "empty-api": (None, None, None, (), (), "empty_api"),
+}
+
+# Title and legal-URL formats of the listings that have no site of their own.
+_LISTINGS = {
+    "openai_protected": ("Openai Prot {:02d}", "https://chat.openai.com/fixture-prot-{:02d}"),
+    "hosted_google_doc": ("Gdoc Hosted {:02d}", "https://drive.google.com/file/d/fixdoc{:02d}"),
+    "hosted_github": ("Github Hosted {:02d}", "https://github.com/fixdev{:02d}/plugin"),
+    "native_unreachable": ("Native {:03d}", "https://native-{:03d}.example/legal"),
+}
+
+
+def _row_labels(kind: str, arg) -> dict:
+    if kind in _ACCESSIBLE_LABELS:
+        verdict, (case, family, succeeded, causes, findings, skip) = "accessible", _ACCESSIBLE_LABELS[kind]
+    else:
+        verdict, case, family, succeeded, causes, findings, skip = kind, None, None, None, (), (), None
+    return {
+        "verdict": verdict,
+        "case": case,
+        "auth_family": family,
+        "succeeded": succeeded,
+        "failure_causes": list(causes),
+        "finding_kinds": list(findings),
+        "scope_category": arg[0] if kind.startswith("oauth-") else None,
+        "skip_reason_kind": skip,
+    }
 
 
 class _PlanBuilder:
     def __init__(self, profile: str, seed: int):
         self.plan = FixturePlan(profile=profile, seed=seed)
         self.rng = random.Random(seed)
+        self.labels: dict[tuple[str, str], dict] = {}
+        self.shared_members: list[tuple[str, str]] = []
+        self.numbers: Counter[str] = Counter()
 
-    def add_index_entry(self, title: str, legal: str, description: str | None = None, host: str | None = None) -> None:
+    def add_index_entry(self, title: str, legal: str, labels: dict, description: str | None = None, host: str | None = None) -> None:
         entry = {
             "title": title,
             "name": title,
@@ -277,50 +370,85 @@ class _PlanBuilder:
         if description is not None:
             entry["description"] = description
         self.plan.index.append(entry)
+        self.labels[title, legal] = labels
 
-    def add_site(self, site: FixtureSite) -> None:
-        self.plan.sites[site.host] = site
+    def add_row(self, kind: str, count: int, arg) -> None:
+        labels = _row_labels(kind, arg)
+        for _ in range(count):
+            self.numbers[kind] += 1
+            n = self.numbers[kind]
+            if kind in _LISTINGS:
+                title, legal = _LISTINGS[kind]
+                self.add_index_entry(title.format(n), legal.format(n), labels)
+            elif kind == "hidden_redirect":
+                host = f"redir-{n:03d}.example"
+                self.add_index_entry(f"Redir {n:03d}", f"https://{host}/legal", labels, "Audit fixture plugin.", host)
+                self.plan.sites[host] = FixtureSite(host=host, redirect_to=f"https://{LANDING_HOST}/welcome")
+            elif kind == "shared-manifest":
+                self._shared_listing(f"MixerBox {arg[0]}", f"MixerBox {arg[n - 1]}", labels)
+            elif kind == "rank-twin":
+                twin = n > 1
+                slug = f"a-{arg}" if twin else arg
+                self._accessible_plugin(kind, slug, n, arg, labels if twin else {**labels, "finding_kinds": []})
+            else:
+                self._accessible_plugin(kind, f"{kind}-{n:02d}", n, arg, labels)
 
-    def accessible_plugin(
-        self,
-        slug: str,
-        auth: dict,
-        endpoints: list[FixtureEndpoint],
-        store_title: str | None = None,
-        manifest_name: str | None = None,
-        store_description: str | None = "Audit fixture plugin.",
-        manifest_description: str | None = "Audit fixture plugin.",
-        include_model_description: bool = True,
-        manifest_legal_path: str = "/legal",
-        store_legal: str | None = None,
-        openapi: dict | str | None = "default",
-        host: str | None = None,
-        skip_site: bool = False,
-    ) -> None:
-        host = host or f"{slug}.example"
-        title = store_title or _title_from_slug(slug)
-        name = manifest_name or title
-        legal = store_legal or f"https://{host}/legal"
-        self.add_index_entry(title, legal, description=store_description, host=host)
-        if skip_site:
-            return
-        site = FixtureSite(host=host)
+    def _shared_listing(self, name: str, title: str, labels: dict) -> None:
+        host = "mixerbox.example"
+        legal = f"https://{host}/legal"
+        if host not in self.plan.sites:
+            site = self.plan.sites[host] = FixtureSite(host=host, endpoints=[_ok_endpoint()])
+            site.manifest = _manifest_doc(host, name, _AUTH_NONE)
+            site.openapi = _openapi_doc(host, f"{name} API")
+        self.add_index_entry(title, legal, labels if title != name else {**labels, "finding_kinds": []}, "Audit fixture plugin.", host)
+        self.shared_members.append((title, legal))
+
+    def _accessible_plugin(self, kind: str, slug: str, n: int, arg, labels: dict) -> None:
+        host, title = f"{slug}.example", _title_from_slug(slug)
+        name = f"{title} Pro" if kind == "name-drift" else title
+        # Case 1 leaks a verification token that the API honours; case 3
+        # serves data whatever the declared auth; the rest enforce a secret.
+        verification = f"vt-{slug}" if kind.endswith("-c1") else None
+        token = None if kind == "oauth-c3" else verification or f"secret-{slug}"
+        search = kind == "open-ok" and n <= arg
+        auth, endpoints = _AUTH_NONE, [_ok_endpoint()]
+        openapi: dict | str = _openapi_doc(host, f"{name} API", with_search=search)
+        if kind.startswith("oauth-"):
+            auth, endpoints = _auth_oauth(host, arg[1], verification), [_ok_endpoint(token)]
+        elif kind.startswith("bearer-"):
+            auth = _auth_service_bearer(verification)
+            endpoints = [_fail_endpoint(400) if kind == "bearer-c2-ce" else _ok_endpoint(token)]
+        elif kind == "user-c2":
+            auth, endpoints = _AUTH_USER_BEARER, [_ok_endpoint(token)]
+        elif kind in ("ce-fail", "rl-fail"):
+            endpoints = [_fail_endpoint(400 if kind == "ce-fail" else 429)]
+        elif kind == "dual-fail":
+            endpoints = [_fail_endpoint(400, "/api/alpha"), _fail_endpoint(429, "/api/beta")]
+            openapi = _openapi_doc(host, "Dual Fail API")
+            status = openapi["paths"].pop("/status")
+            openapi["paths"] = {"/alpha": status, "/beta": status}
+        elif kind == "broken-api":
+            endpoints, openapi = [], '{"openapi": broken'
+        elif kind == "empty-api":
+            endpoints, openapi = [], {**_openapi_doc(host, "Empty API"), "paths": {}}
+        elif search:
+            endpoints.append(FixtureEndpoint(path="/api/search", method="POST", body_ok={"results": []}))
+        drifted = kind == "desc-drift"
+        store_description = "Fast lookups for everyday questions." if drifted else "Audit fixture plugin."
+        self.add_index_entry(title, f"https://{host}/legal", labels, store_description, host)
+        site = self.plan.sites[host] = FixtureSite(host=host, endpoints=endpoints)
         site.manifest = _manifest_doc(
             host,
             name,
             auth,
-            description=manifest_description,
-            include_model_description=include_model_description,
-            legal_path=manifest_legal_path,
+            description="An entirely different capability statement." if drifted else "Audit fixture plugin.",
+            include_model_description=kind != "irr-manifest",
+            legal_path="/terms" if kind == "legal-drift" else "/legal",
         )
-        if openapi == "default":
-            site.openapi = _openapi_doc(host, f"{name} API")
-        elif isinstance(openapi, dict):
-            site.openapi = openapi
-        elif isinstance(openapi, str):
+        if isinstance(openapi, str):
             site.openapi_raw = openapi
-        site.endpoints = endpoints
-        self.add_site(site)
+        else:
+            site.openapi = openapi
 
     def finish(self) -> FixturePlan:
         self.rng.shuffle(self.plan.index)
@@ -333,239 +461,35 @@ def _ok_endpoint(token: str | None = None) -> FixtureEndpoint:
 
 
 def _fail_endpoint(status: int, path: str = "/api/status") -> FixtureEndpoint:
-    body = {"error": "bad request"} if status == 400 else {"error": "denied"}
-    if status == 429:
-        body = {"error": "rate limit exceeded"}
-    return FixtureEndpoint(path=path, method="GET", status_ok=status, body_ok=body)
+    """A 400 or a 429, whatever the request carries."""
+    body = {"error": "bad request"} if status == 400 else {"error": "rate limit exceeded"}
+    return FixtureEndpoint(path=path, status_ok=status, body_ok=body)
 
 
-def _add_oauth_population(builder: _PlanBuilder, n_case1: int, n_case3: int, n_case2: int, scopes: list[str | None]) -> None:
-    """OAuth plugins: case1 honor their leaked verification token, case3
-    serve data regardless of the declared auth, case2 enforce strictly."""
-    slugs = (
-        [f"oauth-c1-{i:02d}" for i in range(1, n_case1 + 1)]
-        + [f"oauth-c3-{i:02d}" for i in range(1, n_case3 + 1)]
-        + [f"oauth-c2-{i:02d}" for i in range(1, n_case2 + 1)]
-    )
-    if len(scopes) < len(slugs):
-        scopes = scopes + [None] * (len(slugs) - len(scopes))
-    for slug, scope in zip(slugs, scopes):
-        host = f"{slug}.example"
-        if slug.startswith("oauth-c1"):
-            token = f"vt-{slug}"
-            builder.accessible_plugin(
-                slug,
-                _auth_oauth(host, scope, verification_token=token),
-                [_ok_endpoint(token=token)],
-            )
-        elif slug.startswith("oauth-c3"):
-            builder.accessible_plugin(slug, _auth_oauth(host, scope), [_ok_endpoint()])
-        else:
-            builder.accessible_plugin(
-                slug,
-                _auth_oauth(host, scope),
-                [_ok_endpoint(token=f"secret-{slug}")],
-            )
-
-
-def _paper_scope_assignment() -> list[str | None]:
-    """Scopes aligned with the oauth slug order of _add_oauth_population:
-    3 case1, 24 case3, 43 case2."""
-    case1_scopes = _SCOPES_PROJECT + _SCOPES_EXECUTE                      # 3
-    case3_scopes = _SCOPES_READ_WRITE + _SCOPES_OPENAI + _SCOPES_IDENTITY  # 7+6+11 = 24
-    case2_scopes: list[str | None] = [None] * 34 + _SCOPES_GLOBAL          # 34+9 = 43
-    return list(case1_scopes) + list(case3_scopes) + case2_scopes
-
-
-def generate_paper_plan(seed: int) -> FixturePlan:
-    """Population matching the reference result tables.
-
-    373 accessible (5 irregular manifests + 23 broken APIs + 345 probed),
-    case counts 8/74/24/141/98, failure causes 58/66/49, token families
-    239/70/34 (+2 user_http), consistency findings 34/8/27, one 17-member
-    shared-manifest group, and verdict buckets 104/12/6/19/518 for the
-    protected categories.
-    """
-    b = _PlanBuilder(PROFILE_PAPER_TABLES, seed)
-
-    # 17 listings sharing one manifest on one host; 16 store titles differ
-    # from the shared name_for_human (16 of the 34 inconsistent names).
-    mixerbox = FixtureSite(host="mixerbox.example")
-    mixerbox.manifest = _manifest_doc("mixerbox.example", "MixerBox OnePlayer", _AUTH_NONE)
-    mixerbox.openapi = _openapi_doc("mixerbox.example", "MixerBox OnePlayer API")
-    mixerbox.endpoints = [_ok_endpoint()]
-    b.add_site(mixerbox)
-    b.add_index_entry("MixerBox OnePlayer", "https://mixerbox.example/legal", "Audit fixture plugin.", "mixerbox.example")
-    for variant in _MIXERBOX_VARIANTS:
-        b.add_index_entry(f"MixerBox {variant}", "https://mixerbox.example/legal", "Audit fixture plugin.", "mixerbox.example")
-
-    # Rank-gaming pair: "A Digital Pet" is "Digital Pet" behind an article.
-    b.accessible_plugin("digital-pet", _AUTH_NONE, [_ok_endpoint()], store_title="Digital Pet")
-    b.accessible_plugin("a-digital-pet", _AUTH_NONE, [_ok_endpoint()], store_title="A Digital Pet")
-
-    # Remaining inconsistent names: manifest name drifted from the listing.
-    for i in range(1, 19):
-        slug = f"name-drift-{i:02d}"
-        b.accessible_plugin(slug, _AUTH_NONE, [_ok_endpoint()], manifest_name=_title_from_slug(slug) + " Pro")
-    # Different descriptions.
-    for i in range(1, 9):
-        b.accessible_plugin(
-            f"desc-drift-{i:02d}",
-            _AUTH_NONE,
-            [_ok_endpoint()],
-            store_description="Fast lookups for everyday questions.",
-            manifest_description="An entirely different capability statement.",
-        )
-    # Mismatched legal URLs.
-    for i in range(1, 28):
-        b.accessible_plugin(f"legal-drift-{i:02d}", _AUTH_NONE, [_ok_endpoint()], manifest_legal_path="/terms")
-    # Plain open plugins (case 4); the first five also expose a POST route.
-    for i in range(1, 70):
-        slug = f"open-ok-{i:02d}"
-        host = f"{slug}.example"
-        endpoints = [_ok_endpoint()]
-        openapi: dict | str | None = "default"
-        if i <= 5:
-            openapi = _openapi_doc(host, f"{_title_from_slug(slug)} API", with_search=True)
-            endpoints = [_ok_endpoint(), FixtureEndpoint(path="/api/search", method="POST", body_ok={"results": []})]
-        b.accessible_plugin(slug, _AUTH_NONE, endpoints, openapi=openapi)
-
-    # Open APIs that fail anyway (case 5): 49 client errors, 48 rate
-    # limited, one exhibiting both causes across two endpoints.
-    for i in range(1, 50):
-        b.accessible_plugin(f"ce-fail-{i:02d}", _AUTH_NONE, [_fail_endpoint(400)])
-    for i in range(1, 49):
-        b.accessible_plugin(f"rl-fail-{i:02d}", _AUTH_NONE, [_fail_endpoint(429)])
-    b.accessible_plugin(
-        "dual-fail-01",
-        _AUTH_NONE,
-        [_fail_endpoint(400, path="/api/alpha"), _fail_endpoint(429, path="/api/beta")],
-        openapi=_dual_openapi("dual-fail-01.example"),
-    )
-
-    _add_oauth_population(b, n_case1=3, n_case3=24, n_case2=43, scopes=_paper_scope_assignment())
-
-    # Service-bearer plugins: 5 replayable leaked tokens (case 1), 13
-    # strict (401), 16 broken request handling (400).
-    for i in range(1, 6):
-        slug = f"bearer-c1-{i:02d}"
-        token = f"vt-{slug}"
-        b.accessible_plugin(slug, _auth_service_bearer(token), [_ok_endpoint(token=token)])
-    for i in range(1, 14):
-        slug = f"bearer-c2-la-{i:02d}"
-        b.accessible_plugin(slug, _auth_service_bearer(None), [_ok_endpoint(token=f"secret-{slug}")])
-    for i in range(1, 17):
-        b.accessible_plugin(f"bearer-c2-ce-{i:02d}", _auth_service_bearer(None), [_fail_endpoint(400)])
-
-    # User-token plugins (outside the three classic families).
-    for i in range(1, 3):
-        slug = f"user-c2-{i:02d}"
-        b.accessible_plugin(slug, _AUTH_USER_BEARER, [_ok_endpoint(token=f"secret-{slug}")])
-
-    # Irregular manifests (no model description): exposed but not probed.
-    for i in range(1, 6):
-        b.accessible_plugin(f"irr-manifest-{i:02d}", _AUTH_NONE, [_ok_endpoint()], include_model_description=False)
-    # Broken or empty API descriptions: exposed but unprobeable.
-    for i in range(1, 21):
-        b.accessible_plugin(f"broken-api-{i:02d}", _AUTH_NONE, [], openapi='{"openapi": broken')
-    for i in range(1, 4):
-        slug = f"empty-api-{i:02d}"
-        host = f"{slug}.example"
-        empty = _openapi_doc(host, "Empty API")
-        empty["paths"] = {}
-        b.accessible_plugin(slug, _AUTH_NONE, [], openapi=empty)
-
-    # Hidden redirects: the well-known path 302s to an off-domain page.
-    for i in range(1, 105):
-        slug = f"redir-{i:03d}"
-        host = f"{slug}.example"
-        b.add_index_entry(_title_from_slug(slug), f"https://{host}/legal", "Audit fixture plugin.", host)
-        b.add_site(FixtureSite(host=host, redirect_to=f"https://{LANDING_HOST}/welcome"))
-
-    # Hosted/protected categories are driven purely by the seed host.
-    for i in range(1, 13):
-        b.add_index_entry(f"Openai Prot {i:02d}", f"https://chat.openai.com/fixture-prot-{i:02d}")
-    for i in range(1, 7):
-        b.add_index_entry(f"Gdoc Hosted {i:02d}", f"https://drive.google.com/file/d/fixdoc{i:02d}")
-    for i in range(1, 20):
-        b.add_index_entry(f"Github Hosted {i:02d}", f"https://github.com/fixdev{i:02d}/plugin")
-    for i in range(1, 519):
-        host = f"native-{i:03d}.example"
-        b.add_index_entry(f"Native {i:03d}", f"https://{host}/legal")
-
-    return b.finish()
-
-
-def _dual_openapi(host: str) -> dict:
-    doc = _openapi_doc(host, "Dual Fail API")
-    status = doc["paths"].pop("/status")
-    doc["paths"]["/alpha"] = status
-    doc["paths"]["/beta"] = json.loads(json.dumps(status))
-    return doc
-
-
-def generate_revisit_plan(seed: int) -> FixturePlan:
-    """Remediated population: file leakage 282, 61 inconsistent plugins,
-    89/17/3 successful retrievals for the three token families."""
-    b = _PlanBuilder(PROFILE_REVISIT, seed)
-
-    for i in range(1, 31):
-        slug = f"name-drift-{i:02d}"
-        b.accessible_plugin(slug, _AUTH_NONE, [_ok_endpoint()], manifest_name=_title_from_slug(slug) + " Pro")
-    for i in range(1, 7):
-        b.accessible_plugin(
-            f"desc-drift-{i:02d}",
-            _AUTH_NONE,
-            [_ok_endpoint()],
-            store_description="Fast lookups for everyday questions.",
-            manifest_description="An entirely different capability statement.",
-        )
-    for i in range(1, 26):
-        b.accessible_plugin(f"legal-drift-{i:02d}", _AUTH_NONE, [_ok_endpoint()], manifest_legal_path="/terms")
-    for i in range(1, 29):
-        b.accessible_plugin(f"open-ok-{i:02d}", _AUTH_NONE, [_ok_endpoint()])
-    for i in range(1, 65):
-        b.accessible_plugin(f"ce-fail-{i:02d}", _AUTH_NONE, [_fail_endpoint(400)])
-    for i in range(1, 65):
-        b.accessible_plugin(f"rl-fail-{i:02d}", _AUTH_NONE, [_fail_endpoint(429)])
-
-    scopes: list[str | None] = ["all", "read+write", "email", "openai", "project"] + [None] * 37
-    _add_oauth_population(b, n_case1=2, n_case3=15, n_case2=25, scopes=scopes)
-
-    for i in range(1, 4):
-        slug = f"bearer-c1-{i:02d}"
-        token = f"vt-{slug}"
-        b.accessible_plugin(slug, _auth_service_bearer(token), [_ok_endpoint(token=token)])
-    for i in range(1, 11):
-        slug = f"bearer-c2-la-{i:02d}"
-        b.accessible_plugin(slug, _auth_service_bearer(None), [_ok_endpoint(token=f"secret-{slug}")])
-
-    for i in range(1, 11):
-        b.accessible_plugin(f"broken-api-{i:02d}", _AUTH_NONE, [], openapi='{"openapi": broken')
-
-    for i in range(1, 21):
-        slug = f"redir-{i:03d}"
-        host = f"{slug}.example"
-        b.add_index_entry(_title_from_slug(slug), f"https://{host}/legal", "Audit fixture plugin.", host)
-        b.add_site(FixtureSite(host=host, redirect_to=f"https://{LANDING_HOST}/welcome"))
-    for i in range(1, 4):
-        b.add_index_entry(f"Openai Prot {i:02d}", f"https://chat.openai.com/fixture-prot-{i:02d}")
-    b.add_index_entry("Gdoc Hosted 01", "https://drive.google.com/file/d/fixdoc01")
-    for i in range(1, 5):
-        b.add_index_entry(f"Github Hosted {i:02d}", f"https://github.com/fixdev{i:02d}/plugin")
-    for i in range(1, 61):
-        host = f"native-{i:03d}.example"
-        b.add_index_entry(f"Native {i:03d}", f"https://{host}/legal")
-
-    return b.finish()
+def _build(profile: str, seed: int) -> _PlanBuilder:
+    if profile not in PROFILES:
+        raise ValueError(f"unknown fixture profile: {profile!r}")
+    builder = _PlanBuilder(profile, seed)
+    for row in PROFILES[profile]:
+        builder.add_row(*row)
+    return builder
 
 
 def generate_plan(profile: str, seed: int) -> FixturePlan:
-    if profile == PROFILE_PAPER_TABLES:
-        return generate_paper_plan(seed)
-    if profile == PROFILE_REVISIT:
-        return generate_revisit_plan(seed)
-    raise ValueError(f"unknown fixture profile: {profile!r}")
+    return _build(profile, seed).finish()
+
+
+def expected_labels(profile: str) -> dict[tuple[str, str], dict]:
+    """The dossier fields each plugin of a profile is built to get, keyed by
+    its index entry's (title, legal_info_url); a probe skip reason is
+    reduced to its kind, the part before the colon."""
+    builder = _build(profile, 0)
+    if builder.shared_members:
+        # A shared-manifest group is reported once, on its lowest plugin id.
+        first = min(builder.shared_members, key=lambda key: make_plugin_id(*key))
+        kinds = builder.labels[first]["finding_kinds"]
+        builder.labels[first] = {**builder.labels[first], "finding_kinds": sorted(kinds + ["shared_manifest_group"])}
+    return builder.labels
 
 
 # --------------------------------------------------------------------------

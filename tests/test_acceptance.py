@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Criteria 2, 3, 7 and 8 run against the session-scoped paper-tables
-pipeline (see conftest), criterion 4 additionally against the revisit
+pipeline (see conftest), criteria 4 and 9 additionally against the revisit
 pipeline; the rest are self-contained.
 """
 
@@ -10,15 +10,34 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 
 from pluginaudit import report as report_mod
+from pluginaudit.corpus import make_plugin_id
 from pluginaudit.discovery import generate_candidates
+from pluginaudit.fixture import PROFILE_PAPER_TABLES, PROFILE_REVISIT, expected_labels
 from pluginaudit.probe import CASE1, CASE2, CASE3, CASE4, CASE5, classify_case
 from pluginaudit.scoperisk import ScopeClassifier, categorize_corpus, cosine_similarity, make_scope_document, tfidf_vectorize
 from pluginaudit.urlnorm import host_of, registrable_domain
 
 from test_discovery import TERMS_PHP_ORACLE, _random_seed_url
 from test_scoperisk import FROZEN_COS_12, ORACLE_DOC1, QUOTED_SCOPE_TABLE, _classifier_corpus, _toy_docs
+
+
+# The paper's reference tables, which the paper-tables fixture reproduces.
+PAPER_ACCESSIBILITY = {
+    "accessible": 373,
+    "hidden_redirect": 104,
+    "openai_protected": 12,
+    "hosted_google_doc": 6,
+    "hosted_github": 19,
+    "native_unreachable": 518,
+}
+PAPER_CASES = {"case1": 8, "case2": 74, "case3": 24, "case4": 141, "case5": 98}
+PAPER_FAILURES = {"lack_authorization": 58, "client_error": 66, "rate_limited": 49}
+PAPER_INCONSISTENCIES = {"inconsistent_name": 34, "different_description": 8, "mismatched_legal_url": 27}
+# (plugins, plugins whose probe succeeded) per token family.
+PAPER_TOKEN_FAMILIES = {"no_token": (239, 141), "oauth": (70, 27), "bearer": (34, 5)}
 
 
 def _pass(number: int, name: str) -> None:
@@ -48,20 +67,11 @@ def test_criterion_1_token_case_mapping():
 
 def test_criterion_2_paper_tables_fixture_run(paper_run):
     report = paper_run.report
-    assert report["accessibility_table"] == {
-        "accessible": 373,
-        "hidden_redirect": 104,
-        "openai_protected": 12,
-        "hosted_google_doc": 6,
-        "hosted_github": 19,
-        "native_unreachable": 518,
-    }
-    assert report["case_table"] == {"case1": 8, "case2": 74, "case3": 24, "case4": 141, "case5": 98}
-    assert report["failure_table"] == {"lack_authorization": 58, "client_error": 66, "rate_limited": 49}
-    consistency = report["consistency_table"]
-    assert consistency["inconsistent_name"] == 34
-    assert consistency["different_description"] == 8
-    assert consistency["mismatched_legal_url"] == 27
+    assert report["accessibility_table"] == PAPER_ACCESSIBILITY
+    assert report["case_table"] == PAPER_CASES
+    assert report["failure_table"] == PAPER_FAILURES
+    for kind, count in PAPER_INCONSISTENCIES.items():
+        assert report["consistency_table"][kind] == count
     assert report["shared_manifest_group_sizes"] == [17]
     groups = [f for f in paper_run.findings["findings"] if f["kind"] == "shared_manifest_group"]
     assert len(groups) == 1 and len(groups[0]["evidence"]["members"]) == 17
@@ -71,9 +81,8 @@ def test_criterion_2_paper_tables_fixture_run(paper_run):
 
 def test_criterion_3_token_type_success_rates(paper_run):
     table = paper_run.report["token_type_summary"]
-    assert (table["no_token"]["total"], table["no_token"]["succeeded"]) == (239, 141)
-    assert (table["oauth"]["total"], table["oauth"]["succeeded"]) == (70, 27)
-    assert (table["bearer"]["total"], table["bearer"]["succeeded"]) == (34, 5)
+    for family, counts in PAPER_TOKEN_FAMILIES.items():
+        assert (table[family]["total"], table[family]["succeeded"]) == counts
     rendered = {family: float(table[family]["success_rate"]) for family in ("no_token", "oauth", "bearer")}
     assert rendered == {"no_token": 59.0, "oauth": 38.6, "bearer": 14.7}
     for family, published in (("no_token", 58.9), ("oauth", 38.6), ("bearer", 14.7)):
@@ -163,3 +172,40 @@ def test_criterion_8_cached_rerun_determinism(paper_run):
     assert paper_run.report_bytes_first == paper_run.report_bytes_second
     assert paper_run.report_bytes_first.endswith(b"\n")
     _pass(8, "cached rerun determinism")
+
+
+def _dossier_mismatches(run, profile: str) -> list[str]:
+    labels = {make_plugin_id(*key): (key, value) for key, value in expected_labels(profile).items()}
+    assert sorted(labels) == sorted(run.report["per_plugin"])
+    mismatches = []
+    for plugin_id, dossier in run.report["per_plugin"].items():
+        key, expected = labels[plugin_id]
+        got = {name: dossier.get(name) for name in expected if name != "skip_reason_kind"}
+        got["skip_reason_kind"] = (dossier["probe_skip_reason"] or "").split(":", 1)[0] or None
+        if got != expected:
+            mismatches.append(f"{key}: expected {expected}, got {got}")
+    return mismatches
+
+
+def test_criterion_9_every_dossier_matches_its_fixture_labels(paper_run, revisit_run):
+    assert _dossier_mismatches(paper_run, PROFILE_PAPER_TABLES) == []
+    assert _dossier_mismatches(revisit_run, PROFILE_REVISIT) == []
+    _pass(9, "per-plugin dossiers match the fixture labels")
+
+
+def test_paper_labels_sum_to_the_reference_tables():
+    labels = list(expected_labels(PROFILE_PAPER_TABLES).values())
+    assert Counter(label["verdict"] for label in labels) == PAPER_ACCESSIBILITY
+    assert Counter(label["case"] for label in labels if label["case"]) == PAPER_CASES
+    causes = Counter(cause for label in labels if label["case"] in ("case2", "case5") for cause in label["failure_causes"])
+    assert causes == PAPER_FAILURES
+    findings = Counter(kind for label in labels for kind in label["finding_kinds"])
+    assert {kind: findings[kind] for kind in PAPER_INCONSISTENCIES} == PAPER_INCONSISTENCIES
+    families = {
+        family: (
+            sum(label["auth_family"] == family for label in labels),
+            sum(label["auth_family"] == family and label["succeeded"] for label in labels),
+        )
+        for family in PAPER_TOKEN_FAMILIES
+    }
+    assert families == PAPER_TOKEN_FAMILIES

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pluginaudit import cli, manifest as manifest_mod
+from pluginaudit import cli, fixture as fixture_mod, manifest as manifest_mod
 from pluginaudit.fixture import FixturePlan, FixtureSite, serve_fixtures
 
 
@@ -58,6 +58,14 @@ def test_unknown_config_key_rejected(tmp_path):
         ["run-all", "--corpus", str(tmp_path / "c.json"), "--out-dir", str(tmp_path / "o"), "--config", str(config)]
     )
     assert rc == 2
+
+
+def test_gen_plan_profile_choices_are_the_fixture_profiles(capsys):
+    for profile in fixture_mod.PROFILES:
+        assert cli.build_parser().parse_args(["gen-plan", "--profile", profile, "--out", "p"]).profile == profile
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["gen-plan", "--profile", "bogus", "--out", "p"])
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_gen_plan_and_serve_port_conflict(tmp_path):

@@ -245,6 +245,34 @@ def test_unsendable_urls_and_headers_are_quoted_or_transport_errors(origin):
     assert len(server.requests) == 1
 
 
+@pytest.mark.parametrize(
+    "url, headers, error",
+    [
+        ("/ok", {"Authorization": "Bearer a\r\nb"}, "ValueError"),
+        ("ftp://files.example/x", {}, "InvalidURL"),
+        ("http://127.0.0.1:port/x", {}, "ValueError"),
+    ],
+    ids=["newline-in-header", "unsupported-scheme", "non-numeric-port"],
+)
+def test_unsendable_request_ends_the_fetch_on_its_first_attempt(origin, url, headers, error):
+    server, fetcher = origin  # retries=2
+    with mock.patch("pluginaudit.fetch.time.sleep") as sleep:
+        result = fetcher.fetch(server.url + url if url.startswith("/") else url, headers=headers)
+    assert (result.status, result.attempts) == (0, 1)
+    assert result.error.startswith(error)
+    sleep.assert_not_called()
+    assert server.requests == []
+
+
+def test_connection_errors_keep_their_retries():
+    fetcher = Fetcher(per_host_delay_ms=0, retries=2, timeout_ms=300)
+    with mock.patch("pluginaudit.fetch.time.sleep") as sleep:
+        result = fetcher.fetch("http://127.0.0.1:1/x")
+    assert (result.status, result.attempts) == (0, 3)
+    assert result.error.startswith("ConnectionRefusedError")
+    assert sleep.call_count == 2
+
+
 _CREDENTIALS = {"Authorization": "Bearer LEAKED", "Cookie": "session=1", "Proxy-Authorization": "Basic eDp5"}
 
 
@@ -286,6 +314,23 @@ def test_temporary_redirect_keeps_method_and_body(origin):
     server, fetcher = origin
     fetcher.fetch(f"{server.url}/redirect-307?/ok", method="POST", body=b"{}")
     assert [request[2:] for request in server.requests] == [("POST", b"{}"), ("POST", b"{}")]
+
+
+@pytest.mark.parametrize("status", [307, 308])
+def test_cross_origin_temporary_redirect_keeps_method_but_drops_body(origin, status):
+    server, fetcher = origin
+    with _serving() as other:
+        result = fetcher.fetch(
+            f"{server.url}/redirect-{status}?{other.url}/ok",
+            method="POST",
+            headers={"Content-Type": "application/json"},
+            body=b'{"query": "x"}',
+        )
+        assert (result.status, result.final_url) == (200, f"{other.url}/ok")
+        assert server.requests[-1][2:] == ("POST", b'{"query": "x"}')
+        path, headers, command, body = other.requests[-1]
+        assert (path, command, body) == ("/ok", "POST", b"")
+        assert headers["Content-Type"] is None
 
 
 def test_unfollowable_location_is_a_transport_error(origin):

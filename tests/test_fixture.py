@@ -19,9 +19,7 @@ from pluginaudit.fixture import (
     PlanError,
     PROFILE_PAPER_TABLES,
     PROFILE_REVISIT,
-    generate_paper_plan,
     generate_plan,
-    generate_revisit_plan,
     index_ndjson,
     load_plan,
     save_plan,
@@ -156,15 +154,48 @@ def test_builtin_hosted_platform_behavior():
 
 def test_plan_generation_deterministic_in_seed(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_plan(generate_paper_plan(42), a)
-    save_plan(generate_paper_plan(42), b)
+    save_plan(generate_plan(PROFILE_PAPER_TABLES, 42), a)
+    save_plan(generate_plan(PROFILE_PAPER_TABLES, 42), b)
     assert a.read_bytes() == b.read_bytes()
-    save_plan(generate_paper_plan(43), b)
+    save_plan(generate_plan(PROFILE_PAPER_TABLES, 43), b)
     assert a.read_bytes() != b.read_bytes()
 
 
+# SHA-256 of `save_plan` output and of `index_ndjson` per (profile, seed):
+# every served byte of a fixture store follows from these two.
+_PINNED_PLAN_BYTES = {
+    (PROFILE_PAPER_TABLES, 42): (
+        "ce09c17f624deeda3f0471383c15f80d69a597d3fad7370d106bb67f9dc7c4f3",
+        "9bc4753beeda94fd96caed3f25845242114c03f83c63f3aa4b395e824e89da22",
+    ),
+    (PROFILE_PAPER_TABLES, 7): (
+        "7eab3096847253ebb4b9461d6c33913068067555e3e788f0dcd165ee228bed4f",
+        "aaa5f4073ac547e1644f88ef3bdef9139477b0e517b4ae400f3d8c2029a7d39d",
+    ),
+    (PROFILE_REVISIT, 42): (
+        "56d7a217801d1ccc1e2556a479f141723ded29492334d940dde5cece78bd1c17",
+        "60d3311a6622e244147f10baa03b7cbd486e5c7e8d35fcfe189f3d6e4bc0c0a3",
+    ),
+    (PROFILE_REVISIT, 7): (
+        "20913d83b5dc202fdb8e0d71023143edf8b4c39f8747bde97478988c0ce6a210",
+        "db9e844adfce077e38b9ba4e7127d7b5a6ffc94ede386fa169b6f7b64b6b3cc1",
+    ),
+}
+
+
+@pytest.mark.parametrize("profile, seed", sorted(_PINNED_PLAN_BYTES))
+def test_plan_bytes_match_pinned_digests(tmp_path, profile, seed):
+    plan = generate_plan(profile, seed)
+    save_plan(plan, tmp_path / "plan.json")
+    digests = (
+        hashlib.sha256((tmp_path / "plan.json").read_bytes()).hexdigest(),
+        hashlib.sha256(index_ndjson(plan).encode("utf-8")).hexdigest(),
+    )
+    assert digests == _PINNED_PLAN_BYTES[profile, seed]
+
+
 def test_plan_round_trip(tmp_path):
-    plan = generate_revisit_plan(7)
+    plan = generate_plan(PROFILE_REVISIT, 7)
     path = tmp_path / "plan.json"
     save_plan(plan, path)
     assert load_plan(path) == plan
@@ -212,7 +243,7 @@ def test_load_plan_error_on_unreadable_file(tmp_path):
 
 
 def test_paper_plan_population_shape():
-    plan = generate_paper_plan(42)
+    plan = generate_plan(PROFILE_PAPER_TABLES, 42)
     assert len(plan.index) == 1032
     # 17 listings resolve to the single shared-manifest host.
     shared = [e for e in plan.index if e["legal_info_url"] == "https://mixerbox.example/legal"]
@@ -226,8 +257,8 @@ def test_paper_plan_population_shape():
 
 
 def test_paper_plan_index_is_shuffled_but_deterministic():
-    a = generate_paper_plan(42)
-    b = generate_paper_plan(42)
+    a = generate_plan(PROFILE_PAPER_TABLES, 42)
+    b = generate_plan(PROFILE_PAPER_TABLES, 42)
     assert a.index == b.index
     titles = [e["title"] for e in a.index]
     assert titles != sorted(titles)
@@ -245,7 +276,7 @@ def test_generate_plan_profiles():
 
 
 def test_index_ndjson_round_trips_through_json():
-    plan = generate_revisit_plan(3)
+    plan = generate_plan(PROFILE_REVISIT, 3)
     lines = index_ndjson(plan).strip().splitlines()
     assert len(lines) == len(plan.index)
     for line in lines:
