@@ -5,8 +5,9 @@
 `outcomes.json`, `findings.json` and `scopes.json` are envelopes of
 `schema_version`, `snapshot_label` and the stage's payload. A reader checks
 what the report reads and raises `ArtifactError` naming the file, so an
-artifact of the wrong shape, from another snapshot, or with a bucket the
-report does not count stops the stage instead of crashing it or being counted.
+artifact of the wrong shape, from another snapshot, with a bucket the report
+does not count, or with a row for a plugin outside the corpus stops the stage
+instead of crashing it or being counted.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .consistency import ALL_KINDS, ConsistencyFinding
 from .discovery import ALL_VERDICTS, AccessibilityVerdict
 from .manifest import ManifestDocument, ParseError, parse_manifest
 from .probe import ALL_CASES, ALL_CAUSES, ALL_FAMILIES, PluginProbeResult, ProbeOutcome, ProbeRunResult
-from .scoperisk import ALL_CATEGORIES, distribution_report
+from .scoperisk import ALL_CATEGORIES
 
 SCHEMA_VERSION = 1
 
@@ -48,6 +49,12 @@ def _read_json(path: Path) -> object:
 def _expect(ok: bool, path: Path, problem: str) -> None:
     if not ok:
         raise ArtifactError(f"malformed artifact {path}: {problem}")
+
+
+def _expect_in_corpus(path: Path, named: Iterable[str], plugin_ids: Iterable[str], what: str) -> None:
+    """Every plugin id an artifact names is a corpus plugin: a row no dossier holds must not be counted."""
+    unknown = sorted(set(named).difference(plugin_ids))
+    _expect(not unknown, path, f"{what} for {len(unknown)} plugins not in the corpus: {unknown[:5]}")
 
 
 def _envelope(snapshot_label: str, **payload) -> dict:
@@ -138,10 +145,10 @@ def write_outcomes(path: Path, run: ProbeRunResult, snapshot_label: str) -> None
     write_json(path, _envelope(snapshot_label, results=results, skipped=run.skipped, transcript=transcript))
 
 
-def read_outcomes(path: Path, snapshot_label: str) -> ProbeRunResult:
+def read_outcomes(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) -> ProbeRunResult:
     """The part of a probe run that the report reads: the plugin-level
-    results and the skip reasons. Per-request outcomes and the transcript
-    are left empty."""
+    results and the skip reasons of corpus plugins. Per-request outcomes and
+    the transcript are left empty."""
     doc = _open_envelope(path, "outcomes", snapshot_label, {"results": dict, "skipped": dict})
     run = ProbeRunResult()
     for plugin_id, row in doc["results"].items():
@@ -155,6 +162,7 @@ def read_outcomes(path: Path, snapshot_label: str) -> ProbeRunResult:
     _expect(all(isinstance(reason, str) for reason in doc["skipped"].values()), path, "a skip reason is not a string")
     both = sorted(run.results.keys() & doc["skipped"].keys())
     _expect(not both, path, f"plugins both in results and in skipped: {both}")
+    _expect_in_corpus(path, [*run.results, *doc["skipped"]], plugin_ids, "results and skips")
     run.skipped = doc["skipped"]
     return run
 
@@ -167,15 +175,18 @@ def write_findings(
     write_json(path, doc)
 
 
-def read_findings(path: Path, snapshot_label: str) -> list[ConsistencyFinding]:
+def read_findings(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) -> list[ConsistencyFinding]:
     doc = _open_envelope(path, "findings", snapshot_label, {"findings": list})
     findings = []
     for index, row in enumerate(doc["findings"]):
         evidence = row.get("evidence", {}) if isinstance(row, dict) else None
         ok = isinstance(evidence, dict) and isinstance(row.get("plugin_id"), str) and row.get("kind") in ALL_KINDS
-        ok = ok and isinstance(evidence.get("members", []), list)
+        members = evidence.get("members", []) if ok else None
+        ok = ok and isinstance(members, list) and all(isinstance(member, str) for member in members)
         _expect(ok, path, f"finding {index} has no plugin_id, an unknown kind or malformed evidence")
         findings.append(ConsistencyFinding(row["plugin_id"], row["kind"], evidence))
+    named = [pid for finding in findings for pid in (finding.plugin_id, *finding.members())]
+    _expect_in_corpus(path, named, plugin_ids, "findings")
     return findings
 
 
@@ -186,9 +197,9 @@ def write_scopes(
     write_json(path, _envelope(snapshot_label, assignments=rows, distribution=distribution))
 
 
-def read_scopes(path: Path, snapshot_label: str) -> tuple[list[tuple[str, str]], dict[str, dict]]:
-    """(assignments, distribution). The distribution is recounted from the
-    assignments, so the two cannot disagree."""
+def read_scopes(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) -> list[tuple[str, str]]:
+    """The (plugin_id, category) assignments. The report recounts the
+    distribution from them, so the file's own distribution is not read."""
     doc = _open_envelope(path, "scopes", snapshot_label, {"assignments": list})
     assignments = []
     for index, row in enumerate(doc["assignments"]):
@@ -196,4 +207,5 @@ def read_scopes(path: Path, snapshot_label: str) -> tuple[list[tuple[str, str]],
         _expect(ok, path, f"assignment {index} is not a [plugin_id, known category] pair")
         assignments.append((row[0], row[1]))
     _expect(len(dict(assignments)) == len(assignments), path, "a plugin has more than one assignment")
-    return assignments, distribution_report(assignments)
+    _expect_in_corpus(path, dict(assignments), plugin_ids, "assignments")
+    return assignments

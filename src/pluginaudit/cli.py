@@ -113,13 +113,12 @@ def stage_scopes(manifests: dict[str, ManifestDocument], label: str, scopes_path
         if manifest.auth.auth_type == "oauth":
             docs.append(scoperisk_mod.make_scope_document(plugin_id, manifest.auth.scope))
     assignments = scoperisk_mod.categorize_corpus(docs, lexicon)
-    distribution = scoperisk_mod.distribution_report(assignments)
-    artifacts.write_scopes(scopes_path, assignments, distribution, label)
-    return assignments, distribution
+    artifacts.write_scopes(scopes_path, assignments, scoperisk_mod.distribution_report(assignments), label)
+    return assignments
 
 
-def stage_report(corpus, verdicts, probe_run, findings, assignments, distribution, out_path: Path):
-    report = report_mod.build_report(corpus, verdicts, probe_run, findings, assignments, distribution)
+def stage_report(corpus, verdicts, probe_run, findings, assignments, out_path: Path):
+    report = report_mod.build_report(corpus, verdicts, probe_run, findings, assignments)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(report_mod.render_report(report, "json"))
     return report
@@ -172,19 +171,19 @@ def cmd_scopes(args) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     manifests, _ = artifacts.read_manifests(Path(args.manifests))
     lexicon = scoperisk_mod.load_seed_lexicon(args.seed_lexicon) if args.seed_lexicon else None
-    assignments, _ = stage_scopes(manifests, corpus.snapshot_label, Path(args.out), lexicon)
+    assignments = stage_scopes(manifests, corpus.snapshot_label, Path(args.out), lexicon)
     print(f"categorized {len(assignments)} OAuth scopes -> {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
-    label = corpus.snapshot_label
-    verdicts = artifacts.read_verdicts(Path(args.verdicts), (r.plugin_id for r in corpus.records))
-    probe_run = artifacts.read_outcomes(Path(args.outcomes), label)
-    findings = artifacts.read_findings(Path(args.findings), label)
-    assignments, distribution = artifacts.read_scopes(Path(args.scopes), label)
-    report = stage_report(corpus, verdicts, probe_run, findings, assignments, distribution, Path(args.out))
+    label, ids = corpus.snapshot_label, corpus.by_id().keys()
+    verdicts = artifacts.read_verdicts(Path(args.verdicts), ids)
+    probe_run = artifacts.read_outcomes(Path(args.outcomes), label, ids)
+    findings = artifacts.read_findings(Path(args.findings), label, ids)
+    assignments = artifacts.read_scopes(Path(args.scopes), label, ids)
+    report = stage_report(corpus, verdicts, probe_run, findings, assignments, Path(args.out))
     if args.format == "markdown":
         md_path = Path(args.out).with_suffix(".md")
         md_path.write_bytes(report_mod.render_report(report, "markdown"))
@@ -252,7 +251,7 @@ def cmd_run_all(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = corpus_mod.load_corpus(args.corpus)
     corpus_bytes = Path(args.corpus).read_bytes()
-    label = corpus.snapshot_label
+    label, ids = corpus.snapshot_label, corpus.by_id().keys()
 
     verdicts_path = out_dir / "verdicts.json"
     manifests_dir = out_dir / "manifests"
@@ -278,7 +277,7 @@ def cmd_run_all(args) -> int:
         return _fingerprint(discover_key, verdicts_path, *sorted(manifests_dir.glob("*.json")))
 
     if args.cached and verdicts_path.is_file() and manifests_dir.is_dir() and cache.get("discover") == discover_entry():
-        verdicts = artifacts.read_verdicts(verdicts_path, (r.plugin_id for r in corpus.records))
+        verdicts = artifacts.read_verdicts(verdicts_path, ids)
         manifests, rejected = artifacts.read_manifests(manifests_dir)
         print("discover: cached")
     else:
@@ -292,7 +291,7 @@ def cmd_run_all(args) -> int:
         cache["discover"], "probe", fetch_knobs, str(config.probe_budget), str(config.redact_tokens)
     )
     if args.cached and outcomes_path.is_file() and cache.get("probe") == _fingerprint(probe_key, outcomes_path):
-        probe_run = artifacts.read_outcomes(outcomes_path, label)
+        probe_run = artifacts.read_outcomes(outcomes_path, label, ids)
         print("probe: cached")
     else:
         probe_run = stage_probe(manifests, rejected, config, label, outcomes_path)
@@ -302,10 +301,10 @@ def cmd_run_all(args) -> int:
 
     findings = stage_consistency(corpus, manifests, findings_path)
     print("consistency: done")
-    assignments, distribution = stage_scopes(manifests, label, scopes_path)
+    assignments = stage_scopes(manifests, label, scopes_path)
     print("scopes: done")
 
-    report = stage_report(corpus, verdicts, probe_run, findings, assignments, distribution, report_path)
+    report = stage_report(corpus, verdicts, probe_run, findings, assignments, report_path)
     (out_dir / "report.md").write_bytes(report_mod.render_report(report, "markdown"))
     print(f"report: done -> {report_path}")
     return EXIT_OK

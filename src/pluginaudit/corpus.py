@@ -146,6 +146,7 @@ def load_corpus(path: str | Path) -> Corpus:
     if not isinstance(doc["records"], list):
         raise CorpusError(f"corpus file {path}: records is not a list")
     records = []
+    first_index: dict[str, int] = {}
     for index, raw in enumerate(doc["records"]):
         if not isinstance(raw, dict):
             raise CorpusError(f"corpus file {path}: record {index} is not an object")
@@ -154,6 +155,9 @@ def load_corpus(path: str | Path) -> Corpus:
                 raise CorpusError(f"corpus file {path}: record {index} has no {key!r}")
             if not isinstance(raw[key], str):
                 raise CorpusError(f"corpus file {path}: record {index}: {key!r} is not a string")
+        first = first_index.setdefault(raw["plugin_id"], index)
+        if first != index:
+            raise CorpusError(f"corpus file {path}: record {index}: plugin_id {raw['plugin_id']!r} repeats record {first}")
         for key in _OPTIONAL_TEXT:
             if not isinstance(raw.get(key), (str, type(None))):
                 raise CorpusError(f"corpus file {path}: record {index}: {key!r} is neither a string nor null")

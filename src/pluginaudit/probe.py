@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 from .fetch import BODY_PREFIX_LIMIT, Fetcher, FetchResult, TRANSPORT_ERROR
-from .numfmt import render_ratio_pct
 from .manifest import (
     AUTH_NONE,
     AUTH_OAUTH,
@@ -160,17 +159,13 @@ def synthesize_body(schema: object) -> object:
     return {}
 
 
-def build_probe_matrix(
-    manifest: ManifestDocument, api: OpenApiDescription, plugin_id: str | None = None
-) -> ProbeMatrix:
+def build_probe_matrix(manifest: ManifestDocument, api: OpenApiDescription, plugin_id: str) -> ProbeMatrix:
     """Request matrix for one plugin: per endpoint, a no-token request
     always; a leaked-token request iff the manifest exposes a verification
     token; a fabricated-token request iff the API declares authentication.
     GET/DELETE carry no body; POST/PUT get a synthesized example body."""
     if not api.endpoints:
         raise ValueError("API description has no endpoints")
-    if plugin_id is None:
-        plugin_id = manifest.name_for_model
     base = api.servers[0].rstrip("/")
     leaked = leaked_token(manifest)
 
@@ -302,29 +297,6 @@ def evaluate_probe(request: ProbeRequest, manifest: ManifestDocument, response: 
         failure_cause=cause,
         server_side=server_side,
     )
-
-
-def summarize_token_types(plugins: list[tuple[str, str, bool]]) -> dict[str, dict]:
-    """Per-family totals and success rates.
-
-    Input rows are (auth_type_or_family, plugin_case, succeeded). Rates are
-    rendered to one decimal (half away from zero) as strings so reports are
-    byte-stable.
-    """
-    table: dict[str, dict] = {}
-    for family in PAPER_FAMILIES + (FAMILY_USER_HTTP,):
-        table[family] = {"total": 0, "succeeded": 0, "failed": 0, "success_rate": None}
-    for auth_type, _case, succeeded in plugins:
-        family = auth_type if auth_type in ALL_FAMILIES else _FAMILY_BY_AUTH.get(auth_type, FAMILY_USER_HTTP)
-        row = table[family]
-        row["total"] += 1
-        row["succeeded" if succeeded else "failed"] += 1
-    for row in table.values():
-        if row["total"]:
-            row["success_rate"] = render_ratio_pct(row["succeeded"], row["total"])
-    if table[FAMILY_USER_HTTP]["total"] == 0:
-        del table[FAMILY_USER_HTTP]
-    return table
 
 
 def auth_family(auth_type: str) -> str:

@@ -1,16 +1,19 @@
 """Audit report aggregation, canonical rendering, and snapshot diffing.
 
-A report is a plain JSON-serializable document; every table cell is
-re-derivable by recounting the per-plugin dossiers, and the JSON rendering
-is canonical (sorted keys, fixed number formatting) so identical inputs
-produce byte-identical reports.
+A report is a plain JSON-serializable document. `build_report` builds one
+dossier per corpus plugin, and `tables` computes every table and metric
+from the dossiers, except `shared_manifest_group_sizes`, which it takes as
+an input. The JSON rendering is canonical (sorted keys, fixed number
+formatting), so identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .consistency import (
     ALL_KINDS,
@@ -20,19 +23,21 @@ from .consistency import (
 )
 from .corpus import Corpus
 from .discovery import ALL_VERDICTS, VERDICT_ACCESSIBLE, AccessibilityVerdict
-from .numfmt import render_change_pct
+from .numfmt import render_change_pct, render_ratio_pct
 from .probe import (
     ALL_CASES,
     ALL_CAUSES,
+    ALL_FAMILIES,
     CASE2,
     CASE5,
     FAMILY_BEARER,
     FAMILY_NO_TOKEN,
     FAMILY_OAUTH,
+    PAPER_FAMILIES,
     ProbeRunResult,
     SKIP_IRREGULAR_MANIFEST,
-    summarize_token_types,
 )
+from .scoperisk import distribution_report
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -80,69 +85,21 @@ class ReportDiff:
     metrics: list[dict]
 
 
-def _auth_types_from_probe(run: ProbeRunResult) -> list[tuple[str, str, bool]]:
-    rows = []
-    for plugin_id in sorted(run.results):
-        result = run.results[plugin_id]
-        rows.append((result.auth_family, result.plugin_case, result.succeeded))
-    return rows
-
-
 def build_report(
     corpus: Corpus,
     verdicts: dict[str, AccessibilityVerdict],
     probe_run: ProbeRunResult,
     findings: list[ConsistencyFinding],
     scope_assignments: list[tuple[str, str]],
-    scope_distribution: dict[str, dict],
 ) -> AuditReport:
-    """Aggregate all layer outputs for one snapshot into a report."""
-    accessibility = {verdict: 0 for verdict in ALL_VERDICTS}
-    for v in verdicts.values():
-        accessibility[v.verdict] = accessibility.get(v.verdict, 0) + 1
-
-    case_table = {case: 0 for case in ALL_CASES}
-    failure_table = {cause: 0 for cause in ALL_CAUSES}
-    for result in probe_run.results.values():
-        case_table[result.plugin_case] += 1
-        if result.plugin_case in (CASE2, CASE5):
-            for cause in result.failure_causes:
-                failure_table[cause] += 1
-
-    skip_kinds: dict[str, int] = {}
-    irregular = 0
-    for reason in probe_run.skipped.values():
-        kind = reason.split(":", 1)[0]
-        skip_kinds[kind] = skip_kinds.get(kind, 0) + 1
-        if kind == SKIP_IRREGULAR_MANIFEST:
-            irregular += 1
-
-    consistency_table = {kind: 0 for kind in ALL_KINDS}
-    plugins_with_pairwise: set[str] = set()
+    """Aggregate all layer outputs for one snapshot into a report: one
+    dossier per corpus plugin, then every table counted from the dossiers."""
+    finding_kinds_by_plugin: dict[str, list[str]] = {}
     group_sizes: list[int] = []
     for finding in findings:
-        consistency_table[finding.kind] = consistency_table.get(finding.kind, 0) + 1
-        if finding.kind in PAIRWISE_KINDS:
-            plugins_with_pairwise.add(finding.plugin_id)
+        finding_kinds_by_plugin.setdefault(finding.plugin_id, []).append(finding.kind)
         if finding.kind == KIND_SHARED_MANIFEST_GROUP:
             group_sizes.append(len(finding.members()))
-
-    token_summary = summarize_token_types(_auth_types_from_probe(probe_run))
-
-    def family_stat(family: str, key: str) -> int:
-        return int(token_summary.get(family, {}).get(key, 0) or 0)
-
-    metrics = {
-        METRIC_FILE_LEAKAGE: accessibility[VERDICT_ACCESSIBLE] - irregular,
-        METRIC_INCONSISTENT: len(plugins_with_pairwise),
-        METRIC_NO_TOKEN_VALID: family_stat(FAMILY_NO_TOKEN, "succeeded"),
-        METRIC_OAUTH_VALID: family_stat(FAMILY_OAUTH, "succeeded"),
-        METRIC_BEARER_VALID: family_stat(FAMILY_BEARER, "succeeded"),
-    }
-
-    finding_kinds_by_plugin: dict[str, list[str]] = {}
-    for finding in findings:
-        finding_kinds_by_plugin.setdefault(finding.plugin_id, []).append(finding.kind)
 
     scope_by_plugin = dict(scope_assignments)
     per_plugin = {}
@@ -150,7 +107,7 @@ def build_report(
         pid = record.plugin_id
         verdict = verdicts.get(pid)
         probe_result = probe_run.results.get(pid)
-        dossier = {
+        per_plugin[pid] = {
             "verdict": verdict.verdict if verdict else None,
             "developer_domain": record.developer_domain,
             "probe_skip_reason": probe_run.skipped.get(pid),
@@ -161,26 +118,67 @@ def build_report(
             "finding_kinds": sorted(finding_kinds_by_plugin.get(pid, [])),
             "scope_category": scope_by_plugin.get(pid),
         }
-        per_plugin[pid] = dossier
 
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "snapshot_label": corpus.snapshot_label,
         "corpus_size": len(corpus),
-        "accessibility_table": accessibility,
-        "probed_count": len(probe_run.results),
-        "unprobeable": skip_kinds,
-        "case_table": case_table,
-        "failure_table": failure_table,
-        "token_type_summary": token_summary,
-        "consistency_table": consistency_table,
-        "shared_manifest_group_sizes": sorted(group_sizes, reverse=True),
-        "scope_distribution": scope_distribution,
-        "metrics": metrics,
+        **tables(per_plugin.values(), group_sizes),
         "notes": list(METHOD_NOTES),
         "per_plugin": per_plugin,
     }
     return AuditReport(doc=doc)
+
+
+def _counts(keys: tuple[str, ...], values: Iterable[str]) -> dict[str, int]:
+    """How often each value occurs; each of `keys` is counted, if only as 0."""
+    return dict.fromkeys(keys, 0) | Counter(values)
+
+
+def tables(dossiers: Iterable[dict], group_sizes: Iterable[int]) -> dict:
+    """Every table and metric of a report, counted from its per-plugin
+    dossiers. Shared-manifest group sizes are the one input a dossier does
+    not hold: it names only the kind of the finding."""
+    dossiers = list(dossiers)
+    probed = [d for d in dossiers if d["case"] is not None]
+    skip_kinds = [d["probe_skip_reason"].split(":", 1)[0] for d in dossiers if d["probe_skip_reason"] is not None]
+    accessibility = _counts(ALL_VERDICTS, (d["verdict"] for d in dossiers if d["verdict"] is not None))
+
+    # Rates are rendered to one decimal as strings so reports are byte-stable;
+    # user_http has a row only when some plugin is in it.
+    token_summary = {}
+    for family in ALL_FAMILIES:
+        outcomes = [d["succeeded"] for d in probed if d["auth_family"] == family]
+        if outcomes or family in PAPER_FAMILIES:
+            total, succeeded = len(outcomes), sum(outcomes)
+            token_summary[family] = {
+                "total": total,
+                "succeeded": succeeded,
+                "failed": total - succeeded,
+                "success_rate": render_ratio_pct(succeeded, total) if total else None,
+            }
+
+    return {
+        "accessibility_table": accessibility,
+        "probed_count": len(probed),
+        "unprobeable": _counts((), skip_kinds),
+        "case_table": _counts(ALL_CASES, (d["case"] for d in probed)),
+        "failure_table": _counts(
+            ALL_CAUSES, (cause for d in probed if d["case"] in (CASE2, CASE5) for cause in d["failure_causes"])
+        ),
+        "token_type_summary": token_summary,
+        "consistency_table": _counts(ALL_KINDS, (kind for d in dossiers for kind in d["finding_kinds"])),
+        "shared_manifest_group_sizes": sorted(group_sizes, reverse=True),
+        # distribution_report reads only the category of each assignment.
+        "scope_distribution": distribution_report([("", d["scope_category"]) for d in dossiers if d["scope_category"]]),
+        "metrics": {
+            METRIC_FILE_LEAKAGE: accessibility[VERDICT_ACCESSIBLE] - skip_kinds.count(SKIP_IRREGULAR_MANIFEST),
+            METRIC_INCONSISTENT: sum(1 for d in dossiers if set(d["finding_kinds"]) & set(PAIRWISE_KINDS)),
+            METRIC_NO_TOKEN_VALID: token_summary[FAMILY_NO_TOKEN]["succeeded"],
+            METRIC_OAUTH_VALID: token_summary[FAMILY_OAUTH]["succeeded"],
+            METRIC_BEARER_VALID: token_summary[FAMILY_BEARER]["succeeded"],
+        },
+    }
 
 
 def canonical_json_bytes(doc: object) -> bytes:

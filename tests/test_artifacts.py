@@ -81,7 +81,7 @@ def test_outcomes_round_trip(tmp_path):
     assert sorted(doc["transcript"][0]) == [
         "attempts", "body_sha256", "headers", "method", "plugin_id", "status", "token_variant", "url",
     ]
-    back = read_outcomes(path, "t")
+    back = read_outcomes(path, "t", ["p0", "p1", "p2"])
     assert back.skipped == run.skipped
     assert back.results["p0"] == run.results["p0"]
     # Per-request outcomes are not read back; the report does not use them.
@@ -95,20 +95,20 @@ def test_findings_round_trip(tmp_path):
     ]
     path = tmp_path / "findings.json"
     write_findings(path, findings, {"dev.io": 2}, "t", 3)
-    assert read_findings(path, "t") == findings
+    assert read_findings(path, "t", ["p1", "p2", "p3"]) == findings
     doc = json.loads(path.read_text())
     assert doc["per_developer"] == {"dev.io": 2} and doc["strict_only_mismatches"] == 3
     # The report does not read strict_only_mismatches, so an artifact without it is still valid.
     del doc["strict_only_mismatches"]
     path.write_text(json.dumps(doc))
-    assert read_findings(path, "t") == findings
+    assert read_findings(path, "t", ["p1", "p2", "p3"]) == findings
 
 
 def test_scopes_round_trip(tmp_path):
     assignments = [("p2", "read_write"), ("p1", "global_access"), ("p3", "read_write")]
     path = tmp_path / "scopes.json"
     write_scopes(path, assignments, distribution_report(assignments), "t")
-    assert read_scopes(path, "t") == (sorted(assignments), distribution_report(assignments))
+    assert read_scopes(path, "t", ["p1", "p2", "p3"]) == sorted(assignments)
 
 
 def test_manifests_round_trip(tmp_path):
@@ -128,15 +128,15 @@ def test_reader_label_mismatch_is_error(tmp_path):
     path = tmp_path / "outcomes.json"
     write_outcomes(path, ProbeRunResult(), "other")
     with pytest.raises(ArtifactError, match="snapshot label mismatch: corpus is 't' but outcomes is 'other'"):
-        read_outcomes(path, "t")
+        read_outcomes(path, "t", [])
 
 
 def test_readers_reject_missing_and_unparseable_files(tmp_path):
     with pytest.raises(ArtifactError, match="missing input file"):
-        read_findings(tmp_path / "findings.json", "t")
+        read_findings(tmp_path / "findings.json", "t", [])
     (tmp_path / "scopes.json").write_text('{"schema_version": 1,')
     with pytest.raises(ArtifactError, match="unparseable JSON"):
-        read_scopes(tmp_path / "scopes.json", "t")
+        read_scopes(tmp_path / "scopes.json", "t", [])
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +202,19 @@ MALFORMED = {
     "probed-and-skipped": ("outcomes", lambda docs: docs["outcomes"]["skipped"].update(p1="empty_api")),
     "findings-a-list": ("findings", lambda docs: docs.update(findings=[])),
     "short-scope-row": ("scopes", lambda docs: docs["scopes"].update(assignments=[["x"]])),
+    "result-outside-corpus": ("outcomes", lambda docs: docs["outcomes"]["results"].update(p9=docs["outcomes"]["results"]["p1"])),
+    "skip-outside-corpus": ("outcomes", lambda docs: docs["outcomes"]["skipped"].update(p9="empty_api")),
+    "finding-outside-corpus": ("findings", lambda docs: docs["findings"]["findings"][0].update(plugin_id="p9")),
+    "group-member-outside-corpus": (
+        "findings",
+        lambda docs: docs["findings"]["findings"].append(
+            {"plugin_id": "p1", "kind": "shared_manifest_group", "evidence": {"members": ["p1", "p9"]}}
+        ),
+    ),
+    "scope-outside-corpus": ("scopes", lambda docs: docs["scopes"].update(assignments=[["p9", "global_access"]])),
+    "group-member-not-an-id": ("findings", lambda docs: docs["findings"]["findings"][0].update(evidence={"members": [["p1"]]})),
 }
+OUTSIDE_CORPUS = [case for case in MALFORMED if case.endswith("outside-corpus")]
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
@@ -216,6 +228,8 @@ def test_report_rejects_malformed_artifact(tmp_path, capsys, case):
     assert "Traceback" not in err
     assert f"error in stage report: malformed artifact {paths[artifact]}" in err
     assert not (tmp_path / "report.json").exists()
+    if case in OUTSIDE_CORPUS:
+        assert "not in the corpus: ['p9']" in err
 
 
 def test_report_rejects_verdicts_of_another_snapshot(paper_run, revisit_run, tmp_path, capsys):

@@ -138,6 +138,29 @@ def test_report_label_mismatch_exits_1(tmp_path):
     assert rc == 1
 
 
+def test_single_stage_commands_reproduce_the_run_all_report(paper_run, tmp_path):
+    """consistency, scopes and report, run one by one on the session run's
+    artifacts, write the golden report.json and run-all's report.md."""
+    run_dir = paper_run.out_dir
+    inputs = ["--corpus", str(paper_run.corpus_path), "--manifests", str(run_dir / "manifests")]
+    assert cli.main(["consistency", *inputs, "--out", str(tmp_path / "findings.json")]) == 0
+    assert cli.main(["scopes", *inputs, "--out", str(tmp_path / "scopes.json")]) == 0
+    report_argv = [
+        "report",
+        "--corpus", str(paper_run.corpus_path),
+        "--verdicts", str(run_dir / "verdicts.json"),
+        "--outcomes", str(run_dir / "outcomes.json"),
+        "--findings", str(tmp_path / "findings.json"),
+        "--scopes", str(tmp_path / "scopes.json"),
+        "--out", str(tmp_path / "report.json"),
+        "--format", "markdown",
+    ]
+    assert cli.main(report_argv) == 0
+    golden = Path(__file__).parent / "golden" / "report-paper-tables.json"
+    assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
+    assert (tmp_path / "report.md").read_bytes() == (run_dir / "report.md").read_bytes()
+
+
 def test_probe_missing_manifest_dir_exits_1(tmp_path):
     corpus_doc = {"schema_version": 1, "snapshot_label": "x", "created_at": "now", "records": [], "ingest_errors": []}
     (tmp_path / "corpus.json").write_text(json.dumps(corpus_doc))

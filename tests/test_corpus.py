@@ -130,6 +130,11 @@ def _record_doc(**fields) -> str:
             "record 1 has no 'plugin_id'",
         ),
         ('{"schema_version": 1, "records": [], "ingest_errors": [{"line": 1}]}', "malformed ingest_errors"),
+        (
+            '{"schema_version": 1, "records": [{"plugin_id": "a", "store_title": "A", "name_for_human_store": "A"},'
+            ' {"plugin_id": "a", "store_title": "B", "name_for_human_store": "B"}]}',
+            "record 1: plugin_id 'a' repeats record 0",
+        ),
         (_record_doc(plugin_id=7), "record 0: 'plugin_id' is not a string"),
         (_record_doc(store_title=None), "record 0: 'store_title' is not a string"),
         (_record_doc(name_for_human_store=["A"]), "record 0: 'name_for_human_store' is not a string"),
@@ -143,6 +148,7 @@ def _record_doc(**fields) -> str:
     ],
     ids=[
         "truncated", "records-not-a-list", "record-not-an-object", "record-without-plugin-id", "bad-ingest-error",
+        "repeated-plugin-id",
         "int-plugin-id", "null-store-title", "list-name", "int-legal-url", "object-logo-url", "float-description",
         "bool-developer-domain", "string-flags", "int-flag", "null-flags",
     ],

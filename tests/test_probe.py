@@ -33,7 +33,6 @@ from pluginaudit.probe import (
     evaluate_outcome,
     probe_manifests,
     probe_plugin,
-    summarize_token_types,
     synthesize_body,
 )
 
@@ -210,32 +209,11 @@ def test_classify_failure_buckets():
     assert classify_failure(TRANSPORT_ERROR, {}, "") == (CAUSE_CLIENT_ERROR, True)
 
 
-def test_token_type_summary_reference_rates():
-    rows = []
-    rows += [("none", CASE4, True)] * 141 + [("none", CASE5, False)] * 98
-    rows += [("oauth", CASE3, True)] * 27 + [("oauth", CASE2, False)] * 43
-    rows += [("service_bearer", CASE1, True)] * 5 + [("service_bearer", CASE2, False)] * 29
-    table = summarize_token_types(rows)
-    assert (table["no_token"]["total"], table["no_token"]["succeeded"]) == (239, 141)
-    assert table["no_token"]["success_rate"] == "59.0"
-    assert (table["oauth"]["total"], table["oauth"]["succeeded"]) == (70, 27)
-    assert table["oauth"]["success_rate"] == "38.6"
-    assert (table["bearer"]["total"], table["bearer"]["succeeded"]) == (34, 5)
-    assert table["bearer"]["success_rate"] == "14.7"
-    assert "user_http" not in table  # row omitted when empty
-
-
 def test_token_type_summary_reference_rates_within_tolerance():
     # Published values are 58.9 / 38.6 / 14.7; comparison tolerance 0.2 pp.
     assert abs(float("59.0") - 58.9) <= 0.2
     assert abs(100 * 27 / 70 - 38.6) <= 0.2
     assert abs(100 * 5 / 34 - 14.7) <= 0.2
-
-
-def test_token_type_summary_includes_user_http_when_present():
-    table = summarize_token_types([("user_bearer", CASE2, False), ("none", CASE4, True)])
-    assert table["user_http"]["total"] == 1
-    assert table["no_token"]["success_rate"] == "100.0"
 
 
 def test_transcript_redacts_token_values_by_default(paper_run):

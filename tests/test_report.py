@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from pluginaudit.discovery import (
     VERDICT_ACCESSIBLE,
     VERDICT_NATIVE_UNREACHABLE,
 )
-from pluginaudit.probe import CASE2, CASE4, PluginProbeResult, ProbeRunResult
+from pluginaudit.probe import CASE1, CASE2, CASE3, CASE4, CASE5, PluginProbeResult, ProbeRunResult
 from pluginaudit.report import (
     AuditReport,
     ReportError,
@@ -21,6 +22,7 @@ from pluginaudit.report import (
     load_report,
     render_diff,
     render_report,
+    tables,
 )
 
 
@@ -54,13 +56,12 @@ def _small_inputs():
     )
     findings = [ConsistencyFinding(plugin_id="p2", kind=KIND_INCONSISTENT_NAME, evidence={})]
     scopes = [("p2", "global_access")]
-    distribution = {"global_access": {"count": 1, "share": "100.000"}}
-    return corpus, verdicts, run, findings, scopes, distribution
+    return corpus, verdicts, run, findings, scopes
 
 
 def test_build_report_tables_sum():
-    corpus, verdicts, run, findings, scopes, distribution = _small_inputs()
-    report = build_report(corpus, verdicts, run, findings, scopes, distribution)
+    corpus, verdicts, run, findings, scopes = _small_inputs()
+    report = build_report(corpus, verdicts, run, findings, scopes)
     doc = report.doc
     assert sum(doc["accessibility_table"].values()) == len(corpus) == doc["corpus_size"]
     assert sum(doc["case_table"].values()) == doc["probed_count"] == 2
@@ -81,7 +82,7 @@ def test_single_plugin_report_counts():
     verdicts = {"only": AccessibilityVerdict(plugin_id="only", verdict=VERDICT_ACCESSIBLE, winning_url="u", http_status=200)}
     run = ProbeRunResult()
     run.results["only"] = PluginProbeResult(plugin_id="only", auth_family="no_token", plugin_case=CASE4, succeeded=True)
-    doc = build_report(corpus, verdicts, run, [], [], {}).doc
+    doc = build_report(corpus, verdicts, run, [], []).doc
     assert len(doc["per_plugin"]) == 1
     assert sum(doc["accessibility_table"].values()) == 1
     assert sum(doc["case_table"].values()) == 1
@@ -90,49 +91,71 @@ def test_single_plugin_report_counts():
 
 
 def test_irregular_manifests_reduce_file_leakage():
-    corpus, verdicts, run, findings, scopes, distribution = _small_inputs()
+    corpus, verdicts, run, findings, scopes = _small_inputs()
     run.skipped["p2"] = "irregular_manifest: missing_description"
     del run.results["p2"]
-    report = build_report(corpus, verdicts, run, findings, scopes, distribution)
+    report = build_report(corpus, verdicts, run, findings, scopes)
     assert report.doc["accessibility_table"][VERDICT_ACCESSIBLE] == 2
     assert report.metrics["file_leakage"] == 1
     assert report.doc["unprobeable"] == {"irregular_manifest": 1}
 
 
-def _recount_from_dossiers(doc: dict) -> dict:
-    tables = {"accessibility": {}, "case": {}, "failure": {}, "consistency": {}}
-    for dossier in doc["per_plugin"].values():
-        if dossier["verdict"]:
-            tables["accessibility"][dossier["verdict"]] = tables["accessibility"].get(dossier["verdict"], 0) + 1
-        if dossier["case"]:
-            tables["case"][dossier["case"]] = tables["case"].get(dossier["case"], 0) + 1
-        if dossier["case"] in ("case2", "case5"):
-            for cause in dossier["failure_causes"]:
-                tables["failure"][cause] = tables["failure"].get(cause, 0) + 1
-        for kind in dossier["finding_kinds"]:
-            tables["consistency"][kind] = tables["consistency"].get(kind, 0) + 1
-    return tables
+# Report keys that are not tables: everything else is what `tables` computes.
+_NOT_TABLES = ("schema_version", "snapshot_label", "corpus_size", "notes", "per_plugin")
 
 
-def test_every_table_cell_recountable_from_dossiers():
-    corpus, verdicts, run, findings, scopes, distribution = _small_inputs()
-    doc = build_report(corpus, verdicts, run, findings, scopes, distribution).doc
-    recounted = _recount_from_dossiers(doc)
-    for verdict, count in recounted["accessibility"].items():
-        assert doc["accessibility_table"][verdict] == count
-    for case, count in recounted["case"].items():
-        assert doc["case_table"][case] == count
-    for cause, count in recounted["failure"].items():
-        assert doc["failure_table"][cause] == count
-    for kind, count in recounted["consistency"].items():
-        assert doc["consistency_table"][kind] == count
+@pytest.mark.parametrize("source", ["golden", "paper_run", "revisit_run"])
+def test_tables_recount_every_report_from_its_dossiers(request, source):
+    if source == "golden":
+        doc = json.loads((Path(__file__).parent / "golden" / "report-paper-tables.json").read_text())
+    else:
+        doc = request.getfixturevalue(source).report
+    recounted = tables(doc["per_plugin"].values(), doc["shared_manifest_group_sizes"])
+    assert recounted == {key: value for key, value in doc.items() if key not in _NOT_TABLES}
+
+
+def _probed(auth_family: str, case: str, succeeded: bool) -> dict:
+    return {
+        "verdict": VERDICT_ACCESSIBLE,
+        "developer_domain": None,
+        "probe_skip_reason": None,
+        "case": case,
+        "auth_family": auth_family,
+        "succeeded": succeeded,
+        "failure_causes": [],
+        "finding_kinds": [],
+        "scope_category": None,
+    }
+
+
+def test_token_type_summary_reference_rates():
+    dossiers = [_probed("no_token", CASE4, True)] * 141 + [_probed("no_token", CASE5, False)] * 98
+    dossiers += [_probed("oauth", CASE3, True)] * 27 + [_probed("oauth", CASE2, False)] * 43
+    dossiers += [_probed("bearer", CASE1, True)] * 5 + [_probed("bearer", CASE2, False)] * 29
+    doc = tables(dossiers, [])
+    table = doc["token_type_summary"]
+    assert (table["no_token"]["total"], table["no_token"]["succeeded"]) == (239, 141)
+    assert table["no_token"]["success_rate"] == "59.0"
+    assert (table["oauth"]["total"], table["oauth"]["succeeded"]) == (70, 27)
+    assert table["oauth"]["success_rate"] == "38.6"
+    assert (table["bearer"]["total"], table["bearer"]["succeeded"]) == (34, 5)
+    assert table["bearer"]["success_rate"] == "14.7"
+    assert "user_http" not in table  # row omitted when empty
+    assert (doc["metrics"]["no_token_valid"], doc["metrics"]["oauth_valid"], doc["metrics"]["bearer_valid"]) == (141, 27, 5)
+
+
+def test_token_type_summary_includes_user_http_when_present():
+    table = tables([_probed("user_http", CASE2, False), _probed("no_token", CASE4, True)], [])["token_type_summary"]
+    assert table["user_http"]["total"] == 1
+    assert table["no_token"]["success_rate"] == "100.0"
+    assert table["oauth"] == {"total": 0, "succeeded": 0, "failed": 0, "success_rate": None}
 
 
 def test_render_json_is_byte_stable():
-    corpus, verdicts, run, findings, scopes, distribution = _small_inputs()
-    report = build_report(corpus, verdicts, run, findings, scopes, distribution)
+    corpus, verdicts, run, findings, scopes = _small_inputs()
+    report = build_report(corpus, verdicts, run, findings, scopes)
     assert render_report(report, "json") == render_report(report, "json")
-    rebuilt = build_report(corpus, verdicts, run, findings, scopes, distribution)
+    rebuilt = build_report(corpus, verdicts, run, findings, scopes)
     assert render_report(report, "json") == render_report(rebuilt, "json")
 
 
@@ -144,7 +167,7 @@ def test_render_unknown_format_rejected():
 
 def test_render_markdown_empty_report_has_headers():
     corpus = Corpus(snapshot_label="empty", created_at="now", records=[])
-    report = build_report(corpus, {}, ProbeRunResult(), [], [], {})
+    report = build_report(corpus, {}, ProbeRunResult(), [], [])
     text = render_report(report, "markdown").decode()
     assert "## Accessibility of URLs" in text
     assert "## API request cases" in text
@@ -218,8 +241,8 @@ def test_render_diff_markdown():
 
 
 def test_load_report_round_trip(tmp_path):
-    corpus, verdicts, run, findings, scopes, distribution = _small_inputs()
-    report = build_report(corpus, verdicts, run, findings, scopes, distribution)
+    corpus, verdicts, run, findings, scopes = _small_inputs()
+    report = build_report(corpus, verdicts, run, findings, scopes)
     path = tmp_path / "report.json"
     path.write_bytes(render_report(report, "json"))
     assert load_report(path).doc == report.doc
