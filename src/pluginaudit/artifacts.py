@@ -102,12 +102,17 @@ def write_manifests(directory: Path, manifests: dict[str, ManifestDocument]) -> 
         (directory / f"{plugin_id}.json").write_bytes(manifest.raw_source)
 
 
-def read_manifests(directory: Path) -> tuple[dict[str, ManifestDocument], dict[str, ParseError]]:
-    """Parse each `<plugin_id>.json` once: (parsed, rejected with the error)."""
+def read_manifests(
+    directory: Path, plugin_ids: Iterable[str]
+) -> tuple[dict[str, ManifestDocument], dict[str, ParseError]]:
+    """Parse each `<plugin_id>.json` once: (parsed, rejected with the error).
+    A file of a plugin outside the corpus would be probed, so it stops the stage."""
     if not directory.is_dir():
         raise ArtifactError(f"manifests directory not found: {directory}")
+    plugin_ids = set(plugin_ids)
     parsed, rejected = {}, {}
     for path in sorted(directory.glob("*.json")):
+        _expect(path.stem in plugin_ids, path, "not the manifest of a corpus plugin")
         try:
             parsed[path.stem] = parse_manifest(path.read_bytes())
         except ParseError as exc:

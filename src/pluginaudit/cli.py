@@ -153,7 +153,7 @@ def cmd_discover(args) -> int:
 def cmd_probe(args) -> int:
     config = _config_from_args(args)
     corpus = corpus_mod.load_corpus(args.corpus)
-    manifests, rejected = artifacts.read_manifests(Path(args.manifests))
+    manifests, rejected = artifacts.read_manifests(Path(args.manifests), corpus.by_id().keys())
     run = stage_probe(manifests, rejected, config, corpus.snapshot_label, Path(args.out))
     print(f"probed {len(run.results)} plugins, skipped {len(run.skipped)} -> {args.out}")
     return EXIT_OK
@@ -161,7 +161,7 @@ def cmd_probe(args) -> int:
 
 def cmd_consistency(args) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
-    manifests, _ = artifacts.read_manifests(Path(args.manifests))
+    manifests, _ = artifacts.read_manifests(Path(args.manifests), corpus.by_id().keys())
     findings = stage_consistency(corpus, manifests, Path(args.out))
     print(f"found {len(findings)} consistency findings -> {args.out}")
     return EXIT_OK
@@ -169,7 +169,7 @@ def cmd_consistency(args) -> int:
 
 def cmd_scopes(args) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
-    manifests, _ = artifacts.read_manifests(Path(args.manifests))
+    manifests, _ = artifacts.read_manifests(Path(args.manifests), corpus.by_id().keys())
     lexicon = scoperisk_mod.load_seed_lexicon(args.seed_lexicon) if args.seed_lexicon else None
     assignments = stage_scopes(manifests, corpus.snapshot_label, Path(args.out), lexicon)
     print(f"categorized {len(assignments)} OAuth scopes -> {args.out}")
@@ -278,7 +278,7 @@ def cmd_run_all(args) -> int:
 
     if args.cached and verdicts_path.is_file() and manifests_dir.is_dir() and cache.get("discover") == discover_entry():
         verdicts = artifacts.read_verdicts(verdicts_path, ids)
-        manifests, rejected = artifacts.read_manifests(manifests_dir)
+        manifests, rejected = artifacts.read_manifests(manifests_dir, ids)
         print("discover: cached")
     else:
         discovered = stage_discover(corpus, config, verdicts_path, manifests_dir)

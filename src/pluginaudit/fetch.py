@@ -1,10 +1,13 @@
 """Polite HTTP fetch executor shared by the discovery and probe layers.
 
-Redirects are followed manually (up to 5 hops) so the full chain is
-recorded; retries with exponential backoff apply to transport errors and
-5xx responses only. Politeness (minimum delay between requests to the same
-host) is keyed to the *logical* host of the original URL, so an offline run
-with --base-url rewriting still schedules like a live one.
+Redirects are followed manually so the full chain is recorded, and every
+redirect rule lives in one pure function, `next_hop`. After MAX_REDIRECTS
+(5) redirects the 6th response is the result, whatever its status, with no
+error. Retries with exponential backoff apply to transport errors and 5xx
+responses only; a 5xx on the last attempt is the response. Politeness
+(minimum delay between requests to the same host) is keyed to the
+*logical* host of the original URL, so an offline run with --base-url
+rewriting still schedules like a live one.
 
 The transport is a small HTTP/1.1 client on plain sockets; each thread
 keeps a few keep-alive connections, one per transport origin. A request
@@ -80,7 +83,6 @@ class FetchResult:
     status: int                   # TRANSPORT_ERROR (0) when no response
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
-    content_type: str = ""
     redirect_chain: tuple[str, ...] = ()
     error: str | None = None
     attempts: int = 1
@@ -91,24 +93,41 @@ class FetchResult:
         return 200 <= self.status < 300
 
 
-def rewrite_to_base(url: str, base_url: str) -> str:
-    """Map an original-space URL onto the fixture server.
+class Hop(NamedTuple):
+    """One request of a fetch: the first, or one a redirect makes."""
 
-    https://host/path?q -> {base_url}/host/path?q ; the logical host rides
-    in the first path segment so the fixture can route per virtual host.
-    """
-    parts = urlsplit(url)
-    query = f"?{parts.query}" if parts.query else ""
-    return f"{base_url.rstrip('/')}{_path_on_base(parts)}{query}"
+    method: str
+    url: str
+    headers: dict[str, str]
+    body: bytes | None = None
 
 
-def _path_on_base(parts: SplitResult) -> str:
-    return f"/{parts.netloc}{parts.path or '/'}"
-
-
-def _origin(parts: SplitResult) -> tuple[str, str]:
+def _origin(url: str) -> tuple[str, str]:
     """Scheme and netloc, compared case-insensitively (urlsplit lowercases the scheme)."""
+    parts = urlsplit(url)
     return parts.scheme, parts.netloc.lower()
+
+
+def next_hop(hop: Hop, status: int, location: str | None) -> Hop | None:
+    """The request a response to hop redirects to, or None when it does not redirect.
+
+    Every redirect rule is here, after the Fetch standard's HTTP-redirect
+    fetch and RFC 9110 section 15.4. A 3xx with a Location redirects to the
+    Location resolved against the hop's URL. A 303, or a 301/302 after a
+    POST, continues as a GET without a body or Content-Type. A hop to
+    another origin drops the credential headers, the body and Content-Type,
+    and a 307/308 keeps its method. A Location that cannot be split raises
+    ValueError. Nothing is sent.
+    """
+    if not (300 <= status < 400 and location):
+        return None
+    url = urljoin(hop.url, location)
+    cross_origin = _origin(url) != _origin(hop.url)
+    to_get = status == 303 or (status in (301, 302) and hop.method == "POST")
+    keeps_body = not (to_get or cross_origin)
+    dropped = (_CREDENTIAL_HEADERS if cross_origin else set()) | (set() if keeps_body else {"content-type"})
+    headers = {name: value for name, value in hop.headers.items() if name.lower() not in dropped}
+    return Hop("GET" if to_get else hop.method, url, headers, hop.body if keeps_body else None)
 
 
 class _Response(NamedTuple):
@@ -456,7 +475,8 @@ class Fetcher:
         origin = self._base or parts
         if origin.scheme not in ("http", "https"):
             raise http.client.InvalidURL(f"unsupported URL scheme in {parts.geturl()!r}")
-        target = self._base.path + _path_on_base(parts) if self._base else parts.path or "/"
+        path = parts.path or "/"
+        target = f"{self._base.path}/{parts.netloc}{path}" if self._base else path
         if parts.query:
             target += "?" + parts.query
         conn = self._connection(origin)
@@ -488,112 +508,66 @@ class Fetcher:
             conn.close()
         return response
 
+    def _send(self, hop: Hop) -> tuple[_Response | None, str | None, int]:
+        """One hop with its retries: the response (None after a transport
+        error), the error, and the attempts made. A 5xx on the last attempt
+        is the response; a request that cannot be sent is not retried."""
+        for attempt in range(self.retries + 1):
+            try:
+                response = self._single_request(hop.method, urlsplit(hop.url), hop.headers, hop.body)
+            except _UNSENDABLE as exc:
+                return None, f"{type(exc).__name__}: {exc}", attempt + 1
+            except _TRANSPORT_ERRORS as exc:
+                response, error = None, f"{type(exc).__name__}: {exc}"
+            if response is not None and (response.status < 500 or attempt == self.retries):
+                return response, None, attempt + 1
+            if attempt < self.retries:
+                time.sleep(min(2.0, 0.2 * (2 ** attempt)))
+        return None, error, self.retries + 1
+
     def fetch(
-        self,
-        url: str,
-        method: str = "GET",
-        headers: dict[str, str] | None = None,
-        body: bytes | None = None,
+        self, url: str, method: str = "GET", headers: dict[str, str] | None = None, body: bytes | None = None
     ) -> FetchResult:
         """Fetch one URL, following redirects manually and retrying politely.
 
-        A hop to another origin drops the credential headers and the body
-        (a 307/308 keeps its method); a 303, or a 301/302 after a POST,
-        continues as a GET without a body. A URL that cannot be split (e.g.
-        an unclosed IPv6 bracket in a Location) ends the fetch as a
-        transport error, and so, without retries, does a request that cannot
-        be sent.
+        Each redirect is the hop `next_hop` makes; the response to the 6th
+        hop (after MAX_REDIRECTS redirects) is the result, even a 3xx. A URL
+        or Location that cannot be split ends the fetch as a transport error.
         """
         headers = dict(headers or {})
         headers.setdefault("User-Agent", "plugin-store-audit/0.1")
         # Bodies are read as sent: ask for no compression, any media type.
         headers.setdefault("Accept", "*/*")
         headers.setdefault("Accept-Encoding", "identity")
-        chain: list[str] = []
-        current = url
-        hop_method = method
-        attempts_total = 0
-        last_error = None
-        try:
-            parts = urlsplit(url)
-        except ValueError as exc:
-            return self._failed(method, url, url, chain, f"{type(exc).__name__}: {exc}", 1)
-
-        for hop in range(MAX_REDIRECTS + 1):
-            response = None
-            for attempt in range(self.retries + 1):
-                attempts_total += 1
-                try:
-                    response = self._single_request(hop_method, parts, headers, body)
-                except _UNSENDABLE as exc:
-                    return self._failed(method, url, current, chain, f"{type(exc).__name__}: {exc}", attempts_total)
-                except _TRANSPORT_ERRORS as exc:
-                    last_error = f"{type(exc).__name__}: {exc}"
-                    response = None
-                if response is not None and response.status < 500:
-                    break
-                if response is not None:
-                    last_error = f"server error {response.status}"
-                    if attempt >= self.retries:
-                        break
-                    response = None
-                if attempt < self.retries:
-                    time.sleep(min(2.0, 0.2 * (2 ** attempt)))
-            if response is None:
-                return self._failed(method, url, current, chain, last_error or "transport failure", attempts_total)
-
-            status = response.status
-            location = response.header("location")
-            if 300 <= status < 400 and location and hop < MAX_REDIRECTS:
-                try:
-                    target = urljoin(current, location)
-                    target_parts = urlsplit(target)
-                except ValueError as exc:
-                    return self._failed(method, url, current, chain, f"{type(exc).__name__}: {exc}", attempts_total)
-                chain.append(current)
-                cross_origin = _origin(target_parts) != _origin(parts)
-                if cross_origin:
-                    headers = {k: v for k, v in headers.items() if k.lower() not in _CREDENTIAL_HEADERS}
-                to_get = status == 303 or (status in (301, 302) and hop_method == "POST")
-                if to_get:
-                    hop_method = "GET"
-                if to_get or cross_origin:
-                    body = None
-                    headers = {k: v for k, v in headers.items() if k.lower() != "content-type"}
-                current, parts = target, target_parts
-                continue
-
-            result = FetchResult(
-                url=url,
-                final_url=current,
-                status=status,
-                headers=dict(response.fields),
-                body=response.body[:BODY_PREFIX_LIMIT],
-                content_type=response.header("content-type", ""),
-                redirect_chain=tuple(chain),
-                attempts=attempts_total,
-                truncated=len(response.body) > BODY_PREFIX_LIMIT,
-            )
-            self._log(method, result)
-            return result
-
-        return self._failed(method, url, current, chain, "redirect limit exceeded", attempts_total)
-
-    def _failed(self, method: str, url: str, final_url: str, chain: list[str], error: str, attempts: int) -> FetchResult:
+        hop, chain, attempts = Hop(method, url, headers, body), [], 0
+        while True:
+            response, error, tries = self._send(hop)
+            attempts += tries
+            if response is None or len(chain) == MAX_REDIRECTS:
+                break
+            try:
+                following = next_hop(hop, response.status, response.header("location"))
+            except ValueError as exc:  # a Location that cannot be split
+                response, error, following = None, f"{type(exc).__name__}: {exc}", None
+            if following is None:
+                break
+            chain.append(hop.url)
+            hop = following
+        status, fields, raw = response or (TRANSPORT_ERROR, [], b"")
         result = FetchResult(
             url=url,
-            final_url=final_url,
-            status=TRANSPORT_ERROR,
+            final_url=hop.url,
+            status=status,
+            headers=dict(fields),
+            body=raw[:BODY_PREFIX_LIMIT],
             redirect_chain=tuple(chain),
             error=error,
             attempts=attempts,
+            truncated=len(raw) > BODY_PREFIX_LIMIT,
         )
-        self._log(method, result)
-        return result
-
-    def _log(self, method: str, result: FetchResult) -> None:
         if self._log_fn is not None:
             self._log_fn(method, result)
+        return result
 
     def map_concurrent(self, func, items):
         """Run func over items with the configured global concurrency cap."""

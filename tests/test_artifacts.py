@@ -118,10 +118,30 @@ def test_manifests_round_trip(tmp_path):
     write_manifests(directory, {"p1": parse_manifest(MANIFEST)})
     assert sorted(p.name for p in directory.iterdir()) == ["p1.json"]
     (directory / "bad.json").write_text("not a manifest")
-    parsed, rejected = read_manifests(directory)
+    parsed, rejected = read_manifests(directory, ["p1", "bad"])
     assert parsed["p1"].raw_source == MANIFEST and list(rejected) == ["bad"]
     with pytest.raises(ArtifactError, match="manifests directory not found"):
-        read_manifests(tmp_path / "nope")
+        read_manifests(tmp_path / "nope", ["p1"])
+
+
+@pytest.mark.parametrize("command", ["probe", "consistency", "scopes"])
+def test_manifest_outside_corpus_stops_the_stage(tmp_path, capsys, command):
+    """A manifest whose stem is no corpus plugin is neither probed nor counted."""
+    corpus = tmp_path / "corpus.json"
+    save_corpus(Corpus(snapshot_label="t", created_at="now", records=[_record("p1")]), corpus)
+    directory = tmp_path / "manifests"
+    write_manifests(directory, {"p1": parse_manifest(MANIFEST), "zzz": parse_manifest(MANIFEST)})
+    with pytest.raises(ArtifactError, match="zzz.json: not the manifest of a corpus plugin"):
+        read_manifests(directory, ["p1"])
+    out = tmp_path / "out.json"
+    # Any probe that got through would go to a closed local port.
+    argv = [command, "--corpus", str(corpus), "--manifests", str(directory), "--out", str(out)]
+    if command == "probe":
+        argv += ["--base-url", "http://127.0.0.1:1", "--retries", "0"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in stage {command}: malformed artifact {directory / 'zzz.json'}")
+    assert not out.exists()
 
 
 def test_reader_label_mismatch_is_error(tmp_path):

@@ -129,8 +129,8 @@ def _candidate(url: str) -> CandidateUrl:
     return CandidateUrl(url=url, derivation="well_known_direct", generation_rank=0)
 
 
-def _result(url: str, status: int, body: bytes = b"", final: str | None = None, ctype: str = "application/json") -> FetchResult:
-    return FetchResult(url=url, final_url=final or url, status=status, body=body, content_type=ctype)
+def _result(url: str, status: int, body: bytes = b"", final: str | None = None) -> FetchResult:
+    return FetchResult(url=url, final_url=final or url, status=status, body=body)
 
 
 def test_classify_manifest_wins():
@@ -168,7 +168,7 @@ def test_classify_openai_protected():
 def test_classify_hidden_redirect_cross_domain_html():
     record = _record("p5", "https://a.io/legal")
     url = "https://a.io/.well-known/ai-plugin.json"
-    result = _result(url, 200, b"<html><body>welcome</body></html>", final="https://ads.example/landing", ctype="text/html")
+    result = _result(url, 200, b"<html><body>welcome</body></html>", final="https://ads.example/landing")
     assert classify_accessibility(record, [(_candidate(url), result)], None).verdict == VERDICT_HIDDEN_REDIRECT
 
 

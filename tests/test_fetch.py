@@ -9,12 +9,12 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
-from urllib.parse import urlsplit
+from urllib.parse import urljoin, urlsplit
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pluginaudit.fetch import _RECV_SIZE, _TRANSPORT_ERRORS, BODY_PREFIX_LIMIT, Fetcher, rewrite_to_base
+from pluginaudit.fetch import _RECV_SIZE, _TRANSPORT_ERRORS, BODY_PREFIX_LIMIT, MAX_REDIRECTS, Fetcher, Hop, next_hop
 from pluginaudit.fixture import FixtureEndpoint, FixturePlan, FixtureSite, serve_fixtures
 
 
@@ -28,14 +28,6 @@ def _plan() -> FixturePlan:
     plan.sites["f.example"] = site
     plan.sites["r.example"] = FixtureSite(host="r.example", redirect_to="https://landing.adsite.example/welcome")
     return plan
-
-
-def test_rewrite_to_base():
-    assert (
-        rewrite_to_base("https://a.io/x/y?q=1", "http://127.0.0.1:9")
-        == "http://127.0.0.1:9/a.io/x/y?q=1"
-    )
-    assert rewrite_to_base("https://a.io", "http://127.0.0.1:9/") == "http://127.0.0.1:9/a.io/"
 
 
 def test_fetch_through_base_override_keeps_original_urls():
@@ -124,6 +116,8 @@ class _CountingHandler(BaseHTTPRequestHandler):
         self.server.requests.append((self.path, self.headers, self.command, self.rfile.read(length)))
         if self.path == "/big":
             self._send(200, b"z" * (BODY_PREFIX_LIMIT + 100))
+        elif self.path == "/loop":
+            self._send(302, b"", {"Location": "/loop"})
         elif self.path == "/lower-redirect":
             self._send(302, b"", {"location": "/ok"})
         elif self.path.startswith("/redirect-"):
@@ -220,6 +214,31 @@ def test_lowercase_location_redirect_is_followed(origin):
     assert result.final_url == f"{server.url}/ok"
     assert result.redirect_chain == (f"{server.url}/lower-redirect",)
     assert server.connections == 1  # the empty redirect body left the connection reusable
+
+
+@pytest.mark.parametrize(
+    "url, slash, target",
+    [("https://a.io/x/y?q=1", "", "/a.io/x/y?q=1"), ("https://a.io", "/", "/a.io/")],
+    ids=["query-kept", "empty-path"],
+)
+def test_base_url_request_target_names_the_logical_host(origin, url, slash, target):
+    server, _ = origin
+    fetcher = Fetcher(per_host_delay_ms=0, retries=0, base_url=server.url + slash)
+    try:
+        result = fetcher.fetch(url)
+    finally:
+        fetcher.close()
+    assert (result.status, result.url, result.final_url) == (200, url, url)
+    assert [request[0] for request in server.requests] == [target]
+
+
+def test_redirect_loop_ends_with_the_response_after_the_last_hop(origin):
+    server, fetcher = origin  # retries=2
+    result = fetcher.fetch(f"{server.url}/loop")
+    assert len(server.requests) == MAX_REDIRECTS + 1 == 6
+    assert (result.status, result.error, result.attempts) == (302, None, 6)
+    assert result.redirect_chain == (f"{server.url}/loop",) * 5
+    assert result.final_url == f"{server.url}/loop"
 
 
 def test_identity_encoding_requested(origin):
@@ -338,6 +357,72 @@ def test_unfollowable_location_is_a_transport_error(origin):
     result = fetcher.fetch(f"{server.url}/redirect-302?http://[::1")
     assert (result.status, result.error) == (0, "ValueError: Invalid IPv6 URL")
     assert (result.final_url, result.redirect_chain) == (f"{server.url}/redirect-302?http://[::1", ())
+
+
+# --- next_hop: the redirect rules ----------------------------------------------
+
+_FROM = "https://a.example/p/q"
+# Location -> whether it leaves the origin of _FROM
+_LOCATIONS = {
+    "/next": False,
+    "next?x=1": False,
+    "https://a.example/other": False,
+    "HTTPS://A.Example/other": False,
+    "https://b.example/": True,
+    "//b.example/x": True,
+    "http://a.example/p/q": True,
+    "https://a.example:8443/p": True,
+}
+_SENSITIVE = {"authorization", "cookie", "proxy-authorization", "content-type"}
+
+
+def _mixed_case(name: str):
+    flips = st.lists(st.booleans(), min_size=len(name), max_size=len(name))
+    return flips.map(lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(name, upper)))
+
+
+_HEADER_NAME = st.sampled_from(["Authorization", "Cookie", "Proxy-Authorization", "Content-Type", "Accept", "X-Api-Key"])
+_HOPS = st.builds(
+    Hop,
+    method=st.sampled_from(["GET", "POST", "PUT", "PATCH", "DELETE", "HEAD"]),
+    url=st.just(_FROM),
+    headers=st.dictionaries(_HEADER_NAME.flatmap(_mixed_case), st.sampled_from(["v", "Bearer t"]), max_size=6),
+    body=st.one_of(st.none(), st.binary(max_size=8)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hop=_HOPS, status=st.integers(300, 399), location=st.sampled_from(list(_LOCATIONS)))
+def test_next_hop_redirect_rules(hop, status, location):
+    following = next_hop(hop, status, location)
+    assert following.url == urljoin(_FROM, location)
+    names = {name.lower() for name in following.headers}
+    if _LOCATIONS[location]:
+        assert not names & _SENSITIVE and following.body is None
+    if status == 303 or (status in (301, 302) and hop.method == "POST"):
+        assert (following.method, following.body) == ("GET", None) and "content-type" not in names
+    else:
+        assert following.method == hop.method
+    if status in (307, 308) and not _LOCATIONS[location]:
+        assert following == hop._replace(url=following.url)
+
+
+# (status, Location) of responses that do not redirect
+_NO_REDIRECT = st.one_of(
+    st.tuples(st.one_of(st.integers(100, 299), st.integers(400, 599)), st.sampled_from([None, "", *_LOCATIONS])),
+    st.tuples(st.integers(300, 399), st.sampled_from([None, ""])),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(hop=_HOPS, response=_NO_REDIRECT)
+def test_next_hop_without_a_redirect_is_none(hop, response):
+    assert next_hop(hop, *response) is None
+
+
+def test_next_hop_raises_on_a_location_that_cannot_be_split():
+    with pytest.raises(ValueError, match="Invalid IPv6 URL"):
+        next_hop(Hop("GET", _FROM, {}), 302, "http://[::1")
 
 
 def test_no_http_client_connection_or_response_is_made(origin):
