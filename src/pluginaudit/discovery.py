@@ -148,8 +148,10 @@ def classify_accessibility(
 ) -> AccessibilityVerdict:
     """Six-way verdict for one plugin, first matching rule wins.
 
-    `manifest` is the parse of the first 2xx candidate body that is a
-    manifest, or None when no 2xx body parsed; nothing is parsed here.
+    `fetch_results` holds the fetches of the candidates generated from the
+    plugin's legal_info_url, so neither is empty. `manifest` is the parse of
+    the first 2xx candidate body that is a manifest, or None when no 2xx
+    body parsed; nothing is parsed here.
 
     1. a candidate body parsed as a manifest          -> accessible
     2. seed hosted on GitHub                          -> hosted_github
@@ -161,9 +163,7 @@ def classify_accessibility(
     A 2xx body cut off at the body cap was never parsed, so it is no
     evidence for rule 5; under rule 6 the evidence names the first one.
     """
-    if not fetch_results:
-        raise ValueError("classify_accessibility needs at least one fetch result")
-    seed = plugin.legal_info_url or fetch_results[0][0].url
+    seed = plugin.legal_info_url
     seed_host = host_of(seed)
     seed_domain = registrable_domain(seed_host) if seed_host else ""
     tried = len(fetch_results)
@@ -230,7 +230,7 @@ def classify_accessibility(
     return AccessibilityVerdict(
         plugin_id=plugin.plugin_id,
         verdict=VERDICT_NATIVE_UNREACHABLE,
-        http_status=statuses[0] if statuses and statuses[0] != TRANSPORT_ERROR else None,
+        http_status=statuses[0] if statuses[0] != TRANSPORT_ERROR else None,
         evidence=evidence,
         candidates_tried=tried,
     )

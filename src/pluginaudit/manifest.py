@@ -1,7 +1,7 @@
 """Parsing of plugin manifest documents (ai-plugin.json) and OpenAPI files.
 
-Both parsers are lenient: unknown fields are ignored, recoverable oddities
-become irregularity flags on the parsed document, and only structurally
+Both parsers are lenient: unknown fields are ignored, a manifest's
+recoverable oddities become irregularity flags, and only structurally
 unusable input raises ParseError. Parsing is pure - no network I/O here.
 """
 
@@ -33,8 +33,6 @@ METHODS = ("GET", "POST", "PUT", "DELETE")
 FLAG_OAUTH_INCOMPLETE = "oauth_incomplete"
 FLAG_MISSING_DESCRIPTION = "missing_description"
 FLAG_UNKNOWN_AUTH = "unknown_auth_type"
-FLAG_EMPTY_API = "empty_api"
-FLAG_INVALID_SERVERS = "invalid_servers"
 
 # Nesting deep enough to exhaust the interpreter's recursion limit (1000
 # nested arrays, 2 KB, suffice) is a syntax error, not a crash.
@@ -63,14 +61,6 @@ class AuthSpec:
     auth_type: str = AUTH_NONE
     scope: str | None = None
     verification_tokens: dict[str, str] = field(default_factory=dict)
-    authorization_url: str | None = None
-
-
-@dataclass(frozen=True)
-class ApiSpec:
-    api_type: str
-    url: str
-    is_user_authenticated: bool = False
 
 
 @dataclass(frozen=True)
@@ -78,14 +68,11 @@ class ManifestDocument:
     name_for_human: str
     name_for_model: str
     auth: AuthSpec
-    api: ApiSpec
+    api_url: str
     raw_source: bytes
     fingerprint: str
     description_for_human: str | None = None
-    description_for_model: str | None = None
     legal_info_url: str | None = None
-    logo_url: str | None = None
-    contact_email: str | None = None
     flags: tuple[str, ...] = ()
 
 
@@ -99,12 +86,8 @@ class Endpoint:
 
 @dataclass(frozen=True)
 class OpenApiDescription:
-    openapi_version: str
-    title: str
     servers: tuple[str, ...]
     endpoints: tuple[Endpoint, ...]
-    schemas: dict[str, object]
-    flags: tuple[str, ...] = ()
 
 
 def _text(value: object) -> str | None:
@@ -148,30 +131,21 @@ def parse_manifest(data: bytes) -> ManifestDocument:
     if not is_absolute_http(str(api_raw["url"])):
         # A relative API pointer is unusable for probing: treat as missing.
         raise ParseError.missing_field("api.url")
-    api = ApiSpec(
-        api_type=_text(api_raw.get("type")) or "openapi",
-        url=str(api_raw["url"]),
-        is_user_authenticated=bool(api_raw.get("is_user_authenticated", False)),
-    )
 
     auth = _parse_auth(doc.get("auth"), flags)
 
-    description_for_model = _text(doc.get("description_for_model"))
-    if description_for_model is None:
+    if _text(doc.get("description_for_model")) is None:
         flags.append(FLAG_MISSING_DESCRIPTION)
 
     return ManifestDocument(
         name_for_human=name_for_human,
         name_for_model=name_for_model,
         auth=auth,
-        api=api,
+        api_url=str(api_raw["url"]),
         raw_source=bytes(data),
         fingerprint=fingerprint,
         description_for_human=_text(doc.get("description_for_human")),
-        description_for_model=description_for_model,
         legal_info_url=_text(doc.get("legal_info_url")),
-        logo_url=_text(doc.get("logo_url")),
-        contact_email=_text(doc.get("contact_email")),
         flags=tuple(flags),
     )
 
@@ -193,16 +167,10 @@ def _parse_auth(raw: object, flags: list[str]) -> AuthSpec:
     if isinstance(tokens_raw, dict):
         tokens = {str(k): str(v) for k, v in tokens_raw.items() if v is not None}
 
-    authorization_url = _text(raw.get("authorization_url")) or _text(raw.get("client_url"))
-    if auth_type == AUTH_OAUTH and authorization_url is None:
+    if auth_type == AUTH_OAUTH and not (_text(raw.get("authorization_url")) or _text(raw.get("client_url"))):
         flags.append(FLAG_OAUTH_INCOMPLETE)
 
-    return AuthSpec(
-        auth_type=auth_type,
-        scope=_text(raw.get("scope")),
-        verification_tokens=tokens,
-        authorization_url=authorization_url,
-    )
+    return AuthSpec(auth_type=auth_type, scope=_text(raw.get("scope")), verification_tokens=tokens)
 
 
 def parse_openapi(data: bytes, origin: str) -> OpenApiDescription:
@@ -217,11 +185,11 @@ def parse_openapi(data: bytes, origin: str) -> OpenApiDescription:
     parses as YAML. Text neither accepts raises ParseError with YAML's
     message.
 
-    Extracts version, title, servers (relative server URLs resolved against
-    the origin; a missing servers block defaults to the origin itself), all
-    path+method pairs for GET/POST/PUT/DELETE, and component schemas. A
-    document with zero paths is flagged, not an error; so is a servers value
-    that is not a list, which is then ignored.
+    Extracts servers (relative server URLs resolved against the origin; a
+    missing servers block, or a servers value that is not a list, defaults
+    to the origin itself) and all path+method pairs for GET/POST/PUT/DELETE,
+    with local component-schema references resolved one level. A document
+    with zero paths is not an error: it has no endpoints.
     """
     text = data.decode("utf-8", errors="replace")
     try:
@@ -236,12 +204,10 @@ def parse_openapi(data: bytes, origin: str) -> OpenApiDescription:
     if not isinstance(doc, dict):
         raise ParseError.syntax("OpenAPI document is not a mapping")
 
-    flags: list[str] = []
     base = origin_of(origin) if is_absolute_http(origin) else origin.rstrip("/")
 
     servers_raw = doc.get("servers") or []
     if not isinstance(servers_raw, list):
-        flags.append(FLAG_INVALID_SERVERS)
         servers_raw = []
     servers = []
     for entry in servers_raw:
@@ -279,18 +245,7 @@ def parse_openapi(data: bytes, origin: str) -> OpenApiDescription:
                         response_schema=_response_schema(op, schemas),
                     )
                 )
-    if not endpoints:
-        flags.append(FLAG_EMPTY_API)
-
-    info = doc.get("info") if isinstance(doc.get("info"), dict) else {}
-    return OpenApiDescription(
-        openapi_version=str(doc.get("openapi") or doc.get("swagger") or ""),
-        title=str(info.get("title", "")),
-        servers=tuple(servers),
-        endpoints=tuple(endpoints),
-        schemas=schemas,
-        flags=tuple(flags),
-    )
+    return OpenApiDescription(servers=tuple(servers), endpoints=tuple(endpoints))
 
 
 def _deref(node: object, schemas: dict[str, object]) -> object:

@@ -74,7 +74,6 @@ DEFAULT_PROBE_BUDGET = 12
 
 @dataclass(frozen=True)
 class ProbeRequest:
-    plugin_id: str
     endpoint: Endpoint
     full_url: str
     token_variant: str
@@ -88,12 +87,6 @@ class ProbeRequest:
         if self.body is not None:
             headers["Content-Type"] = "application/json"
         return headers
-
-
-@dataclass(frozen=True)
-class ProbeMatrix:
-    plugin_id: str
-    requests: tuple[ProbeRequest, ...]
 
 
 @dataclass(frozen=True)
@@ -159,7 +152,7 @@ def synthesize_body(schema: object) -> object:
     return {}
 
 
-def build_probe_matrix(manifest: ManifestDocument, api: OpenApiDescription, plugin_id: str) -> ProbeMatrix:
+def build_probe_matrix(manifest: ManifestDocument, api: OpenApiDescription) -> list[ProbeRequest]:
     """Request matrix for one plugin: per endpoint, a no-token request
     always; a leaked-token request iff the manifest exposes a verification
     token; a fabricated-token request iff the API declares authentication.
@@ -183,7 +176,6 @@ def build_probe_matrix(manifest: ManifestDocument, api: OpenApiDescription, plug
         for variant, token in variants:
             requests_out.append(
                 ProbeRequest(
-                    plugin_id=plugin_id,
                     endpoint=endpoint,
                     full_url=base + endpoint.path,
                     token_variant=variant,
@@ -191,7 +183,7 @@ def build_probe_matrix(manifest: ManifestDocument, api: OpenApiDescription, plug
                     body=body,
                 )
             )
-    return ProbeMatrix(plugin_id=plugin_id, requests=tuple(requests_out))
+    return requests_out
 
 
 def leaked_token(manifest: ManifestDocument) -> str | None:
@@ -337,21 +329,20 @@ def probe_plugin(
     if manifest.flags:
         return None, f"{SKIP_IRREGULAR_MANIFEST}: {','.join(manifest.flags)}", transcript
 
-    api_response = fetcher.fetch(manifest.api.url)
+    api_response = fetcher.fetch(manifest.api_url)
     if not api_response.ok or not api_response.body:
         return None, f"{SKIP_API_UNREACHABLE}: status {api_response.status}", transcript
     if api_response.truncated:
         return None, f"{SKIP_API_TOO_LARGE}: over {BODY_PREFIX_LIMIT} bytes", transcript
     try:
-        api = parse_openapi(api_response.body, manifest.api.url)
+        api = parse_openapi(api_response.body, manifest.api_url)
     except ParseError as exc:
         return None, f"{SKIP_API_UNPARSEABLE}: {exc}", transcript
     if not api.endpoints:
         return None, SKIP_EMPTY_API, transcript
 
-    matrix = build_probe_matrix(manifest, api, plugin_id=plugin_id)
     outcomes: list[ProbeOutcome] = []
-    for request in matrix.requests[:budget]:
+    for request in build_probe_matrix(manifest, api)[:budget]:
         headers = request.headers()
         response = fetcher.fetch(request.full_url, method=request.endpoint.method, headers=headers, body=request.body)
         outcomes.append(evaluate_probe(request, manifest, response))
@@ -397,7 +388,6 @@ def probe_manifests(
         run.transcript.extend(entries)
         if skip_reason is not None:
             run.skipped[plugin_id] = skip_reason
-        elif result is not None:
-            result.plugin_id = plugin_id
+        else:
             run.results[plugin_id] = result
     return run

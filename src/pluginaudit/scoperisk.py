@@ -82,7 +82,6 @@ DEFAULT_SEED_LEXICON: dict[str, tuple[str, ...]] = {
 @dataclass(frozen=True)
 class ScopeDocument:
     plugin_id: str
-    raw_scope: str
     tokens: tuple[str, ...]
 
 
@@ -123,8 +122,7 @@ def tokenize_scope(raw: str) -> list[str]:
 
 
 def make_scope_document(plugin_id: str, raw_scope: str | None) -> ScopeDocument:
-    raw = raw_scope or ""
-    return ScopeDocument(plugin_id=plugin_id, raw_scope=raw, tokens=tuple(tokenize_scope(raw)))
+    return ScopeDocument(plugin_id=plugin_id, tokens=tuple(tokenize_scope(raw_scope or "")))
 
 
 class VectorContext:

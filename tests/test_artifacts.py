@@ -63,7 +63,7 @@ def test_verdict_doc_round_trip(tmp_path):
 
 
 def test_outcomes_round_trip(tmp_path):
-    request = ProbeRequest(plugin_id="p1", endpoint=Endpoint("/s", "GET"), full_url="https://x.io/s", token_variant=NO_TOKEN)
+    request = ProbeRequest(endpoint=Endpoint("/s", "GET"), full_url="https://x.io/s", token_variant=NO_TOKEN)
     outcome = ProbeOutcome(request=request, http_status=200, valid_data=True, t_r=0, t_v=0, case=CASE4)
     run = ProbeRunResult()
     run.results["p1"] = PluginProbeResult(plugin_id="p1", auth_family="no_token", plugin_case=CASE4, succeeded=True, outcomes=[outcome])

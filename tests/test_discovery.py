@@ -23,6 +23,7 @@ from pluginaudit.fetch import Fetcher, FetchResult
 from pluginaudit.fixture import FixturePlan, FixtureSite, serve_fixtures
 from pluginaudit.manifest import parse_manifest
 from pluginaudit.urlnorm import host_of, registrable_domain
+from test_fetch import _serving
 
 MANIFEST_BODY = json.dumps(
     {
@@ -217,3 +218,27 @@ def test_manifest_over_body_cap_is_not_parsed_or_counted_as_redirect():
     assert "256 KiB" in verdict.evidence
     assert "https://big.example/.well-known/ai-plugin.json" in verdict.evidence
 
+
+def test_store_entry_without_usable_seed_sends_no_request():
+    # No legal_info_url, or a relative one: nothing to derive candidates
+    # from, so no request, yet a verdict so bucket sizes still sum to |S|.
+    records = [
+        PluginRecord(plugin_id="none", store_title="N", name_for_human_store="N"),
+        PluginRecord(plugin_id="rel", store_title="R", name_for_human_store="R", legal_info_url="/legal"),
+    ]
+    corpus = Corpus(snapshot_label="t", created_at="now", records=records)
+    with _serving() as server:
+        fetcher = Fetcher(per_host_delay_ms=0, retries=0, base_url=server.url)
+        try:
+            result = discover_corpus(corpus, fetcher)
+        finally:
+            fetcher.close()
+        assert server.connections == 0 and server.requests == []
+    assert result.manifests == {}
+    assert {pid: v.verdict for pid, v in result.verdicts.items()} == {
+        "none": VERDICT_NATIVE_UNREACHABLE,
+        "rel": VERDICT_NATIVE_UNREACHABLE,
+    }
+    assert "legal_info_url missing" in result.verdicts["none"].evidence
+    assert "'/legal'" in result.verdicts["rel"].evidence
+    assert all(v.candidates_tried == 0 for v in result.verdicts.values())

@@ -10,8 +10,6 @@ from hypothesis import given, strategies as st
 from pluginaudit import fixture
 
 from pluginaudit.manifest import (
-    FLAG_EMPTY_API,
-    FLAG_INVALID_SERVERS,
     FLAG_MISSING_DESCRIPTION,
     FLAG_OAUTH_INCOMPLETE,
     ParseError,
@@ -45,7 +43,7 @@ def test_parse_official_sample_shape():
     assert doc.auth.auth_type == "none"
     assert doc.auth.scope is None
     assert doc.auth.verification_tokens == {}
-    assert doc.api.url == "https://example.com/openapi.yaml"
+    assert doc.api_url == "https://example.com/openapi.yaml"
     assert doc.legal_info_url == "https://example.com/legal"
     assert doc.flags == ()
 
@@ -156,8 +154,6 @@ SAMPLE_OPENAPI = {
 
 def test_parse_openapi_single_get():
     api = parse_openapi(_bytes(SAMPLE_OPENAPI), "https://example.com/openapi.json")
-    assert api.openapi_version == "3.0.1"
-    assert api.title == "TODO API"
     assert len(api.endpoints) == 1
     endpoint = api.endpoints[0]
     assert (endpoint.path, endpoint.method) == ("/todos", "GET")
@@ -178,13 +174,11 @@ def test_parse_openapi_non_list_servers_fall_back_to_origin(servers):
     doc = dict(SAMPLE_OPENAPI, servers=servers)
     api = parse_openapi(_bytes(doc), "https://h.io/openapi.json")
     assert api.servers == ("https://h.io",)
-    assert FLAG_INVALID_SERVERS in api.flags
 
 
 def test_parse_openapi_list_servers_not_flagged():
     api = parse_openapi(_bytes(SAMPLE_OPENAPI), "https://h.io/openapi.json")
     assert api.servers == ("https://example.com",)
-    assert FLAG_INVALID_SERVERS not in api.flags
 
 
 def test_parse_openapi_yaml_surface():
@@ -207,7 +201,6 @@ def test_parse_openapi_zero_paths_flagged_not_error():
     doc["paths"] = {}
     api = parse_openapi(_bytes(doc), "https://example.com/openapi.json")
     assert api.endpoints == ()
-    assert FLAG_EMPTY_API in api.flags
 
 
 def test_parse_openapi_garbage_is_syntax_error():
@@ -295,24 +288,26 @@ def test_json_key_longer_than_1024_characters_parses():
 
 def test_json_exponent_is_a_float():
     # YAML 1.1 reads 1e3 (no dot) as the string '1e3'; JSON reads a number.
-    text = json.dumps(SAMPLE_OPENAPI).replace('"3.0.1"', "1e3")
-    assert yaml.safe_load(text)["openapi"] == "1e3"
-    assert parse_openapi(text.encode(), "https://example.com/openapi.json").openapi_version == "1000.0"
+    text = json.dumps(SAMPLE_OPENAPI).replace('{"type": "array"}', '{"type": "array", "maxItems": 1e3}')
+    assert yaml.safe_load(text)["components"]["schemas"]["TodoList"]["properties"]["todos"]["maxItems"] == "1e3"
+    schema = parse_openapi(text.encode(), "https://example.com/openapi.json").endpoints[0].response_schema
+    assert repr(schema["properties"]["todos"]["maxItems"]) == "1000.0"
 
 
 def test_json_nan_is_a_float():
     # json.loads accepts the NaN constant; YAML 1.1 spells it .nan and reads
     # NaN as a string.
-    text = json.dumps(SAMPLE_OPENAPI).replace('"3.0.1"', "NaN")
-    assert yaml.safe_load(text)["openapi"] == "NaN"
-    assert parse_openapi(text.encode(), "https://example.com/openapi.json").openapi_version == "nan"
+    text = json.dumps(SAMPLE_OPENAPI).replace('{"type": "array"}', '{"type": "array", "maxItems": NaN}')
+    assert yaml.safe_load(text)["components"]["schemas"]["TodoList"]["properties"]["todos"]["maxItems"] == "NaN"
+    schema = parse_openapi(text.encode(), "https://example.com/openapi.json").endpoints[0].response_schema
+    assert repr(schema["properties"]["todos"]["maxItems"]) == "nan"
 
 
 def test_json_surrogate_pair_escape_is_one_code_point():
     # YAML keeps the two surrogate halves as two characters.
-    text = json.dumps(SAMPLE_OPENAPI).replace('"TODO API"', '"\\ud83d\\ude00"')
-    assert yaml.safe_load(text)["info"]["title"] == "\ud83d\ude00"
-    assert parse_openapi(text.encode(), "https://example.com/openapi.json").title == "\U0001F600"
+    text = json.dumps(SAMPLE_OPENAPI).replace('"/todos"', '"/\\ud83d\\ude00"')
+    assert list(yaml.safe_load(text)["paths"]) == ["/\ud83d\ude00"]
+    assert parse_openapi(text.encode(), "https://example.com/openapi.json").endpoints[0].path == "/\U0001F600"
 
 
 def test_utf8_bom_parses_through_the_fallback():

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from pluginaudit.fetch import BODY_PREFIX_LIMIT, Fetcher, FetchResult, TRANSPORT_ERROR
 from pluginaudit.fixture import FixturePlan, FixtureSite, serve_fixtures
-from pluginaudit.manifest import Endpoint, parse_manifest, parse_openapi
+from pluginaudit.manifest import FLAG_UNKNOWN_AUTH, Endpoint, parse_manifest, parse_openapi
 from pluginaudit.probe import (
     ALL_CASES,
     CASE1,
@@ -26,6 +26,7 @@ from pluginaudit.probe import (
     NO_TOKEN,
     SKIP_API_TOO_LARGE,
     SKIP_API_UNPARSEABLE,
+    SKIP_IRREGULAR_MANIFEST,
     build_probe_matrix,
     classify_case,
     classify_failure,
@@ -71,11 +72,11 @@ def _load(auth: dict, paths: dict):
 
 def test_matrix_no_auth_two_gets():
     manifest, api = _load({"type": "none"}, {"/a": _GET, "/b": _GET})
-    matrix = build_probe_matrix(manifest, api, plugin_id="p")
-    assert len(matrix.requests) == 2
-    assert all(r.token_variant == NO_TOKEN for r in matrix.requests)
-    assert [r.full_url for r in matrix.requests] == ["https://p.example/api/a", "https://p.example/api/b"]
-    assert all(r.token_value is None for r in matrix.requests)
+    requests = build_probe_matrix(manifest, api)
+    assert len(requests) == 2
+    assert all(r.token_variant == NO_TOKEN for r in requests)
+    assert [r.full_url for r in requests] == ["https://p.example/api/a", "https://p.example/api/b"]
+    assert all(r.token_value is None for r in requests)
 
 
 def test_matrix_with_leaked_token_three_variants():
@@ -83,27 +84,27 @@ def test_matrix_with_leaked_token_three_variants():
         {"type": "service_http", "verification_tokens": {"openai": "abc"}},
         {"/search": {"post": {"requestBody": {"content": {"application/json": {"schema": {"type": "object", "properties": {"query": {"type": "string"}}}}}}, "responses": {}}}},
     )
-    matrix = build_probe_matrix(manifest, api, plugin_id="p")
-    variants = [r.token_variant for r in matrix.requests]
+    requests = build_probe_matrix(manifest, api)
+    variants = [r.token_variant for r in requests]
     assert variants == [NO_TOKEN, LEAKED_TOKEN, FABRICATED_TOKEN]
-    leaked = matrix.requests[1]
+    leaked = requests[1]
     assert leaked.token_value == "abc"
-    assert matrix.requests[2].token_value == FABRICATED_TOKEN_VALUE
-    assert json.loads(matrix.requests[0].body) == {"query": "test"}
-    assert all(r.token_value for r in matrix.requests if r.token_variant != NO_TOKEN)
-    assert all(r.token_value is None for r in matrix.requests if r.token_variant == NO_TOKEN)
+    assert requests[2].token_value == FABRICATED_TOKEN_VALUE
+    assert json.loads(requests[0].body) == {"query": "test"}
+    assert all(r.token_value for r in requests if r.token_variant != NO_TOKEN)
+    assert all(r.token_value is None for r in requests if r.token_variant == NO_TOKEN)
 
 
 def test_matrix_oauth_without_tokens_gets_no_leaked_variant():
     manifest, api = _load({"type": "oauth", "authorization_url": "https://p.example/o"}, {"/a": _GET})
-    matrix = build_probe_matrix(manifest, api, plugin_id="p")
-    assert [r.token_variant for r in matrix.requests] == [NO_TOKEN, FABRICATED_TOKEN]
+    requests = build_probe_matrix(manifest, api)
+    assert [r.token_variant for r in requests] == [NO_TOKEN, FABRICATED_TOKEN]
 
 
 def test_no_token_request_never_carries_authorization_header():
     manifest, api = _load({"type": "service_http", "verification_tokens": {"openai": "abc"}}, {"/a": _GET})
-    matrix = build_probe_matrix(manifest, api, plugin_id="p")
-    for request in matrix.requests:
+    requests = build_probe_matrix(manifest, api)
+    for request in requests:
         headers = request.headers()
         if request.token_variant == NO_TOKEN:
             assert "Authorization" not in headers
@@ -145,6 +146,41 @@ def test_evaluate_outcome_rules():
     assert evaluate_outcome(_response(200, b"[1, 2]"), _SCHEMA_ENDPOINT) is False
     # Nested past the recursion limit: unreadable, so not valid data.
     assert evaluate_outcome(_response(200, b"[" * 1000), _PLAIN_ENDPOINT) is False
+
+
+@pytest.mark.parametrize(
+    "declared,body,valid",
+    [
+        ("array", b"[1]", True),
+        ("array", b'{"a": 1}', False),
+        ("string", b'"x"', True),
+        ("string", b"[]", False),
+        ("number", b"1.5", True),
+        ("number", b"true", False),
+        ("integer", b"3", True),
+        ("integer", b'"3"', False),
+        ("boolean", b"false", True),
+        ("boolean", b"0", False),
+    ],
+)
+def test_evaluate_outcome_top_level_shape_per_declared_type(declared, body, valid):
+    # JSON true loads as a bool, which Python counts as an int; it is not a number.
+    endpoint = Endpoint(path="/a", method="GET", response_schema={"type": declared})
+    assert evaluate_outcome(_response(200, body), endpoint) is valid
+
+
+class _NoFetch:
+    def fetch(self, url, **kwargs):
+        raise AssertionError(f"irregular manifest fetched {url}")
+
+
+def test_unknown_auth_type_is_flagged_and_skipped_before_any_fetch():
+    manifest = parse_manifest(_manifest({"type": "kerberos", "verification_tokens": {"openai": "abc"}}))
+    assert manifest.flags == (FLAG_UNKNOWN_AUTH,)
+    assert manifest.auth.auth_type == "none"
+    assert manifest.auth.verification_tokens == {}
+    result, skip, transcript = probe_plugin("p", manifest, _NoFetch())
+    assert (result, skip, transcript) == (None, f"{SKIP_IRREGULAR_MANIFEST}: {FLAG_UNKNOWN_AUTH}", [])
 
 
 # The five-case table over all eight (Tr, Tv, O) triples.
