@@ -42,7 +42,7 @@ def _read_json(path: Path) -> object:
         raise ArtifactError(f"missing input file: {path}") from exc
     except OSError as exc:
         raise ArtifactError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise ArtifactError(f"unparseable JSON in {path}: {exc}") from exc
 
 

@@ -133,7 +133,7 @@ def cmd_ingest(args) -> int:
     if not source.is_file():
         print(f"error: index file not found: {source}", file=sys.stderr)
         return EXIT_STAGE_ERROR
-    with source.open("r", encoding="utf-8") as handle:
+    with source.open("rb") as handle:
         corpus = corpus_mod.ingest_index(handle, args.label)
     corpus_mod.save_corpus(corpus, args.out)
     print(f"ingested {len(corpus)} plugins ({len(corpus.ingest_errors)} malformed entries skipped) -> {args.out}")
@@ -263,7 +263,7 @@ def cmd_run_all(args) -> int:
 
     try:
         cache = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         cache = {}
     if not isinstance(cache, dict):
         cache = {}

@@ -54,7 +54,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {config_path}") from exc
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")

@@ -156,20 +156,16 @@ def detect_shared_manifests(manifests: dict[str, ManifestDocument]) -> list[Cons
     return findings
 
 
-def detect_rank_gaming(
-    names: list[tuple[str, str]],
-    prefix_lexicon: tuple[str, ...] = DEFAULT_PREFIX_LEXICON,
-) -> list[ConsistencyFinding]:
+def detect_rank_gaming(names: list[tuple[str, str]]) -> list[ConsistencyFinding]:
     """Flag store names that are another plugin's name behind a meaningless
     leading quantifier ("A Digital Pet" next to "Digital Pet")."""
-    lexicon = {p.casefold() for p in prefix_lexicon}
     by_normalized: dict[str, list[str]] = {}
     for plugin_id, name in names:
         by_normalized.setdefault(normalize_text(name), []).append(plugin_id)
 
     def is_prefix_token(token: str) -> bool:
         folded = token.casefold()
-        return folded in lexicon or (len(folded) <= 3 and set(folded) == {"a"})
+        return folded in DEFAULT_PREFIX_LEXICON or (len(folded) <= 3 and set(folded) == {"a"})
 
     findings: list[ConsistencyFinding] = []
     for plugin_id, name in names:
@@ -201,22 +197,15 @@ def aggregate_discrepancies(findings: list[ConsistencyFinding], corpus: Corpus) 
     return per_developer
 
 
-def analyze_consistency(
-    corpus: Corpus,
-    manifests: dict[str, ManifestDocument],
-    prefix_lexicon: tuple[str, ...] = DEFAULT_PREFIX_LEXICON,
-) -> list[ConsistencyFinding]:
+def analyze_consistency(corpus: Corpus, manifests: dict[str, ManifestDocument]) -> list[ConsistencyFinding]:
     """Full Layer-3 pass over every plugin with a discovered manifest."""
     records = corpus.by_id()
     findings: list[ConsistencyFinding] = []
     for plugin_id in sorted(manifests):
-        record = records.get(plugin_id)
-        if record is None:
-            continue
-        findings.extend(detect_inconsistencies(record, manifests[plugin_id]))
+        findings.extend(detect_inconsistencies(records[plugin_id], manifests[plugin_id]))
     findings.extend(detect_shared_manifests(manifests))
     store_names = [(r.plugin_id, r.store_title) for r in corpus.records]
-    findings.extend(detect_rank_gaming(store_names, prefix_lexicon))
+    findings.extend(detect_rank_gaming(store_names))
     return findings
 
 
@@ -226,10 +215,7 @@ def count_strict_only(corpus: Corpus, manifests: dict[str, ManifestDocument]) ->
     records = corpus.by_id()
     strict_only = 0
     for plugin_id in sorted(manifests):
-        record = records.get(plugin_id)
-        if record is None:
-            continue
-        manifest = manifests[plugin_id]
+        record, manifest = records[plugin_id], manifests[plugin_id]
         pairs = [(record.store_title, manifest.name_for_human)]
         if record.store_description and manifest.description_for_human:
             pairs.append((record.store_description, manifest.description_for_human))

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 from .urlnorm import host_of, registrable_domain
 
@@ -88,12 +88,12 @@ def _record_from_entry(entry: dict) -> PluginRecord:
     )
 
 
-def ingest_index(source: Iterable[str] | IO[str], label: str) -> Corpus:
+def ingest_index(source: Iterable[str] | Iterable[bytes], label: str) -> Corpus:
     """Ingest an NDJSON index stream into a deduplicated, ordered corpus.
 
-    Malformed lines are skipped and recorded in ingest_errors; ingestion
-    never aborts. Duplicate (title, legal_info_url) entries keep the first
-    occurrence.
+    Malformed lines, a line of bytes that is not UTF-8 among them, are
+    skipped and recorded in ingest_errors; ingestion never aborts.
+    Duplicate (title, legal_info_url) entries keep the first occurrence.
     """
     seen: dict[str, PluginRecord] = {}
     errors: list[IngestError] = []
@@ -106,7 +106,7 @@ def ingest_index(source: Iterable[str] | IO[str], label: str) -> Corpus:
             if not isinstance(entry, dict):
                 raise ValueError("entry is not a JSON object")
             record = _record_from_entry(entry)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
             errors.append(IngestError(line_no=line_no, reason=str(exc)))
             continue
         seen.setdefault(record.plugin_id, record)
@@ -136,7 +136,9 @@ def load_corpus(path: str | Path) -> Corpus:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise CorpusError(f"corpus file not found: {path}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise CorpusError(f"corpus file {path} is not valid JSON (expected schema v{SCHEMA_VERSION}): {exc}") from exc
     if not isinstance(doc, dict) or "records" not in doc:
         raise CorpusError(f"corpus file {path} has no records (expected schema v{SCHEMA_VERSION})")

@@ -135,10 +135,10 @@ class _Response(NamedTuple):
     fields: list[tuple[str, str]]  # header fields in arrival order
     body: bytes                    # at most BODY_PREFIX_LIMIT + 1 bytes
 
-    def header(self, name: str, default: str | None = None) -> str | None:
-        """Every value of one field (name in lower case) joined by ", "."""
+    def header(self, name: str) -> str | None:
+        """Every value of one field (name in lower case) joined by ", ", or None."""
         values = [value for key, value in self.fields if key.lower() == name]
-        return ", ".join(values) if values else default
+        return ", ".join(values) if values else None
 
 
 class _Connection:
@@ -571,8 +571,6 @@ class Fetcher:
 
     def map_concurrent(self, func, items):
         """Run func over items with the configured global concurrency cap."""
-        if not items:
-            return []
         try:
             with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
                 return list(pool.map(func, items))

@@ -111,7 +111,7 @@ def load_plan(path: str | Path) -> FixturePlan:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise PlanError(f"cannot read plan file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise PlanError(f"plan file {path}: not valid JSON: {exc}") from exc
     try:
         plan = _from_doc(FixturePlan, doc, "the plan")

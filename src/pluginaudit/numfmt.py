@@ -16,12 +16,10 @@ def render_pct(value: float, decimals: int = 1) -> str:
 
 
 def render_ratio_pct(numerator: int, denominator: int, decimals: int = 1) -> str:
-    if denominator == 0:
-        return "n/a"
     return render_pct(100.0 * numerator / denominator, decimals)
 
 
-def render_change_pct(before: int, after: int, decimals: int = 1) -> str:
+def render_change_pct(before: int, after: int) -> str:
     if before == 0:
         return "n/a"
-    return render_pct((after - before) / before * 100.0, decimals)
+    return render_pct((after - before) / before * 100.0)

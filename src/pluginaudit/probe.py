@@ -80,8 +80,8 @@ class ProbeRequest:
     token_value: str | None = None
     body: bytes | None = None
 
-    def headers(self, extra: dict[str, str] | None = None) -> dict[str, str]:
-        headers = dict(extra or {})
+    def headers(self) -> dict[str, str]:
+        headers: dict[str, str] = {}
         if self.token_variant != NO_TOKEN and self.token_value is not None:
             headers["Authorization"] = f"Bearer {self.token_value}"
         if self.body is not None:
@@ -157,8 +157,6 @@ def build_probe_matrix(manifest: ManifestDocument, api: OpenApiDescription) -> l
     always; a leaked-token request iff the manifest exposes a verification
     token; a fabricated-token request iff the API declares authentication.
     GET/DELETE carry no body; POST/PUT get a synthesized example body."""
-    if not api.endpoints:
-        raise ValueError("API description has no endpoints")
     base = api.servers[0].rstrip("/")
     leaked = leaked_token(manifest)
 
@@ -239,15 +237,10 @@ def classify_case(t_r: int, t_v: int, o: int) -> str:
     return CASE4 if o == 1 else CASE5
 
 
-def classify_plugin_case(outcomes: list[ProbeOutcome] | list[str]) -> str:
-    """Most severe per-request case; invariant under outcome order."""
-    if not outcomes:
-        raise ValueError("classify_plugin_case needs at least one outcome")
-    cases = {o if isinstance(o, str) else o.case for o in outcomes}
-    for case in CASE_SEVERITY:
-        if case in cases:
-            return case
-    raise ValueError(f"unknown cases: {cases}")
+def classify_plugin_case(cases: list[str]) -> str:
+    """Most severe per-request case; invariant under order. No case, or an
+    unknown one, raises ValueError."""
+    return min(set(cases), key=CASE_SEVERITY.index)
 
 
 def classify_failure(status: int, headers: dict[str, str], body_prefix: str) -> tuple[str, bool]:
@@ -359,7 +352,7 @@ def probe_plugin(
             )
         )
 
-    plugin_case = classify_plugin_case(outcomes)
+    plugin_case = classify_plugin_case([o.case for o in outcomes])
     causes = sorted({o.failure_cause for o in outcomes if not o.valid_data and o.failure_cause != CAUSE_NONE})
     result = PluginProbeResult(
         plugin_id=plugin_id,

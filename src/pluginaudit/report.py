@@ -72,10 +72,6 @@ class AuditReport:
     doc: dict
 
     @property
-    def snapshot_label(self) -> str:
-        return self.doc["snapshot_label"]
-
-    @property
     def metrics(self) -> dict[str, int]:
         return self.doc["metrics"]
 
@@ -298,7 +294,7 @@ def load_report(path) -> AuditReport:
     """Read a report for diffing; it must carry integer `metrics`."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise ReportError(f"cannot read report {path}: {exc}") from exc
     metrics = doc.get("metrics") if isinstance(doc, dict) and doc.get("schema_version") == REPORT_SCHEMA_VERSION else None
     if not isinstance(metrics, dict) or not all(type(value) is int for value in metrics.values()):

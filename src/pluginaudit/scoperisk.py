@@ -17,6 +17,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from .numfmt import render_ratio_pct
+from .urlnorm import is_absolute_http
 
 CATEGORY_GLOBAL_ACCESS = "global_access"
 CATEGORY_READ_WRITE = "read_write"
@@ -99,16 +100,13 @@ class TfidfVector:
 def tokenize_scope(raw: str) -> list[str]:
     """Lowercased tokens of a scope string.
 
-    Split on whitespace, "+" and ","; URL pieces contribute their host and
-    last path segment; other pieces additionally split on "/". Duplicates
-    are preserved for term frequency.
+    Split on whitespace, "+" and ","; a piece that is an absolute http(s)
+    URL contributes its host and last path segment; other pieces
+    additionally split on "/". Duplicates are preserved for term frequency.
     """
     tokens: list[str] = []
     for piece in raw.split():
-        piece = piece.strip()
-        if not piece:
-            continue
-        if piece.startswith(("http://", "https://")):
+        if piece.startswith(("http://", "https://")) and is_absolute_http(piece):
             parts = urlsplit(piece)
             if parts.hostname:
                 tokens.append(parts.hostname.lower())
@@ -156,8 +154,6 @@ class VectorContext:
 
 def tfidf_vectorize(docs: list[ScopeDocument]) -> list[TfidfVector]:
     """Vectorize a scope corpus (fit + transform in one pass)."""
-    if not docs:
-        raise ValueError("tfidf_vectorize needs at least one document")
     context = VectorContext([d.tokens for d in docs])
     return [context.vectorize_tokens(d.tokens) for d in docs]
 
@@ -236,7 +232,7 @@ def load_seed_lexicon(path) -> dict[str, tuple[str, ...]]:
     """Seed lexicon from a JSON config: {category: [seed strings]}."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise LexiconError(f"cannot read seed lexicon {path}: {exc}") from exc
     if not isinstance(doc, dict) or not all(isinstance(seeds, list) for seeds in doc.values()):
         raise LexiconError(f"seed lexicon {path} must be a JSON object of category -> seed list")

@@ -18,14 +18,12 @@ _TWO_LEVEL_SUFFIXES = {
 def registrable_domain(host: str) -> str:
     """Registrable domain of a host: "chat.openai.com" -> "openai.com".
 
-    IP literals and single-label hosts are returned unchanged. Ports are
-    stripped. Always lowercase.
+    IP literals and single-label hosts are returned unchanged. Always
+    lowercase.
     """
     host = host.lower().rstrip(".")
-    if ":" in host:
-        host = host.split(":", 1)[0]
     labels = host.split(".")
-    if len(labels) <= 2 or all(p.isdigit() for p in labels):
+    if len(labels) <= 2 or ":" in host or all(p.isdigit() for p in labels):
         return host
     if ".".join(labels[-2:]) in _TWO_LEVEL_SUFFIXES:
         return ".".join(labels[-3:])
@@ -43,7 +41,10 @@ def origin_of(url: str) -> str:
 
 
 def is_absolute_http(url: str) -> bool:
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # cannot be split, e.g. an unclosed "[" in the host
+        return False
     return parts.scheme in ("http", "https") and bool(parts.netloc)
 
 
@@ -59,9 +60,10 @@ def normalize_url_loose(url: str) -> str:
     "http://a.io/legal/" and "https://a.io/legal" compare equal.
     """
     url = url.strip()
-    if not url:
-        return ""
-    parts = urlsplit(url if "//" in url else "//" + url)
+    try:
+        parts = urlsplit(url if "//" in url else "//" + url)
+    except ValueError:  # cannot be split: compare the text itself
+        return url.lower()
     host = (parts.hostname or "").lower()
     path = parts.path.rstrip("/")
     query = f"?{parts.query}" if parts.query else ""

@@ -261,3 +261,15 @@ def test_report_rejects_verdicts_of_another_snapshot(paper_run, revisit_run, tmp
     assert cli.main(_report_argv(tmp_path, paths)) == 1
     err = capsys.readouterr().err
     assert f"malformed artifact {paths['verdicts']}" in err and "1032 corpus plugins, 705 without a verdict" in err
+
+
+@pytest.mark.parametrize("content, message", [(None, "cannot read"), ("[" * 100000, "unparseable JSON")], ids=["directory", "nested-too-deeply"])
+def test_reader_reports_a_file_it_cannot_read_or_parse(tmp_path, content, message):
+    path = tmp_path / "verdicts.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    with pytest.raises(ArtifactError, match=message) as raised:
+        read_verdicts(path, [])
+    assert str(path) in str(raised.value)

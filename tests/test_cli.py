@@ -25,6 +25,50 @@ def test_ingest_missing_input_fails(tmp_path):
     assert cli.main(["ingest", "--input", str(tmp_path / "nope"), "--label", "t", "--out", str(tmp_path / "c")]) == 1
 
 
+def test_ingest_records_an_undecodable_line_and_goes_on(tmp_path, capsys):
+    index = tmp_path / "index.ndjson"
+    index.write_bytes(b'{"title": "A"}\n{"title": "caf\xe9"}\n\n[1]\n' + b"[" * 100000 + b'\n{"title": "B"}\n')
+    out = tmp_path / "corpus.json"
+    assert cli.main(["ingest", "--input", str(index), "--label", "t", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(record["store_title"] for record in doc["records"]) == ["A", "B"]
+    undecodable, not_an_object, too_deep = doc["ingest_errors"]
+    assert undecodable["line_no"] == 2 and undecodable["reason"].startswith("'utf-8' codec can't decode byte 0xe9")
+    assert not_an_object == {"line_no": 4, "reason": "entry is not a JSON object"}
+    assert too_deep["line_no"] == 5 and "recursion" in too_deep["reason"]
+    assert "ingested 2 plugins (3 malformed entries skipped)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "config file not found"),
+        ("directory", "cannot read config file"),
+        (b'{"retries": "\xff"}', "is not valid JSON"),
+        (b"{retries: 1}", "is not valid JSON"),
+        (b"[" * 100000, "is not valid JSON"),
+        (b"[1]", "must hold a JSON object"),
+    ],
+    ids=["missing", "directory", "not-utf-8", "not-json", "nested-too-deeply", "not-an-object"],
+)
+def test_config_file_that_cannot_be_used_exits_2(tmp_path, capsys, content, message):
+    config = tmp_path / "cfg.json"
+    if content == "directory":
+        config.mkdir()
+    elif content is not None:
+        config.write_bytes(content)
+    rc = cli.main(["run-all", "--corpus", str(tmp_path / "c.json"), "--out-dir", str(tmp_path / "o"), "--config", str(config)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and str(config) in err
+
+
+def test_run_all_on_a_corpus_directory_exits_1(tmp_path, capsys):
+    rc = cli.main(["run-all", "--corpus", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error in stage run-all: cannot read corpus file {tmp_path}")
+
+
 def test_run_all_unreadable_corpus_exits_1(tmp_path):
     rc = cli.main(["run-all", "--corpus", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path / "out")])
     assert rc == 1
@@ -79,6 +123,32 @@ def test_gen_plan_and_serve_port_conflict(tmp_path):
         assert rc == 1
     finally:
         server.stop()
+
+
+def test_gen_plan_writes_the_plan_and_its_index(tmp_path, capsys):
+    plan_path, index_path = tmp_path / "plan.json", tmp_path / "index.ndjson"
+    argv = ["gen-plan", "--profile", "revisit", "--seed", "3", "--out", str(plan_path), "--index-out", str(index_path)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"plan (revisit, seed 3) -> {plan_path}; index -> {index_path}\n"
+    assert index_path.read_text() == fixture_mod.index_ndjson(fixture_mod.load_plan(plan_path))
+
+
+def test_serve_fixtures_prints_its_url_and_stops_on_ctrl_c(tmp_path, capsys, monkeypatch):
+    plan_path = tmp_path / "plan.json"
+    fixture_mod.save_plan(FixturePlan(profile="empty", seed=0, index=[{"title": "T"}]), plan_path)
+    real_wait, served = fixture_mod.FixtureServer.wait, []
+
+    def interrupted(server):
+        served.append(server)
+        server.httpd.shutdown()  # the serving thread ends, so the real wait returns
+        real_wait(server)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fixture_mod.FixtureServer, "wait", interrupted)
+    assert cli.main(["serve-fixtures", "--plan", str(plan_path)]) == 0
+    (server,) = served
+    assert capsys.readouterr().out == f"fixture store serving 1 plugins at {server.base_url} (Ctrl-C to stop)\n"
+    assert server.httpd.socket.fileno() == -1  # stopped: the listening socket is closed
 
 
 def test_serve_fixtures_on_bad_plan_exits_1(tmp_path, capsys):
@@ -364,6 +434,13 @@ def test_run_all_cached_reprobes_after_a_probe_rewrote_outcomes(small_store, tmp
     assert (out_dir / "report.json").read_bytes() == fresh_report
 
 
+def test_run_all_treats_a_cache_nested_too_deeply_as_empty(small_store, tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "cache.json").write_text("[" * 100000)
+    assert cli.main(small_store + ["--cached"]) == 0
+    assert sorted(json.loads((tmp_path / "out" / "cache.json").read_text())) == ["discover", "probe"]
+
+
 def test_run_all_treats_a_non_object_cache_as_empty(small_store, tmp_path):
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "cache.json").write_text("[]")
@@ -378,8 +455,9 @@ def test_run_all_treats_a_non_object_cache_as_empty(small_store, tmp_path):
         ("{bad", "cannot read seed lexicon"),
         ('{"identity_email": ["mail"], "nope": ["x"]}', "unknown scope categories in lexicon"),
         ('{"identity_email": "mail"}', "seed lexicon"),
+        ("[" * 100000, "cannot read seed lexicon"),
     ],
-    ids=["missing", "not-json", "unknown-category", "seeds-not-a-list"],
+    ids=["missing", "not-json", "unknown-category", "seeds-not-a-list", "nested-too-deeply"],
 )
 def test_scopes_bad_seed_lexicon_exits_1(tmp_path, capsys, lexicon, message):
     corpus_doc = {"schema_version": 1, "snapshot_label": "x", "created_at": "now", "records": [], "ingest_errors": []}
@@ -402,3 +480,61 @@ def test_scopes_bad_seed_lexicon_exits_1(tmp_path, capsys, lexicon, message):
     assert err.startswith(f"error in stage scopes: {message}")
     assert str(lexicon_path) in err
     assert not (tmp_path / "scopes.json").exists()
+
+
+def _stage_inputs(tmp_path, manifests: dict[str, bytes]) -> list[str]:
+    """A corpus of the given plugin ids and their manifest files, as the
+    --corpus and --manifests arguments of a single-stage command."""
+    records = [{"plugin_id": pid, "store_title": pid, "name_for_human_store": pid} for pid in manifests]
+    (tmp_path / "corpus.json").write_text(json.dumps({"schema_version": 1, "snapshot_label": "x", "records": records}))
+    (tmp_path / "manifests").mkdir()
+    for plugin_id, body in manifests.items():
+        (tmp_path / "manifests" / f"{plugin_id}.json").write_bytes(body)
+    return ["--corpus", str(tmp_path / "corpus.json"), "--manifests", str(tmp_path / "manifests")]
+
+
+def test_probe_no_redact_keeps_the_token_and_an_unparseable_manifest_is_skipped(tmp_path):
+    bearer = json.dumps({
+        "name_for_human": "B",
+        "name_for_model": "b",
+        "description_for_model": "d",
+        "auth": {"type": "service_http", "verification_tokens": {"openai": "vt-1"}},
+        "api": {"type": "openapi", "url": "https://b.example/openapi.json"},
+    }).encode()
+    inputs = _stage_inputs(tmp_path, {"p1": b"{", "p2": bearer})
+    site = FixtureSite(host="b.example")
+    site.openapi = {"openapi": "3.0.1", "servers": [{"url": "https://b.example/api"}], "paths": {"/a": {"get": {}}}}
+    site.endpoints = [fixture_mod.FixtureEndpoint(path="/api/a", method="GET", required_token="vt-1")]
+    plan = FixturePlan(profile="bearer", seed=0)
+    plan.sites["b.example"] = site
+    server = serve_fixtures(plan, 0)
+    try:
+        argv = ["probe", *inputs, "--out", str(tmp_path / "outcomes.json"), "--no-redact", "--base-url", server.base_url]
+        assert cli.main(argv + ["--per-host-delay-ms", "0", "--retries", "0"]) == 0
+    finally:
+        server.stop()
+    doc = json.loads((tmp_path / "outcomes.json").read_text())
+    assert list(doc["skipped"]) == ["p1"] and doc["skipped"]["p1"].startswith("irregular_manifest: syntax: ")
+    sent = [(entry["token_variant"], entry["headers"].get("Authorization"), entry["status"]) for entry in doc["transcript"]]
+    assert sent == [("no_token", None, 401), ("leaked_token", "Bearer vt-1", 200), ("fabricated_token", "Bearer invalid-token-0000", 401)]
+
+
+def _oauth_manifest(scope: str) -> bytes:
+    return json.dumps({
+        "name_for_human": "O",
+        "name_for_model": "o",
+        "description_for_model": "d",
+        "auth": {"type": "oauth", "authorization_url": "https://o.example/auth", "scope": scope},
+        "api": {"type": "openapi", "url": "https://o.example/openapi.json"},
+    }).encode()
+
+
+def test_scopes_with_a_seed_lexicon_that_names_unspecified(tmp_path):
+    # A scope nearest to the lexicon's own "unspecified" seeds is unspecified.
+    inputs = _stage_inputs(tmp_path, {"p1": _oauth_manifest("mystery box"), "p2": _oauth_manifest("email")})
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps({"unspecified": ["mystery"], "identity_email": ["email"]}))
+    argv = ["scopes", *inputs, "--out", str(tmp_path / "scopes.json"), "--seed-lexicon", str(lexicon)]
+    assert cli.main(argv) == 0
+    doc = json.loads((tmp_path / "scopes.json").read_text())
+    assert doc["assignments"] == [["p1", "unspecified"], ["p2", "identity_email"]]

@@ -20,6 +20,7 @@ from pluginaudit.consistency import (
 )
 from pluginaudit.corpus import Corpus, PluginRecord
 from pluginaudit.manifest import ParseError, parse_manifest
+from pluginaudit.urlnorm import normalize_url_loose
 
 
 def _record(pid="p1", title="Digital Pet", legal="https://a.io/legal", description=None, developer="a.io"):
@@ -82,6 +83,10 @@ def test_model_name_with_spaces_removed_not_flagged():
     assert findings == []
 
 
+def test_model_name_equal_to_the_human_name_not_flagged():
+    assert detect_inconsistencies(_record(), _manifest(model="digital  PET")) == []
+
+
 def test_model_name_divergence_flagged():
     findings = detect_inconsistencies(_record(), _manifest(model="PetBot3000"))
     assert [f.kind for f in findings] == [KIND_INCONSISTENT_NAME]
@@ -101,6 +106,14 @@ def test_legal_url_normalization_suppresses_trivial_mismatch():
     assert detect_inconsistencies(record, _manifest(legal="http://a.io/legal/")) == []
     findings = detect_inconsistencies(record, _manifest(legal="https://a.io/terms"))
     assert [f.kind for f in findings] == [KIND_MISMATCHED_LEGAL_URL]
+    findings = detect_inconsistencies(record, _manifest(legal="https://[::1/legal"))  # cannot be split
+    assert [f.kind for f in findings] == [KIND_MISMATCHED_LEGAL_URL]
+
+
+def test_loose_url_form_of_blank_and_schemeless_urls():
+    assert normalize_url_loose("") == normalize_url_loose("  ") == ""
+    assert normalize_url_loose("A.io/legal/") == normalize_url_loose("https://a.io/legal") == "a.io/legal"
+    assert normalize_url_loose(" HTTPS://[::1/Legal ") == "https://[::1/legal"
 
 
 def test_shared_manifest_group_of_17():

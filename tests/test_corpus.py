@@ -80,6 +80,18 @@ def test_record_fields_and_flags():
     assert no_legal.developer_domain is None
 
 
+def test_developer_domain_of_an_ip_literal_is_the_address():
+    hosts = {
+        "[2001:db8::1]": "2001:db8::1",
+        "[2001:db8::2]:8443": "2001:db8::2",
+        "[::1]": "::1",
+        "[::ffff:192.0.2.1]": "::ffff:192.0.2.1",
+        "192.0.2.7:80": "192.0.2.7",
+    }
+    corpus = ingest_index(_lines(*(_entry(host, f"http://{host}/legal") for host in hosts)), "ip")
+    assert {r.store_title: r.developer_domain for r in corpus.records} == hosts
+
+
 def test_ingest_idempotent_and_order_independent():
     entries = [_entry(f"P {i}", f"https://p{i}.example/legal") for i in range(50)]
     first = ingest_index(_lines(*entries), "x")
@@ -122,6 +134,8 @@ def _record_doc(**fields) -> str:
     "text, message",
     [
         ('{"schema_version": 1, "records": [', "not valid JSON"),
+        ("[" * 100000, "not valid JSON"),
+        ('{"schema_version": 1}', "has no records"),
         ('{"schema_version": 1, "records": {"plugin_id": "x"}}', "records is not a list"),
         ('{"schema_version": 1, "records": ["x"]}', "record 0 is not an object"),
         (
@@ -147,7 +161,7 @@ def _record_doc(**fields) -> str:
         (_record_doc(flags=None), "record 0: 'flags' is not a list of strings"),
     ],
     ids=[
-        "truncated", "records-not-a-list", "record-not-an-object", "record-without-plugin-id", "bad-ingest-error",
+        "truncated", "nested-too-deeply", "no-records", "records-not-a-list", "record-not-an-object", "record-without-plugin-id", "bad-ingest-error",
         "repeated-plugin-id",
         "int-plugin-id", "null-store-title", "list-name", "int-legal-url", "object-logo-url", "float-description",
         "bool-developer-domain", "string-flags", "int-flag", "null-flags",
@@ -175,3 +189,9 @@ def test_load_future_schema_version_rejected(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(CorpusError, match="not found"):
         load_corpus(tmp_path / "nope.json")
+
+
+def test_load_directory_raises_corpus_error(tmp_path):
+    with pytest.raises(CorpusError, match="cannot read corpus file") as raised:
+        load_corpus(tmp_path)
+    assert str(tmp_path) in str(raised.value)

@@ -79,7 +79,7 @@ def test_generation_is_deterministic():
 
 
 def test_relative_seed_rejected():
-    for bad in ("/legal", "a.io/legal", "ftp://a.io/legal", ""):
+    for bad in ("/legal", "a.io/legal", "ftp://a.io/legal", "", "https://[::1/legal"):
         with pytest.raises(InvalidSeed):
             generate_candidates(bad)
 

@@ -5,16 +5,28 @@ import http.client
 import io
 import select
 import socket
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from unittest import mock
 from urllib.parse import urljoin, urlsplit
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pluginaudit.fetch import _RECV_SIZE, _TRANSPORT_ERRORS, BODY_PREFIX_LIMIT, MAX_REDIRECTS, Fetcher, Hop, next_hop
+from pluginaudit.fetch import (
+    _RECV_SIZE,
+    _TRANSPORT_ERRORS,
+    BODY_PREFIX_LIMIT,
+    CONNECTIONS_PER_THREAD,
+    MAX_REDIRECTS,
+    Fetcher,
+    Hop,
+    _Connection,
+    next_hop,
+)
 from pluginaudit.fixture import FixtureEndpoint, FixturePlan, FixtureSite, serve_fixtures
 
 
@@ -270,8 +282,12 @@ def test_unsendable_urls_and_headers_are_quoted_or_transport_errors(origin):
         ("/ok", {"Authorization": "Bearer a\r\nb"}, "ValueError"),
         ("ftp://files.example/x", {}, "InvalidURL"),
         ("http://127.0.0.1:port/x", {}, "ValueError"),
+        ("http:///x", {}, "InvalidURL: no host in ''"),
+        ("http://:80/x", {}, "InvalidURL: no host in ':80'"),
+        ("http://a\x01b.example/x", {}, "InvalidURL: URL can't contain control characters. 'a\\x01b.example' (found at least '\\x01')"),
+        ("http://a b.example/x", {}, "InvalidURL: URL can't contain control characters. 'a b.example' (found at least ' ')"),
     ],
-    ids=["newline-in-header", "unsupported-scheme", "non-numeric-port"],
+    ids=["newline-in-header", "unsupported-scheme", "non-numeric-port", "no-host", "port-only", "control-character", "space"],
 )
 def test_unsendable_request_ends_the_fetch_on_its_first_attempt(origin, url, headers, error):
     server, fetcher = origin  # retries=2
@@ -528,6 +544,12 @@ _EXCHANGES = {
         "GET", b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 1\r\nContent-Length: 2\r\n\r\n{}", False, True,
     ),
     "bare-lf": ("GET", b"HTTP/1.1 200 OK\nContent-Length: 2\nContent-Type: a/b\n\nok", False, True),
+    "line-without-colon": (
+        "GET", b"HTTP/1.1 200 OK\r\nX-A: 1\r\nNo colon\r\nContent-Length: 2\r\n\r\nuntil close", True, False,
+    ),
+    "nameless-field": (
+        "GET", b"HTTP/1.1 200 OK\r\n: v\r\n folded\r\nX-A: 1\r\nContent-Length: 2\r\n\r\nok", False, True,
+    ),
 }
 
 
@@ -770,6 +792,8 @@ def _http_client_parses(data: bytes) -> bool:
     long_line=st.sampled_from([None, 65535, 65536, 65537, 70000]),
     in_trailer=st.booleans(),
 )
+@example(lines=99, long_line=None, in_trailer=False)
+@example(lines=100, long_line=None, in_trailer=False)
 def test_header_and_trailer_limits(lines, long_line, in_trailer):
     block = [b"X-%d: v\r\n" % i for i in range(lines)]
     if long_line is not None:
@@ -828,3 +852,166 @@ def test_bytes_past_a_framed_body_are_never_the_next_response(framed, extra, lat
         fetcher.close()
         for sock in (first, first_origin, second, second_origin):
             sock.close()
+
+
+# --- Deterministic transport cases ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "status_line, error",
+    [
+        (b"", "RemoteDisconnected: Remote end closed connection without response"),
+        (b"garbage\r\n", "BadStatusLine: garbage\r\n"),
+        (b"HTTP/1.1 2x0 OK\r\n", "BadStatusLine: HTTP/1.1 2x0 OK\r\n"),
+        (b"HTTP/1.1 99 Low\r\n", "BadStatusLine: HTTP/1.1 99 Low\r\n"),
+        (b"HTTP/1.1 1000 High\r\n", "BadStatusLine: HTTP/1.1 1000 High\r\n"),
+        (b"HTTP/2 200\r\n", "UnknownProtocol: HTTP/2"),
+    ],
+    ids=["closed", "not-http", "not-a-number", "below-100", "above-999", "http-2"],
+)
+def test_bad_status_line_is_a_transport_error(status_line, error):
+    sock = _FakeSocket(status_line + (b"Content-Length: 0\r\n\r\n" if status_line else b""))
+    result, _ = _fetch_over(sock)
+    assert (result.status, result.error, sock.closed) == (0, error, True)
+
+
+@pytest.mark.parametrize(
+    "body", [b"a\r\nshort", b"5\r\nhello", b"5\r\nhello\r"], ids=["data-cut-short", "no-line-break", "half-line-break"]
+)
+def test_chunk_cut_short_is_an_incomplete_read(body):
+    result, _ = _fetch_over(_FakeSocket(_OK_CHUNKED + body))
+    assert (result.status, result.error) == (0, "IncompleteRead: IncompleteRead(5 bytes read)")
+
+
+@pytest.mark.parametrize("interim", [99, 100])
+def test_at_most_99_interim_responses_precede_the_final_one(interim):
+    data = b"HTTP/1.1 100 Continue\r\n\r\n" * interim + b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    result, _ = _fetch_over(_FakeSocket(data))
+    if interim == 99:
+        assert (result.status, result.body) == (200, b"ok")
+    else:
+        assert (result.status, result.error) == (0, "HTTPException: got more than 100 interim responses")
+
+
+@pytest.mark.parametrize("length, error", [(65536, None), (65537, "LineTooLong: got more than 65536 bytes when reading header line")])
+def test_header_line_at_eof_is_held_to_the_line_limit(length, error):
+    data = b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (length - len(b"X-Long: "))
+    result, _ = _fetch_over(_FakeSocket(data))
+    assert (result.status, result.error) == ((200, None) if error is None else (0, error))
+    assert _http_client_parses(data) == (error is None)
+
+
+_ONE_OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+def test_least_recently_used_connection_is_closed_past_the_pool_size():
+    # Each socket answers two requests, one per receive; idle() needs a real descriptor.
+    socks = [_FakeSocket(_ONE_OK * 2, (len(_ONE_OK),)) for _ in range(CONNECTIONS_PER_THREAD + 1)]
+    fetcher = Fetcher(per_host_delay_ms=0, retries=0)
+    hosts = [0, 1, 2, 3, 0, 4]  # h0 is used again before h4 opens, so h1 is the least recently used
+    with mock.patch("socket.create_connection", side_effect=socks), \
+            mock.patch.object(_Connection, "idle", return_value=True):
+        for host in hosts:
+            assert fetcher.fetch(f"http://h{host}.test/").status == 200
+    assert [sock.closed for sock in socks] == [False, True, False, False, False]
+    fetcher.close()
+    assert all(sock.closed for sock in socks)
+
+
+class _DeadOnSecondSend(_FakeSocket):
+    def sendall(self, data):
+        if self.sent:
+            raise BrokenPipeError(32, "Broken pipe")
+        super().sendall(data)
+
+
+def test_reused_connection_dead_on_send_is_reopened_once_without_an_attempt():
+    # select() saw the kept-alive socket idle, and the server closed it just after.
+    dead, fresh = _DeadOnSecondSend(_ONE_OK), _FakeSocket(_ONE_OK)
+    fetcher = Fetcher(per_host_delay_ms=0, retries=2)
+    with mock.patch("socket.create_connection", side_effect=[dead, fresh]) as connect, \
+            mock.patch.object(_Connection, "idle", return_value=True):
+        first = fetcher.fetch("http://origin.test/a")
+        second = fetcher.fetch("http://origin.test/b")
+    fetcher.close()
+    assert [(r.status, r.body, r.attempts) for r in (first, second)] == [(200, b"ok", 1)] * 2
+    assert connect.call_count == 2 and dead.closed
+    assert fresh.sent.startswith(b"GET /b HTTP/1.1\r\n")
+
+
+def test_no_reuse_after_a_chunked_body_cut_exactly_at_the_cap():
+    # The one chunk ends exactly at the cap, before its line break and the last
+    # chunk have arrived: the connection is not framed, so it is not reused.
+    (first, first_origin), (second, second_origin) = _tcp_pair(), _tcp_pair()
+    fetcher = Fetcher(per_host_delay_ms=0, retries=0, timeout_ms=1000)
+    cut_body = _OK_CHUNKED + b"%x\r\n" % (BODY_PREFIX_LIMIT + 1) + b"z" * (BODY_PREFIX_LIMIT + 1)
+    # More than the socket buffers may hold, so it is sent while the fetch reads.
+    sender = threading.Thread(target=first_origin.sendall, args=(cut_body,), daemon=True)
+    try:
+        sender.start()
+        second_origin.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfresh")
+        with mock.patch("socket.create_connection", side_effect=[first, second]):
+            cut = fetcher.fetch("http://origin.test/big")
+            assert (cut.status, cut.truncated, len(cut.body)) == (200, True, BODY_PREFIX_LIMIT)
+            assert fetcher.fetch("http://origin.test/ok").body == b"fresh"
+    finally:
+        fetcher.close()
+        sender.join(timeout=5)
+        for sock in (first, first_origin, second, second_origin):
+            sock.close()
+
+
+# --- HTTPS against a loopback TLS origin -----------------------------------------
+
+# tests/tls holds a test CA (ca.pem) and a certificate for localhost that it
+# signed, with its key (localhost.pem), both valid until 2126. Made with:
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes \
+#     -keyout ca.key -out ca.pem -days 36500 -subj "/CN=pluginaudit test CA"
+#   openssl req -new -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes \
+#     -keyout localhost.key -out localhost.csr -subj "/CN=localhost"
+#   printf "subjectAltName=DNS:localhost\nbasicConstraints=critical,CA:FALSE\nkeyUsage=critical,digitalSignature\n\
+#   extendedKeyUsage=serverAuth\nsubjectKeyIdentifier=hash\nauthorityKeyIdentifier=keyid\n" > ext.cnf
+#   openssl x509 -req -in localhost.csr -CA ca.pem -CAkey ca.key -set_serial 1 -out localhost.crt \
+#     -days 36500 -extfile ext.cnf
+#   cat localhost.key localhost.crt > localhost.pem
+# The CA key was not kept.
+_TLS = Path(__file__).parent / "tls"
+
+
+@pytest.fixture
+def tls_origin():
+    """An HTTPS origin at https://localhost:<port> with the test certificate;
+    yields its URL and the server names its clients sent (SNI)."""
+    names = []
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(_TLS / "localhost.pem")
+    context.sni_callback = lambda sock, name, ctx: names.append(name)
+    with _serving() as server:
+        server.socket = context.wrap_socket(server.socket, server_side=True)
+        yield f"https://localhost:{server.server_address[1]}", names
+
+
+def test_https_with_a_trusted_certificate(tls_origin, monkeypatch):
+    url, names = tls_origin
+    monkeypatch.setenv("SSL_CERT_FILE", str(_TLS / "ca.pem"))
+    fetcher = Fetcher(per_host_delay_ms=0, retries=0, timeout_ms=2000)
+    try:
+        first, second = fetcher.fetch(f"{url}/ok"), fetcher.fetch(f"{url}/ok")
+    finally:
+        fetcher.close()
+    assert [(r.status, r.body, r.error) for r in (first, second)] == [(200, b'{"ok": true}', None)] * 2
+    assert names == ["localhost"]  # one handshake, its connection kept alive
+
+
+def test_https_with_an_untrusted_certificate_is_refused_on_the_first_attempt(tls_origin, monkeypatch, tmp_path):
+    url, names = tls_origin
+    monkeypatch.setenv("SSL_CERT_FILE", str(tmp_path / "none.pem"))
+    monkeypatch.setenv("SSL_CERT_DIR", str(tmp_path))
+    fetcher = Fetcher(per_host_delay_ms=0, retries=2, timeout_ms=2000)
+    try:
+        result = fetcher.fetch(f"{url}/ok")
+    finally:
+        fetcher.close()
+    assert (result.status, result.attempts) == (0, 1)
+    assert result.error.startswith("SSLCertVerificationError: ") and "certificate verify failed" in result.error
+    assert names == ["localhost"]

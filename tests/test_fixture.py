@@ -4,6 +4,7 @@ import hashlib
 import http.client
 import json
 import re
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -88,6 +89,37 @@ def test_client_hanging_up_mid_body_prints_no_traceback(capfd):
         server.stop()
     err = capfd.readouterr().err
     assert "Traceback" not in err and "Exception occurred" not in err
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """What the server sends back on one connection to one raw request, up to its close."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_http_0_9_request_gets_the_body_alone():
+    plan = _tiny_plan()
+    server = serve_fixtures(plan, 0)
+    try:
+        assert _raw_exchange(server, b"GET /index.ndjson\r\n\r\n") == index_ndjson(plan).encode("utf-8")
+    finally:
+        server.stop()
+
+
+def test_server_reports_a_handler_error_and_keeps_serving(capfd):
+    server = serve_fixtures(_tiny_plan(), 0)
+    try:
+        request = b"GET /index.ndjson HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n"
+        assert _raw_exchange(server, request) == b""
+        assert _status(f"{server.base_url}/index.ndjson") == 200
+    finally:
+        server.stop()
+    err = capfd.readouterr().err
+    assert "ValueError: invalid literal for int() with base 10: 'abc'" in err
 
 
 def test_keep_alive_responses_are_not_held_back():
@@ -219,9 +251,10 @@ def _edit_endpoint(doc: dict, **keys) -> None:
         ),
         (lambda doc: doc["sites"]["tiny.example"].pop("host"), "missing key 'host' in sites['tiny.example']"),
         (lambda doc: doc.update(sites=[]), "key 'sites' in the plan is not an object"),
+        (lambda doc: doc["sites"].update({"tiny.example": 5}), "sites['tiny.example'] is not an object"),
         (lambda doc: _edit_site(doc, endpoints={}), "key 'endpoints' in sites['tiny.example'] is not a list"),
     ],
-    ids=["old-site-key", "old-endpoint-key", "missing-key", "sites-not-object", "endpoints-not-list"],
+    ids=["old-site-key", "old-endpoint-key", "missing-key", "sites-not-object", "site-not-object", "endpoints-not-list"],
 )
 def test_load_plan_error_names_file_and_key(tmp_path, edit, message):
     path = tmp_path / "plan.json"
@@ -240,6 +273,9 @@ def test_load_plan_error_on_unreadable_file(tmp_path):
         load_plan(path)
     with pytest.raises(PlanError, match="cannot read plan file"):
         load_plan(tmp_path / "missing.json")
+    path.write_text("[" * 100000)
+    with pytest.raises(PlanError, match=re.escape(f"plan file {path}: not valid JSON")):
+        load_plan(path)
 
 
 def test_paper_plan_population_shape():

@@ -55,6 +55,12 @@ def test_empty_object_missing_name():
     assert err.value.detail == "name_for_human"
 
 
+def test_missing_model_name():
+    with pytest.raises(ParseError) as err:
+        parse_manifest(_bytes({k: v for k, v in SAMPLE_MANIFEST.items() if k != "name_for_model"}))
+    assert (err.value.kind, err.value.detail) == ("missing_field", "name_for_model")
+
+
 def test_not_json_is_syntax_error():
     with pytest.raises(ParseError) as err:
         parse_manifest(b"<html>nope</html>")
@@ -75,6 +81,12 @@ def test_relative_api_url_rejected():
     with pytest.raises(ParseError) as err:
         parse_manifest(_bytes(doc))
     assert err.value.detail == "api.url"
+
+
+def test_api_url_that_cannot_be_split_is_missing():
+    with pytest.raises(ParseError) as err:
+        parse_manifest(_bytes(dict(SAMPLE_MANIFEST, api={"type": "openapi", "url": "https://[::1/openapi.yaml"})))
+    assert (err.value.kind, err.value.detail) == ("missing_field", "api.url")
 
 
 def test_oauth_scope_parsed():
@@ -176,6 +188,13 @@ def test_parse_openapi_non_list_servers_fall_back_to_origin(servers):
     assert api.servers == ("https://h.io",)
 
 
+def test_parse_openapi_servers_skip_entries_without_a_url_and_resolve_relative_ones():
+    # A URL that cannot be split is not absolute, so it too is a path on the document's origin.
+    servers = [{"url": ""}, 7, {"description": "x"}, {"url": "/v1/"}, "/", "http://[::1", {"url": "https://s.example/v1/"}]
+    api = parse_openapi(_bytes(dict(SAMPLE_OPENAPI, servers=servers)), "https://h.io/docs/openapi.json")
+    assert api.servers == ("https://h.io/v1", "https://h.io", "https://h.io/http://[::1", "https://s.example/v1")
+
+
 def test_parse_openapi_list_servers_not_flagged():
     api = parse_openapi(_bytes(SAMPLE_OPENAPI), "https://h.io/openapi.json")
     assert api.servers == ("https://example.com",)
@@ -194,6 +213,21 @@ def test_parse_openapi_two_methods_same_path():
     del doc["paths"]["/todos"]["get"]
     api = parse_openapi(_bytes(doc), "https://example.com/openapi.json")
     assert sorted(e.method for e in api.endpoints) == ["DELETE", "POST"]
+
+
+def test_parse_openapi_skips_path_items_and_content_blocks_that_are_not_objects():
+    doc = dict(SAMPLE_OPENAPI, paths={
+        "/skipped": ["get"],
+        "/todos": {
+            "post": {"requestBody": {"content": ["application/json"]}, "responses": {"200": "ok"}},
+            "put": {"requestBody": "json", "responses": {"201": {"content": "application/json"}}},
+            "delete": {"responses": {"200": {"content": {"text/plain": {"schema": {"type": "string"}}}}}},
+        },
+    })
+    api = parse_openapi(_bytes(doc), "https://example.com/openapi.json")
+    schemas = [(e.method, e.request_schema, e.response_schema) for e in api.endpoints]
+    assert schemas == [("POST", None, None), ("PUT", None, None), ("DELETE", None, None)]
+    assert {e.path for e in api.endpoints} == {"/todos"}
 
 
 def test_parse_openapi_zero_paths_flagged_not_error():

@@ -112,13 +112,19 @@ def test_no_token_request_never_carries_authorization_header():
             assert headers["Authorization"].startswith("Bearer ")
 
 
-# Body synthesis oracle: hand-written expected values for five schemas.
+# Body synthesis oracle: hand-written expected values for five schemas, then
+# schemas it cannot use, which give an empty object.
 SYNTHESIS_ORACLE = [
     ({"type": "object", "properties": {"query": {"type": "string"}}}, {"query": "test"}),
     ({"type": "object", "properties": {"n": {"type": "integer"}, "deep": {"type": "object", "properties": {"flag": {"type": "boolean"}}}}}, {"n": 0, "deep": {"flag": False}}),
     ({"type": "array", "items": {"type": "string"}}, []),
     ({"type": "object", "properties": {"tags": {"type": "array"}, "price": {"type": "number"}}}, {"tags": [], "price": 0}),
     ({"properties": {"s": {"type": "string"}}}, {"s": "test"}),
+    ("string", {}),
+    (None, {}),
+    ({"type": "object", "properties": ["a"]}, {}),
+    ({"properties": "a"}, {}),
+    ({"type": "null"}, {}),
 ]
 
 
@@ -161,12 +167,41 @@ def test_evaluate_outcome_rules():
         ("integer", b'"3"', False),
         ("boolean", b"false", True),
         ("boolean", b"0", False),
+        ("null", b'"x"', True),  # a type it does not know is not checked
     ],
 )
 def test_evaluate_outcome_top_level_shape_per_declared_type(declared, body, valid):
     # JSON true loads as a bool, which Python counts as an int; it is not a number.
     endpoint = Endpoint(path="/a", method="GET", response_schema={"type": declared})
     assert evaluate_outcome(_response(200, body), endpoint) is valid
+
+
+@pytest.mark.parametrize("schema", [["object"], {"properties": {}}], ids=["not-an-object", "no-type"])
+def test_evaluate_outcome_ignores_a_shape_it_cannot_check(schema):
+    endpoint = Endpoint(path="/a", method="GET", response_schema=schema)
+    assert evaluate_outcome(_response(200, b'"x"'), endpoint) is True
+
+
+class _ScriptedFetch:
+    """Serves the API document at its URL and a JSON object at any other URL;
+    records the Authorization header of each request."""
+
+    def __init__(self, api: bytes):
+        self.api, self.sent = api, []
+
+    def fetch(self, url, method="GET", headers=None, body=None):
+        self.sent.append((headers or {}).get("Authorization"))
+        payload = self.api if url == "https://p.example/openapi.json" else b'{"ok": true}'
+        return FetchResult(url=url, final_url=url, status=200, body=payload)
+
+
+def test_leaked_token_without_an_openai_key_is_the_first_in_key_order():
+    manifest = parse_manifest(_manifest({"type": "service_http", "verification_tokens": {"zeta": "last", "alpha": "first"}}))
+    fetcher = _ScriptedFetch(_api({"/a": _GET}))
+    result, skip, transcript = probe_plugin("p", manifest, fetcher)
+    assert skip is None and result.plugin_case == CASE3  # the fabricated token got data too
+    assert fetcher.sent == [None, None, "Bearer first", f"Bearer {FABRICATED_TOKEN_VALUE}"]
+    assert [e.token_variant for e in transcript] == [NO_TOKEN, LEAKED_TOKEN, FABRICATED_TOKEN]
 
 
 class _NoFetch:

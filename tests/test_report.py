@@ -254,6 +254,7 @@ def test_load_report_round_trip(tmp_path):
         json.dumps({"schema_version": 1, "metrics": {"file_leakage": "10"}}),
         json.dumps([1]),
         "{not json",
+        "[" * 100000,
     ):
         bad.write_text(content)
         with pytest.raises(ReportError):

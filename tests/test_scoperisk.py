@@ -43,6 +43,10 @@ def test_tokenize_url_contributes_host_and_last_segment():
     ]
 
 
+def test_tokenize_url_that_cannot_be_split_as_a_plain_piece():
+    assert tokenize_scope("https://[::1/all read") == ["https:", "[::1", "all", "read"]
+
+
 def test_tokenize_slash_comma_and_case():
     assert tokenize_scope("OAI11/Global") == ["oai11", "global"]
     assert tokenize_scope("read,write") == ["read", "write"]
