@@ -19,6 +19,7 @@ from typing import Iterable
 
 from .consistency import ALL_KINDS, ConsistencyFinding
 from .discovery import ALL_VERDICTS, AccessibilityVerdict
+from .jsonfile import write_json
 from .manifest import ManifestDocument, ParseError, parse_manifest
 from .probe import ALL_CASES, ALL_CAUSES, ALL_FAMILIES, PluginProbeResult, ProbeOutcome, ProbeRunResult
 from .scoperisk import ALL_CATEGORIES
@@ -28,11 +29,6 @@ SCHEMA_VERSION = 1
 
 class ArtifactError(Exception):
     pass
-
-
-def write_json(path: Path, doc: object) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _read_json(path: Path) -> object:

@@ -24,7 +24,6 @@ from . import artifacts
 from . import consistency as consistency_mod
 from . import corpus as corpus_mod
 from . import discovery as discovery_mod
-from . import fixture as fixture_mod
 from . import probe as probe_mod
 from . import report as report_mod
 from . import scoperisk as scoperisk_mod
@@ -35,6 +34,10 @@ from .manifest import ManifestDocument, ParseError
 EXIT_OK = 0
 EXIT_STAGE_ERROR = 1
 EXIT_CONFIG_ERROR = 2
+
+# fixture.PROFILES, named here so that only gen-plan and serve-fixtures
+# load the fixture module; the first is the default.
+FIXTURE_PROFILES = ("paper-tables", "revisit")
 
 
 _LOG_LOCK = threading.Lock()
@@ -207,6 +210,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_gen_plan(args) -> int:
+    from . import fixture as fixture_mod
+
     plan = fixture_mod.generate_plan(args.profile, args.seed)
     fixture_mod.save_plan(plan, args.out)
     if args.index_out:
@@ -218,7 +223,12 @@ def cmd_gen_plan(args) -> int:
 
 
 def cmd_serve_fixtures(args) -> int:
-    plan = fixture_mod.load_plan(args.plan)
+    from . import fixture as fixture_mod
+
+    try:
+        plan = fixture_mod.load_plan(args.plan)
+    except fixture_mod.PlanError as exc:
+        return _stage_failed(args, exc)
     try:
         server = fixture_mod.serve_fixtures(plan, args.port)
     except OSError as exc:
@@ -389,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-plan", help="generate a fixture plan")
     p.set_defaults(func=cmd_gen_plan)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--profile", choices=list(fixture_mod.PROFILES), default=fixture_mod.PROFILE_PAPER_TABLES)
+    p.add_argument("--profile", choices=FIXTURE_PROFILES, default=FIXTURE_PROFILES[0])
     p.add_argument("--out", required=True)
     p.add_argument("--index-out", dest="index_out")
 
@@ -419,6 +429,11 @@ def _config_from_args(args) -> AuditConfig:
     return load_config(getattr(args, "config", None), overrides)
 
 
+def _stage_failed(args, exc: Exception) -> int:
+    print(f"error in stage {args.command}: {exc}", file=sys.stderr)
+    return EXIT_STAGE_ERROR
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -431,10 +446,8 @@ def main(argv: list[str] | None = None) -> int:
         artifacts.ArtifactError,
         report_mod.ReportError,
         scoperisk_mod.LexiconError,
-        fixture_mod.PlanError,
     ) as exc:
-        print(f"error in stage {args.command}: {exc}", file=sys.stderr)
-        return EXIT_STAGE_ERROR
+        return _stage_failed(args, exc)
 
 
 if __name__ == "__main__":

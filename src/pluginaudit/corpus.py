@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
+from .jsonfile import write_json
 from .urlnorm import host_of, registrable_domain
 
 SCHEMA_VERSION = 1
@@ -123,7 +124,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         "records": [asdict(r) for r in corpus.records],
         "ingest_errors": [asdict(e) for e in corpus.ingest_errors],
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 _REQUIRED_TEXT = ("plugin_id", "store_title", "name_for_human_store")

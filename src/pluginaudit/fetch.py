@@ -19,25 +19,27 @@ limits. The body is framed by `Transfer-Encoding: chunked`, else
 and 304 responses have none. At most BODY_PREFIX_LIMIT + 1 body bytes are
 read. A connection is reused only when its last body was read to its
 framed end and nothing arrived after it. Environment proxies are not used,
-and HTTPS verifies against the system's CA store. Failures raise
-`http.client`'s exception classes.
+and HTTPS verifies against the system's CA store; `ssl` is loaded at the
+first https origin. Failures raise this module's `HTTPException` classes,
+which carry the names and messages of `http.client`'s.
 """
 
 from __future__ import annotations
 
-import http.client
 import re
 import select
 import socket
-import ssl
 import threading
 import time
 import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import SplitResult, quote, urljoin, urlsplit
+
+if TYPE_CHECKING:
+    import ssl
 
 MAX_REDIRECTS = 5
 BODY_PREFIX_LIMIT = 256 * 1024
@@ -48,14 +50,6 @@ TRANSPORT_ERROR = 0  # http_status marker for failures below HTTP
 # closed first, so a live run over many hosts holds few sockets.
 CONNECTIONS_PER_THREAD = 4
 
-# ValueError covers what cannot go on the wire at all, e.g. a newline in a
-# header value taken from a manifest or a non-numeric port.
-_TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
-# Sending again would fail the same way (a certificate that fails to verify
-# is a ValueError too), so these end a fetch without retries.
-_UNSENDABLE = (ValueError, http.client.InvalidURL)
-# A reused keep-alive connection the server has already closed.
-_STALE_CONNECTION = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
 # Dropped when a redirect leaves the origin, as browsers and `requests` do.
 _CREDENTIAL_HEADERS = {"authorization", "cookie", "proxy-authorization"}
 # Characters left as they are in the request target (as `requests` did);
@@ -74,6 +68,49 @@ _LEGAL_NAME = re.compile(rb"[^:\s][^:\r\n]*").fullmatch
 _ILLEGAL_VALUE = re.compile(rb"\n(?![ \t])|\r(?![ \t\n])").search
 # A field name as `http.client`'s `email` parsing accepts it: visible ASCII.
 _FIELD_NAME = re.compile(r"[!-9;-~]+").fullmatch
+
+
+class HTTPException(Exception):
+    """A URL or response the transport cannot handle. It and its subclasses
+    carry the names and messages of `http.client`'s, so `FetchResult.error`
+    reads as it did when `http.client` was the transport."""
+
+
+class InvalidURL(HTTPException):
+    pass
+
+
+class BadStatusLine(HTTPException):
+    pass
+
+
+class UnknownProtocol(HTTPException):
+    pass
+
+
+class LineTooLong(HTTPException):
+    def __init__(self, what: str):
+        super().__init__(f"got more than {_MAX_LINE} bytes when reading {what}")
+
+
+class IncompleteRead(HTTPException):
+    def __init__(self, partial: bytes):
+        super().__init__(f"IncompleteRead({len(partial)} bytes read)")
+
+
+class RemoteDisconnected(ConnectionResetError, HTTPException):
+    """The server closed the connection before a status line."""
+
+
+# ValueError covers what cannot go on the wire at all, e.g. a newline in a
+# header value taken from a manifest or a non-numeric port.
+_TRANSPORT_ERRORS = (OSError, HTTPException, ValueError)
+# Sending again would fail the same way (a certificate that fails to verify
+# is a ValueError too), so these end a fetch without retries.
+_UNSENDABLE = (ValueError, InvalidURL)
+# A reused keep-alive connection the server has already closed
+# (RemoteDisconnected is a ConnectionResetError).
+_STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
 
 
 @dataclass(frozen=True)
@@ -190,7 +227,7 @@ class _Connection:
                 line, self.pos = self.buf[self.pos:end + 1], end + 1
                 return line
             if len(self.buf) - self.pos > _MAX_LINE:
-                raise http.client.LineTooLong(what)
+                raise LineTooLong(what)
             if not self._fill():
                 line, self.pos = self.buf[self.pos:], len(self.buf)
                 return line
@@ -252,21 +289,21 @@ def _read_status(conn: _Connection) -> tuple[int, int]:
     """Status code and HTTP version (10 or 11) of one status line."""
     line = conn.readline("status line").decode("latin-1")
     if not line:
-        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        raise RemoteDisconnected("Remote end closed connection without response")
     words = line.split(None, 2)
     if len(words) < 2 or not words[0].startswith("HTTP/"):
-        raise http.client.BadStatusLine(line)
+        raise BadStatusLine(line)
     try:
         status = int(words[1])
     except ValueError:
-        raise http.client.BadStatusLine(line) from None
+        raise BadStatusLine(line) from None
     if not 100 <= status <= 999:
-        raise http.client.BadStatusLine(line)
+        raise BadStatusLine(line)
     if words[0] in ("HTTP/1.0", "HTTP/0.9"):
         return status, 10
     if words[0].startswith("HTTP/1."):
         return status, 11
-    raise http.client.UnknownProtocol(words[0])
+    raise UnknownProtocol(words[0])
 
 
 def _read_lines(conn: _Connection, what: str) -> list[bytes]:
@@ -278,7 +315,7 @@ def _read_lines(conn: _Connection, what: str) -> list[bytes]:
             return lines
         lines.append(line)
         if len(lines) >= _MAX_LINES:
-            raise http.client.HTTPException(f"got more than {_MAX_LINES} headers")
+            raise HTTPException(f"got more than {_MAX_LINES} headers")
 
 
 def _parse_fields(lines: list[bytes]) -> list[tuple[str, str]]:
@@ -315,7 +352,7 @@ def _read_chunked(conn: _Connection) -> tuple[bytes, bool]:
         except ValueError:
             size = -1
         if size < 0:
-            raise http.client.IncompleteRead(bytes(body))
+            raise IncompleteRead(bytes(body))
         if size == 0:
             _read_lines(conn, "trailer line")
             return bytes(body), True
@@ -323,11 +360,11 @@ def _read_chunked(conn: _Connection) -> tuple[bytes, bool]:
         data = conn.read(want)
         body += data
         if len(data) < want:
-            raise http.client.IncompleteRead(bytes(body))
+            raise IncompleteRead(bytes(body))
         if len(body) == limit:
             return bytes(body), False
         if len(conn.read(2)) < 2:  # the line break after the chunk's data
-            raise http.client.IncompleteRead(bytes(body))
+            raise IncompleteRead(bytes(body))
 
 
 def _read_response(conn: _Connection, method: str) -> tuple[_Response, bool]:
@@ -338,7 +375,7 @@ def _read_response(conn: _Connection, method: str) -> tuple[_Response, bool]:
         if not 100 <= status < 200:
             break
     else:
-        raise http.client.HTTPException(f"got more than {_MAX_LINES} interim responses")
+        raise HTTPException(f"got more than {_MAX_LINES} interim responses")
     first: dict[str, str] = {}
     for name, value in fields:
         first.setdefault(name.lower(), value)
@@ -419,17 +456,17 @@ class Fetcher:
         if conn is None:
             host = origin.hostname
             if not host:
-                raise http.client.InvalidURL(f"no host in {origin.netloc!r}")
+                raise InvalidURL(f"no host in {origin.netloc!r}")
             match = _HOST_CTL.search(host)
             if match:
-                raise http.client.InvalidURL(
-                    f"URL can't contain control characters. {host!r} (found at least {match.group()!r})"
-                )
+                raise InvalidURL(f"URL can't contain control characters. {host!r} (found at least {match.group()!r})")
             default_port = 443 if origin.scheme == "https" else 80
             port = default_port if origin.port is None else origin.port
             context = None
             if origin.scheme == "https":
                 if self._ssl_context is None:
+                    import ssl
+
                     self._ssl_context = ssl.create_default_context()
                 context = self._ssl_context
             conn = _Connection(host, port, _host_header(host, port, default_port), context)
@@ -445,7 +482,10 @@ class Fetcher:
 
     def _host_lock(self, host: str) -> threading.Lock:
         with self._registry_lock:
-            return self._host_locks.setdefault(host, threading.Lock())
+            lock = self._host_locks.get(host)
+            if lock is None:
+                lock = self._host_locks[host] = threading.Lock()
+            return lock
 
     def _single_request(
         self, method: str, parts: SplitResult, headers: dict[str, str], body: bytes | None
@@ -474,7 +514,7 @@ class Fetcher:
         """
         origin = self._base or parts
         if origin.scheme not in ("http", "https"):
-            raise http.client.InvalidURL(f"unsupported URL scheme in {parts.geturl()!r}")
+            raise InvalidURL(f"unsupported URL scheme in {parts.geturl()!r}")
         path = parts.path or "/"
         target = f"{self._base.path}/{parts.netloc}{path}" if self._base else path
         if parts.query:

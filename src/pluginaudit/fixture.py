@@ -20,9 +20,10 @@ import json
 import random
 import sys
 import threading
+import types
+import typing
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .corpus import make_plugin_id
@@ -87,14 +88,40 @@ def save_plan(plan: FixturePlan, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+_FIELD_TYPES = {cls: typing.get_type_hints(cls) for cls in (FixturePlan, FixtureSite, FixtureEndpoint)}
+_JSON_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list", type(None): "null"}
+
+
+def _fits(value: object, hint) -> bool:
+    """Whether a JSON value has a field's type. Of a `list[...]` or a
+    `dict[...]` only the container is checked; load_plan decodes the sites
+    and endpoints in it, and an index entry is only written back out."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    kind = typing.get_origin(hint) or hint
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _type_name(hint) -> str:
+    if isinstance(hint, types.UnionType):
+        return " or ".join(_type_name(arg) for arg in typing.get_args(hint))
+    return _JSON_NAMES[typing.get_origin(hint) or hint]
+
+
 def _from_doc(cls, doc: object, where: str):
     """cls(**doc), or PlanError naming the first key of doc that does not fit cls."""
     if not isinstance(doc, dict):
         raise PlanError(f"{where} is not an object")
     try:
-        return cls(**doc)
+        value = cls(**doc)
     except TypeError:
         names = [f.name for f in fields(cls)]
+    else:
+        hints = _FIELD_TYPES[cls]
+        for key in doc:
+            if not _fits(doc[key], hints[key]):
+                raise PlanError(f"key {key!r} in {where} is not {_type_name(hints[key])}")
+        return value
     for key in doc:
         if key not in names:
             raise PlanError(f"unknown key {key!r} in {where}")
@@ -105,8 +132,9 @@ def _from_doc(cls, doc: object, where: str):
 
 def load_plan(path: str | Path) -> FixturePlan:
     """Read a plan written by save_plan. Raises PlanError, naming the file
-    and the offending key, when the file cannot be read or parsed or its
-    keys do not match the plan fields, as in a plan of an older format."""
+    and the offending key, when the file cannot be read or parsed, its keys
+    do not match the plan fields, as in a plan of an older format, or a
+    value does not have its field's type."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -115,16 +143,13 @@ def load_plan(path: str | Path) -> FixturePlan:
         raise PlanError(f"plan file {path}: not valid JSON: {exc}") from exc
     try:
         plan = _from_doc(FixturePlan, doc, "the plan")
-        if not isinstance(plan.sites, dict):
-            raise PlanError("key 'sites' in the plan is not an object")
         for host, site_doc in plan.sites.items():
-            where = f"sites[{host!r}]"
-            site = plan.sites[host] = _from_doc(FixtureSite, site_doc, where)
-            if not isinstance(site.endpoints, list):
-                raise PlanError(f"key 'endpoints' in {where} is not a list")
-            site.endpoints = [
-                _from_doc(FixtureEndpoint, e, f"{where}.endpoints[{i}]") for i, e in enumerate(site.endpoints)
-            ]
+            site = plan.sites[host] = _from_doc(FixtureSite, site_doc, f"sites[{host!r}]")
+            for i, endpoint_doc in enumerate(site.endpoints):
+                where = f"sites[{host!r}].endpoints[{i}]"
+                endpoint = site.endpoints[i] = _from_doc(FixtureEndpoint, endpoint_doc, where)
+                if not 100 <= endpoint.status_ok <= 599:
+                    raise PlanError(f"key 'status_ok' in {where} is not an HTTP status code (100-599)")
     except PlanError as exc:
         raise PlanError(f"plan file {path}: {exc}") from None
     return plan
@@ -496,19 +521,9 @@ def expected_labels(profile: str) -> dict[tuple[str, str], dict]:
 # Server
 
 
-class _HTTPServer(ThreadingHTTPServer):
-    def handle_error(self, request, client_address):
-        # A client that hangs up mid-response is not a server fault: the
-        # fetcher closes the connection once a body passes its size cap.
-        if isinstance(sys.exc_info()[1], ConnectionError):
-            return
-        super().handle_error(request, client_address)
-
-
 class FixtureServer:
     def __init__(self, plan: FixturePlan, port: int = 0):
-        self.httpd = _HTTPServer(("127.0.0.1", port), _make_handler(plan))
-        self.httpd.daemon_threads = True
+        self.httpd = _make_server(plan, port)
         self.port = self.httpd.server_address[1]
         self.base_url = f"http://127.0.0.1:{self.port}"
         # A short poll interval lets stop() return in ~50 ms, not 0.5 s.
@@ -537,7 +552,21 @@ def _json_bytes(doc: object) -> bytes:
     return json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")
 
 
-def _make_handler(plan: FixturePlan):
+def _make_server(plan: FixturePlan, port: int):
+    """An HTTP server bound to 127.0.0.1:port that answers from plan; only
+    this function loads `http.server`."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class Server(ThreadingHTTPServer):
+        daemon_threads = True
+
+        def handle_error(self, request, client_address):
+            # A client that hangs up mid-response is not a server fault: the
+            # fetcher closes the connection once a body passes its size cap.
+            if isinstance(sys.exc_info()[1], ConnectionError):
+                return
+            super().handle_error(request, client_address)
+
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         # With Nagle on, the last segment of a response longer than one
@@ -619,4 +648,4 @@ def _make_handler(plan: FixturePlan):
 
         do_GET = do_POST = do_PUT = do_DELETE = _handle
 
-    return Handler
+    return Server(("127.0.0.1", port), Handler)

@@ -11,8 +11,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-import yaml
-
 from .urlnorm import is_absolute_http, origin_of
 
 AUTH_NONE = "none"
@@ -196,9 +194,12 @@ def parse_openapi(data: bytes, origin: str) -> OpenApiDescription:
         try:
             doc = json.loads(text)
         except ValueError:
-            doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError.syntax(str(exc)) from exc
+            import yaml  # loaded only for a document that is not JSON
+
+            try:
+                doc = yaml.safe_load(text)
+            except yaml.YAMLError as exc:
+                raise ParseError.syntax(str(exc)) from exc
     except RecursionError as exc:
         raise ParseError.syntax(_TOO_DEEP) from exc
     if not isinstance(doc, dict):

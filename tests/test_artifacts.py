@@ -4,6 +4,7 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pluginaudit import cli
 from pluginaudit.artifacts import (
@@ -14,6 +15,7 @@ from pluginaudit.artifacts import (
     read_scopes,
     read_verdicts,
     write_findings,
+    write_json,
     write_manifests,
     write_outcomes,
     write_scopes,
@@ -273,3 +275,18 @@ def test_reader_reports_a_file_it_cannot_read_or_parse(tmp_path, content, messag
     with pytest.raises(ArtifactError, match=message) as raised:
         read_verdicts(path, [])
     assert str(path) in str(raised.value)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_JSON_VALUES)
+def test_write_json_streams_the_bytes_of_json_dumps(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "streamed" / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")

@@ -112,6 +112,11 @@ def test_gen_plan_profile_choices_are_the_fixture_profiles(capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def test_cli_names_the_fixture_profiles_in_their_order():
+    assert cli.FIXTURE_PROFILES == tuple(fixture_mod.PROFILES)
+    assert cli.FIXTURE_PROFILES[0] == fixture_mod.PROFILE_PAPER_TABLES
+
+
 def test_gen_plan_and_serve_port_conflict(tmp_path):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["gen-plan", "--seed", "1", "--profile", "revisit", "--out", str(plan_path)]) == 0
@@ -162,6 +167,18 @@ def test_serve_fixtures_on_bad_plan_exits_1(tmp_path, capsys):
     plan_path.write_text("{")
     assert cli.main(["serve-fixtures", "--plan", str(plan_path), "--port", "0"]) == 1
     assert str(plan_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("status_ok", ["two hundred", True, 99, 600])
+def test_serve_fixtures_refuses_a_status_that_is_no_http_status(tmp_path, capsys, monkeypatch, status_ok):
+    plan_path = tmp_path / "plan.json"
+    site = {"host": "a.example", "endpoints": [{"path": "/api/status", "status_ok": status_ok}]}
+    plan_path.write_text(json.dumps({"profile": "p", "seed": 0, "index": [], "sites": {"a.example": site}}))
+    monkeypatch.setattr(fixture_mod.FixtureServer, "wait", fixture_mod.FixtureServer.stop)
+    assert cli.main(["serve-fixtures", "--plan", str(plan_path), "--port", "0"]) == 1
+    err = capsys.readouterr().err
+    where = f"plan file {plan_path}: key 'status_ok' in sites['a.example'].endpoints[0] is not"
+    assert err.startswith(f"error in stage serve-fixtures: {where}") and "Traceback" not in err
 
 
 def test_diff_cli_markdown(tmp_path, capsys):
@@ -307,7 +324,9 @@ def test_json_logs_stay_whole_under_concurrency(capsys):
 
 
 def test_cli_import_loads_no_third_party_http_client():
-    code = "import sys, pluginaudit.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    # Nor what only some commands run: TLS, YAML, and the fixture store's server.
+    unused = "{'requests', 'urllib3', 'http.client', 'http.server', 'ssl', 'email', 'yaml', 'pluginaudit.fixture'}"
+    code = f"import sys, pluginaudit.cli; print(sorted({unused} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"

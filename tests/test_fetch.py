@@ -99,6 +99,15 @@ def test_per_host_delay_spaces_requests():
         server.stop()
 
 
+def test_host_lock_is_built_once_per_host():
+    fetcher = Fetcher()
+    first = fetcher._host_lock("f.example")
+    no_new_lock = mock.Mock(Lock=mock.Mock(side_effect=AssertionError("a second lock for a known host")))
+    with mock.patch("pluginaudit.fetch.threading", no_new_lock):
+        assert fetcher._host_lock("f.example") is first
+    assert fetcher._host_lock("g.example") is not first
+
+
 def test_log_fn_called_per_fetch():
     server = serve_fixtures(_plan(), 0)
     seen = []

@@ -253,8 +253,29 @@ def _edit_endpoint(doc: dict, **keys) -> None:
         (lambda doc: doc.update(sites=[]), "key 'sites' in the plan is not an object"),
         (lambda doc: doc["sites"].update({"tiny.example": 5}), "sites['tiny.example'] is not an object"),
         (lambda doc: _edit_site(doc, endpoints={}), "key 'endpoints' in sites['tiny.example'] is not a list"),
+        (
+            lambda doc: _edit_endpoint(doc, status_ok="two hundred"),
+            "key 'status_ok' in sites['tiny.example'].endpoints[1] is not an integer",
+        ),
+        (
+            lambda doc: _edit_endpoint(doc, status_ok=True),
+            "key 'status_ok' in sites['tiny.example'].endpoints[1] is not an integer",
+        ),
+        (
+            lambda doc: _edit_endpoint(doc, status_ok=600),
+            "key 'status_ok' in sites['tiny.example'].endpoints[1] is not an HTTP status code (100-599)",
+        ),
+        (
+            lambda doc: _edit_endpoint(doc, body_ok=[]),
+            "key 'body_ok' in sites['tiny.example'].endpoints[1] is not an object or null",
+        ),
+        (lambda doc: _edit_site(doc, openapi_raw=1), "key 'openapi_raw' in sites['tiny.example'] is not a string or null"),
+        (lambda doc: doc.update(seed="42"), "key 'seed' in the plan is not an integer"),
     ],
-    ids=["old-site-key", "old-endpoint-key", "missing-key", "sites-not-object", "site-not-object", "endpoints-not-list"],
+    ids=[
+        "old-site-key", "old-endpoint-key", "missing-key", "sites-not-object", "site-not-object", "endpoints-not-list",
+        "status-text", "status-bool", "status-out-of-range", "body-not-object", "raw-openapi-not-text", "seed-text",
+    ],
 )
 def test_load_plan_error_names_file_and_key(tmp_path, edit, message):
     path = tmp_path / "plan.json"
