@@ -15,19 +15,21 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .consistency import ALL_KINDS, ConsistencyFinding
-from .discovery import ALL_VERDICTS, AccessibilityVerdict
+from .config import StageError
 from .jsonfile import write_json
 from .manifest import ManifestDocument, ParseError, parse_manifest
 from .probe import ALL_CASES, ALL_CAUSES, ALL_FAMILIES, PluginProbeResult, ProbeOutcome, ProbeRunResult
-from .scoperisk import ALL_CATEGORIES
+
+if TYPE_CHECKING:  # the readers import these layers, so `audit probe` loads none of them
+    from .consistency import ConsistencyFinding
+    from .discovery import AccessibilityVerdict
 
 SCHEMA_VERSION = 1
 
 
-class ArtifactError(Exception):
+class ArtifactError(StageError):
     pass
 
 
@@ -75,6 +77,8 @@ def write_verdicts(path: Path, verdicts: dict[str, AccessibilityVerdict]) -> Non
 def read_verdicts(path: Path, plugin_ids: Iterable[str]) -> dict[str, AccessibilityVerdict]:
     """verdicts.json carries no snapshot label, so it must hold exactly one
     row per corpus plugin: a list from another snapshot cannot pass."""
+    from .discovery import ALL_VERDICTS, AccessibilityVerdict
+
     rows = _read_json(path)
     _expect(isinstance(rows, list), path, "not a list of verdict rows")
     names = [f.name for f in fields(AccessibilityVerdict)]
@@ -177,6 +181,8 @@ def write_findings(
 
 
 def read_findings(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) -> list[ConsistencyFinding]:
+    from .consistency import ALL_KINDS, ConsistencyFinding
+
     doc = _open_envelope(path, "findings", snapshot_label, {"findings": list})
     findings = []
     for index, row in enumerate(doc["findings"]):
@@ -201,6 +207,8 @@ def write_scopes(
 def read_scopes(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) -> list[tuple[str, str]]:
     """The (plugin_id, category) assignments. The report recounts the
     distribution from them, so the file's own distribution is not read."""
+    from .scoperisk import ALL_CATEGORIES
+
     doc = _open_envelope(path, "scopes", snapshot_label, {"assignments": list})
     assignments = []
     for index, row in enumerate(doc["assignments"]):

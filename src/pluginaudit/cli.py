@@ -8,28 +8,28 @@ artifacts only when its input hash matches and they are the bytes it wrote,
 so reruns skip fetching and reproduce byte-identical reports. The
 single-stage subcommands read their inputs from the artifacts.
 
-Exit codes: 0 success, 1 fatal stage error, 2 configuration error.
+Each command imports, at the top of its body, the layers it runs, so that
+`ingest`, `gen-plan` and `serve-fixtures` load no audit layer and `probe`
+loads no analysis layer.
+
+Exit codes: 0 success, 1 fatal stage error or unwritable output, 2
+configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import threading
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import artifacts
-from . import consistency as consistency_mod
-from . import corpus as corpus_mod
-from . import discovery as discovery_mod
-from . import probe as probe_mod
-from . import report as report_mod
-from . import scoperisk as scoperisk_mod
-from .config import AuditConfig, ConfigError, load_config
-from .fetch import Fetcher
-from .manifest import ManifestDocument, ParseError
+from .config import AuditConfig, ConfigError, StageError, load_config
+
+if TYPE_CHECKING:
+    from .fetch import Fetcher
+    from .manifest import ManifestDocument, ParseError
 
 EXIT_OK = 0
 EXIT_STAGE_ERROR = 1
@@ -62,6 +62,8 @@ def _json_log_fn(method, result):
 
 
 def _make_fetcher(config: AuditConfig) -> Fetcher:
+    from .fetch import Fetcher
+
     return Fetcher(
         max_concurrency=config.max_concurrency,
         per_host_delay_ms=config.per_host_delay_ms,
@@ -77,6 +79,8 @@ def _make_fetcher(config: AuditConfig) -> Fetcher:
 
 
 def stage_discover(corpus, config: AuditConfig, verdicts_path: Path, manifests_dir: Path):
+    from . import artifacts, discovery as discovery_mod
+
     fetcher = _make_fetcher(config)
     result = discovery_mod.discover_corpus(corpus, fetcher)
     artifacts.write_verdicts(verdicts_path, result.verdicts)
@@ -91,6 +95,8 @@ def stage_probe(
     label: str,
     outcomes_path: Path,
 ):
+    from . import artifacts, probe as probe_mod
+
     fetcher = _make_fetcher(config)
     run = probe_mod.probe_manifests(
         manifests, fetcher, budget=config.probe_budget, redact_tokens=config.redact_tokens
@@ -102,6 +108,8 @@ def stage_probe(
 
 
 def stage_consistency(corpus, manifests: dict[str, ManifestDocument], findings_path: Path):
+    from . import artifacts, consistency as consistency_mod
+
     findings = consistency_mod.analyze_consistency(corpus, manifests)
     per_developer = consistency_mod.aggregate_discrepancies(findings, corpus)
     strict_only = consistency_mod.count_strict_only(corpus, manifests)
@@ -110,6 +118,8 @@ def stage_consistency(corpus, manifests: dict[str, ManifestDocument], findings_p
 
 
 def stage_scopes(manifests: dict[str, ManifestDocument], label: str, scopes_path: Path, lexicon=None):
+    from . import artifacts, scoperisk as scoperisk_mod
+
     docs = []
     for plugin_id in sorted(manifests):
         manifest = manifests[plugin_id]
@@ -121,6 +131,8 @@ def stage_scopes(manifests: dict[str, ManifestDocument], label: str, scopes_path
 
 
 def stage_report(corpus, verdicts, probe_run, findings, assignments, out_path: Path):
+    from . import report as report_mod
+
     report = report_mod.build_report(corpus, verdicts, probe_run, findings, assignments)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(report_mod.render_report(report, "json"))
@@ -132,6 +144,8 @@ def stage_report(corpus, verdicts, probe_run, findings, assignments, out_path: P
 
 
 def cmd_ingest(args) -> int:
+    from . import corpus as corpus_mod
+
     source = Path(args.input)
     if not source.is_file():
         print(f"error: index file not found: {source}", file=sys.stderr)
@@ -144,6 +158,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_discover(args) -> int:
+    from . import corpus as corpus_mod, discovery as discovery_mod
+
     config = _config_from_args(args)
     corpus = corpus_mod.load_corpus(args.corpus)
     manifests_dir = Path(args.manifests_dir) if args.manifests_dir else Path(args.out).parent / "manifests"
@@ -154,6 +170,8 @@ def cmd_discover(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from . import artifacts, corpus as corpus_mod
+
     config = _config_from_args(args)
     corpus = corpus_mod.load_corpus(args.corpus)
     manifests, rejected = artifacts.read_manifests(Path(args.manifests), corpus.by_id().keys())
@@ -163,6 +181,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_consistency(args) -> int:
+    from . import artifacts, corpus as corpus_mod
+
     corpus = corpus_mod.load_corpus(args.corpus)
     manifests, _ = artifacts.read_manifests(Path(args.manifests), corpus.by_id().keys())
     findings = stage_consistency(corpus, manifests, Path(args.out))
@@ -171,6 +191,8 @@ def cmd_consistency(args) -> int:
 
 
 def cmd_scopes(args) -> int:
+    from . import artifacts, corpus as corpus_mod, scoperisk as scoperisk_mod
+
     corpus = corpus_mod.load_corpus(args.corpus)
     manifests, _ = artifacts.read_manifests(Path(args.manifests), corpus.by_id().keys())
     lexicon = scoperisk_mod.load_seed_lexicon(args.seed_lexicon) if args.seed_lexicon else None
@@ -180,6 +202,10 @@ def cmd_scopes(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import artifacts, corpus as corpus_mod, report as report_mod
+
+    if args.format == "markdown" and Path(args.out).suffix.lower() == ".md":
+        raise ConfigError(f"--out {args.out} ends in .md, the path of the markdown report; give the JSON report's path")
     corpus = corpus_mod.load_corpus(args.corpus)
     label, ids = corpus.snapshot_label, corpus.by_id().keys()
     verdicts = artifacts.read_verdicts(Path(args.verdicts), ids)
@@ -197,11 +223,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    from . import report as report_mod
+
     before = report_mod.load_report(args.before)
     after = report_mod.load_report(args.after)
     diff = report_mod.diff_reports(before, after)
     payload = report_mod.render_diff(diff, args.format)
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_bytes(payload)
         print(f"diff -> {args.out}")
     else:
@@ -225,10 +254,7 @@ def cmd_gen_plan(args) -> int:
 def cmd_serve_fixtures(args) -> int:
     from . import fixture as fixture_mod
 
-    try:
-        plan = fixture_mod.load_plan(args.plan)
-    except fixture_mod.PlanError as exc:
-        return _stage_failed(args, exc)
+    plan = fixture_mod.load_plan(args.plan)
     try:
         server = fixture_mod.serve_fixtures(plan, args.port)
     except OSError as exc:
@@ -244,6 +270,8 @@ def cmd_serve_fixtures(args) -> int:
 
 def _fingerprint(*parts: bytes | str | Path) -> str:
     """SHA-256 of the parts; a file adds its name, length and bytes, read one file at a time."""
+    import hashlib
+
     digest = hashlib.sha256()
     for part in parts:
         if isinstance(part, Path):
@@ -256,6 +284,11 @@ def _fingerprint(*parts: bytes | str | Path) -> str:
 
 
 def cmd_run_all(args) -> int:
+    # Every stage before the corpus: each compiled at its stage, after the
+    # corpus, they raised run-all's peak RSS by about 0.16 MB.
+    from . import artifacts, corpus as corpus_mod, report as report_mod
+    from . import consistency, discovery, probe, scoperisk  # noqa: F401
+
     config = _config_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -429,11 +462,6 @@ def _config_from_args(args) -> AuditConfig:
     return load_config(getattr(args, "config", None), overrides)
 
 
-def _stage_failed(args, exc: Exception) -> int:
-    print(f"error in stage {args.command}: {exc}", file=sys.stderr)
-    return EXIT_STAGE_ERROR
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -441,13 +469,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (
-        corpus_mod.CorpusError,
-        artifacts.ArtifactError,
-        report_mod.ReportError,
-        scoperisk_mod.LexiconError,
-    ) as exc:
-        return _stage_failed(args, exc)
+    except (StageError, OSError) as exc:  # OSError: an output path that cannot be written
+        print(f"error in stage {args.command}: {exc}", file=sys.stderr)
+        return EXIT_STAGE_ERROR
 
 
 if __name__ == "__main__":

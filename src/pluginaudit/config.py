@@ -19,6 +19,13 @@ class ConfigError(Exception):
     pass
 
 
+class StageError(Exception):
+    """A stage cannot run on its input: the `audit` command exits 1 naming it.
+
+    The error of each layer derives from it, so the entry point catches one
+    class without importing any layer."""
+
+
 @dataclass
 class AuditConfig:
     max_concurrency: int = 8

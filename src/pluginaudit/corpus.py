@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
+from .config import StageError
 from .jsonfile import write_json
 from .urlnorm import host_of, registrable_domain
 
@@ -23,7 +24,7 @@ SCHEMA_VERSION = 1
 FLAG_LEGAL_MISSING = "legal_missing"
 
 
-class CorpusError(Exception):
+class CorpusError(StageError):
     """Raised for unreadable corpus files or schema-version mismatches."""
 
 

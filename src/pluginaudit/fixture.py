@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .config import StageError
 from .corpus import make_plugin_id
 
 PROFILE_PAPER_TABLES = "paper-tables"
@@ -79,7 +80,7 @@ class FixturePlan:
     sites: dict[str, FixtureSite] = field(default_factory=dict)
 
 
-class PlanError(Exception):
+class PlanError(StageError):
     """Raised for a plan file that cannot be read or does not fit the plan fields."""
 
 

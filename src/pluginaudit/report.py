@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .config import StageError
 from .consistency import (
     ALL_KINDS,
     ConsistencyFinding,
@@ -63,7 +64,7 @@ METHOD_NOTES = (
 )
 
 
-class ReportError(Exception):
+class ReportError(StageError):
     pass
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urlsplit
 
+from .config import StageError
 from .numfmt import render_ratio_pct
 from .urlnorm import is_absolute_http
 
@@ -223,7 +224,7 @@ def distribution_report(assignments: list[tuple[str, str]]) -> dict[str, dict]:
     }
 
 
-class LexiconError(Exception):
+class LexiconError(StageError):
     """A seed lexicon file that cannot be read, is not a category -> seed
     list object, or names a category the report does not count."""
 

@@ -225,6 +225,64 @@ def test_report_label_mismatch_exits_1(tmp_path):
     assert rc == 1
 
 
+def _report_argv(tmp_path, out: Path) -> list[str]:
+    """The report command on an empty corpus and empty artifacts of its snapshot, writing `out`."""
+    envelope = {"schema_version": 1, "snapshot_label": "t"}
+    (tmp_path / "corpus.json").write_text(json.dumps({**envelope, "created_at": "now", "records": [], "ingest_errors": []}))
+    (tmp_path / "verdicts.json").write_text("[]")
+    (tmp_path / "outcomes.json").write_text(json.dumps({**envelope, "results": {}, "skipped": {}, "transcript": []}))
+    (tmp_path / "findings.json").write_text(json.dumps({**envelope, "findings": [], "per_developer": {}}))
+    (tmp_path / "scopes.json").write_text(json.dumps({**envelope, "assignments": [], "distribution": {}}))
+    inputs = ("corpus", "verdicts", "outcomes", "findings", "scopes")
+    return ["report", *(arg for name in inputs for arg in (f"--{name}", str(tmp_path / f"{name}.json"))), "--out", str(out)]
+
+
+def _diff_argv(tmp_path, out: Path) -> list[str]:
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"schema_version": 1, "snapshot_label": "x", "metrics": {"file_leakage": 10}}))
+    return ["diff", "--before", str(report), "--after", str(report), "--out", str(out)]
+
+
+def _ingest_argv(tmp_path, out: Path) -> list[str]:
+    index = tmp_path / "index.ndjson"
+    index.write_text('{"title": "X"}\n')
+    return ["ingest", "--input", str(index), "--label", "t", "--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("run-all", lambda tmp, blocker: ["run-all", "--corpus", str(tmp / "c.json"), "--out-dir", str(blocker)]),
+        ("ingest", lambda tmp, blocker: _ingest_argv(tmp, blocker / "c.json")),
+        ("report", lambda tmp, blocker: _report_argv(tmp, blocker / "r.json")),
+        ("gen-plan", lambda tmp, blocker: ["gen-plan", "--profile", "revisit", "--seed", "1", "--out", str(blocker / "p.json")]),
+        ("diff", lambda tmp, blocker: _diff_argv(tmp, blocker / "d.md")),
+    ],
+    ids=["run-all", "ingest", "report", "gen-plan", "diff"],
+)
+def test_an_output_path_that_cannot_be_written_exits_1(tmp_path, capsys, command, argv):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert cli.main(argv(tmp_path, blocker)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in stage {command}: ") and str(blocker) in err and "Traceback" not in err
+
+
+def test_diff_out_creates_its_directory(tmp_path, capsys):
+    out = tmp_path / "no" / "dir" / "diff.md"
+    assert cli.main(_diff_argv(tmp_path, out)) == 0
+    assert out.read_bytes() and capsys.readouterr().out == f"diff -> {out}\n"
+
+
+@pytest.mark.parametrize("name", ["r.md", "r.MD"])
+def test_report_markdown_refuses_an_out_path_ending_in_md(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert cli.main([*_report_argv(tmp_path, out), "--format", "markdown"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and str(out) in captured.err and not captured.out
+    assert not out.exists()
+
+
 def test_single_stage_commands_reproduce_the_run_all_report(paper_run, tmp_path):
     """consistency, scopes and report, run one by one on the session run's
     artifacts, write the golden report.json and run-all's report.md."""
@@ -323,13 +381,49 @@ def test_json_logs_stay_whole_under_concurrency(capsys):
     assert sorted(json.loads(line)["url"] for line in lines) == sorted(urls)
 
 
-def test_cli_import_loads_no_third_party_http_client():
-    # Nor what only some commands run: TLS, YAML, and the fixture store's server.
-    unused = "{'requests', 'urllib3', 'http.client', 'http.server', 'ssl', 'email', 'yaml', 'pluginaudit.fixture'}"
-    code = f"import sys, pluginaudit.cli; print(sorted({unused} & set(sys.modules)))"
+def _modules_loaded(cwd: Path, argv: list[str] | None) -> tuple[int | None, set[str]]:
+    """(exit code, sys.modules) of a fresh interpreter that imports the CLI
+    and, given an argv, runs `cli.main(argv)` in `cwd`."""
+    run = f"rc = cli.main({argv!r})" if argv is not None else "rc = None"
+    code = f"import json, sys; from pluginaudit import cli; {run}; print(json.dumps([rc, sorted(sys.modules)]))"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=60, check=True)
+    rc, modules = json.loads(out.stdout.splitlines()[-1])
+    return rc, set(modules)
+
+
+def test_cli_import_loads_no_third_party_http_client(tmp_path):
+    # Nor what only some commands run: TLS, YAML, the fixture store's server, and every stage.
+    unused = {"requests", "urllib3", "http.client", "http.server", "ssl", "email", "yaml", "pluginaudit.fixture"}
+    _, modules = _modules_loaded(tmp_path, None)
+    assert not unused & modules
+    assert {name for name in modules if name.startswith("pluginaudit.")} == {"pluginaudit.cli", "pluginaudit.config"}
+
+
+_NETWORK_AND_AUDIT = ("fetch", "manifest", "discovery", "probe", "consistency", "scoperisk", "report", "artifacts")
+
+
+@pytest.mark.parametrize(
+    "argv, rc, absent",
+    [
+        (["ingest", "--input", "index.ndjson", "--label", "t", "--out", "corpus.json"], 0, _NETWORK_AND_AUDIT),
+        (["gen-plan", "--profile", "revisit", "--seed", "1", "--out", "plan.json"], 0, (*_NETWORK_AND_AUDIT, "http.server")),
+        (["serve-fixtures", "--plan", "bad-plan.json"], 1, _NETWORK_AND_AUDIT),
+        (["probe", "--corpus", "corpus.json", "--manifests", "manifests", "--out", "outcomes.json"], 0,
+         ("discovery", "consistency", "scoperisk", "report", "fixture")),
+    ],
+    ids=["ingest", "gen-plan", "serve-fixtures", "probe"],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, rc, absent):
+    (tmp_path / "index.ndjson").write_text('{"title": "X", "legal_info_url": "https://x.example/legal"}\n')
+    (tmp_path / "bad-plan.json").write_text("{")
+    corpus_doc = {"schema_version": 1, "snapshot_label": "t", "created_at": "now", "records": [], "ingest_errors": []}
+    (tmp_path / "corpus.json").write_text(json.dumps(corpus_doc))
+    (tmp_path / "manifests").mkdir()
+    code, modules = _modules_loaded(tmp_path, argv)
+    assert code == rc
+    loaded = {name for name in absent if name in modules or f"pluginaudit.{name}" in modules}
+    assert not loaded, f"{argv[0]} loaded {sorted(loaded)}"
 
 
 @pytest.mark.parametrize("fmt", ["json", "markdown"])

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pluginaudit.corpus import Corpus, PluginRecord
 from pluginaudit.discovery import (
@@ -242,3 +243,19 @@ def test_store_entry_without_usable_seed_sends_no_request():
     assert "legal_info_url missing" in result.verdicts["none"].evidence
     assert "'/legal'" in result.verdicts["rel"].evidence
     assert all(v.candidates_tried == 0 for v in result.verdicts.values())
+
+
+_seed_urls = st.one_of(
+    st.text(max_size=40),
+    st.tuples(st.sampled_from(["http://", "https://", "HTTPS://", "ftp://", "http:"]), st.text(max_size=40)).map("".join),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_seed_urls)
+def test_generate_candidates_returns_or_raises_invalid_seed(seed):
+    try:
+        candidates = generate_candidates(seed)
+    except InvalidSeed:
+        return
+    assert candidates and len({c.url for c in candidates}) == len(candidates)

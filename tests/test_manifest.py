@@ -5,7 +5,7 @@ import json
 
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pluginaudit import fixture
 
@@ -430,3 +430,62 @@ def test_fingerprint_of_lone_surrogate_escape():
     b = parse_manifest(raw.replace(b'"todo"', b'"todo\\ud801"'))
     assert a.name_for_model == "todo\ud800"
     assert a.fingerprint != b.fingerprint != parse_manifest(raw).fingerprint
+
+
+# Untrusted input: whatever a store serves, a parser returns or raises ParseError.
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=12))
+_json_value = st.recursive(
+    _json_leaf,
+    lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=8), kids, max_size=3)),
+    max_leaves=8,
+)
+_auth_value = st.fixed_dictionaries(
+    {},
+    optional={
+        "type": st.one_of(st.sampled_from(["none", "oauth", "service_http", "user_http", "bearer", "OAuth"]), _json_leaf),
+        "scope": _json_value,
+        "verification_tokens": st.one_of(st.dictionaries(st.text(max_size=8), _json_leaf, max_size=3), _json_value),
+        "authorization_url": st.one_of(_url, _json_leaf),
+        "client_url": st.one_of(_url, _json_leaf),
+    },
+)
+_manifest_value = st.fixed_dictionaries(
+    {},
+    optional={
+        "schema_version": _json_value,
+        "name_for_human": _json_value,
+        "name_for_model": _json_value,
+        "description_for_human": _json_value,
+        "description_for_model": _json_value,
+        "auth": st.one_of(_auth_value, _json_value),
+        "api": st.one_of(st.fixed_dictionaries({}, optional={"type": _json_leaf, "url": st.one_of(_url, _json_leaf)}), _json_value),
+        "legal_info_url": st.one_of(_url, _json_value),
+    },
+)
+_origin = st.one_of(st.sampled_from(["https://o.example/openapi.json", "http://o.example:8080", "o.example/", ""]), st.text(max_size=12))
+
+
+def _parses_or_raises_parse_error(parse, *args) -> None:
+    try:
+        parse(*args)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.one_of(st.binary(max_size=64), _manifest_value.map(lambda value: json.dumps(value).encode())))
+def test_parse_manifest_returns_or_raises_parse_error(data):
+    _parses_or_raises_parse_error(parse_manifest, data)
+
+
+@settings(max_examples=75, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=64),
+        _openapi_value.map(lambda value: json.dumps(value).encode()),
+        _openapi_value.map(lambda value: yaml.safe_dump(value).encode()),
+    ),
+    origin=_origin,
+)
+def test_parse_openapi_returns_or_raises_parse_error(data, origin):
+    _parses_or_raises_parse_error(parse_openapi, data, origin)

@@ -201,3 +201,12 @@ def test_argmax_invariant_under_count_scaling_100_corpora():
         scale = rng.randint(2, 5)
         scaled = [make_scope_document(d.plugin_id, " ".join(list(d.tokens) * scale)) for d in docs]
         assert categorize_corpus(docs) == categorize_corpus(scaled)
+
+
+_scope_pieces = st.one_of(st.text(max_size=20), st.sampled_from(["http://", "https://", "+", ",", "/", " ", "[", ":"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_scope_pieces, max_size=6).map("".join))
+def test_tokenize_scope_never_raises(raw):
+    assert "" not in tokenize_scope(raw)
