@@ -1,24 +1,26 @@
-"""On-disk formats of the stage artifacts: one writer and one checked reader each.
+"""On-disk formats of the stage artifacts: one writer and one decoding reader each.
 
 `verdicts.json` is a bare list with one row per corpus plugin and
 `manifests/` holds each accessible plugin's manifest bytes as fetched.
 `outcomes.json`, `findings.json` and `scopes.json` are envelopes of
-`schema_version`, `snapshot_label` and the stage's payload. A reader checks
-what the report reads and raises `ArtifactError` naming the file, so an
-artifact of the wrong shape, from another snapshot, with a bucket the report
-does not count, or with a row for a plugin outside the corpus stops the stage
-instead of crashing it or being counted.
+`schema_version`, `snapshot_label` and the stage's payload. The dataclasses
+below give each key its type: a writer writes them, and a reader decodes its
+file to them. A key the report does not read, such as the per-request
+outcomes, may be left out and is not looked into. A reader raises
+`ArtifactError` naming the file, so an artifact of the wrong shape, from
+another snapshot, with a bucket the report does not count, or with a row for
+a plugin outside the corpus stops the stage instead of crashing it or being
+counted.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Literal
 
 from .config import StageError
-from .jsonfile import write_json
+from .jsonfile import DecodeError, decode, read_json, write_json
 from .manifest import ManifestDocument, ParseError, parse_manifest
 from .probe import ALL_CASES, ALL_CAUSES, ALL_FAMILIES, PluginProbeResult, ProbeOutcome, ProbeRunResult
 
@@ -33,20 +35,53 @@ class ArtifactError(StageError):
     pass
 
 
-def _read_json(path: Path) -> object:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ArtifactError(f"missing input file: {path}") from exc
-    except OSError as exc:
-        raise ArtifactError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-        raise ArtifactError(f"unparseable JSON in {path}: {exc}") from exc
+@dataclass
+class _Envelope:
+    schema_version: Literal[SCHEMA_VERSION]
+    snapshot_label: str
+
+
+@dataclass
+class _ProbeRow:
+    auth_family: Literal[ALL_FAMILIES]
+    plugin_case: Literal[ALL_CASES]
+    succeeded: bool
+    failure_causes: list[Literal[ALL_CAUSES]]
+    outcomes: list = field(default_factory=list)
+
+
+@dataclass
+class _OutcomesFile(_Envelope):
+    results: dict[str, _ProbeRow]
+    skipped: dict[str, str]
+    transcript: list = field(default_factory=list)
+
+
+# The rows of these two hold constants of layers that `audit probe` does not
+# load, so their readers decode the rows after loading the layer.
+@dataclass
+class _FindingsFile(_Envelope):
+    findings: list
+    per_developer: dict[str, int] = field(default_factory=dict)
+    strict_only_mismatches: int = 0
+
+
+@dataclass
+class _ScopesFile(_Envelope):
+    assignments: list
+    distribution: dict = field(default_factory=dict)
 
 
 def _expect(ok: bool, path: Path, problem: str) -> None:
     if not ok:
         raise ArtifactError(f"malformed artifact {path}: {problem}")
+
+
+def _decode(path: Path, cls, value: object, where: str):
+    try:
+        return decode(cls, value, where)
+    except DecodeError as exc:
+        raise ArtifactError(f"malformed artifact {path}: {exc}") from None
 
 
 def _expect_in_corpus(path: Path, named: Iterable[str], plugin_ids: Iterable[str], what: str) -> None:
@@ -55,38 +90,25 @@ def _expect_in_corpus(path: Path, named: Iterable[str], plugin_ids: Iterable[str
     _expect(not unknown, path, f"{what} for {len(unknown)} plugins not in the corpus: {unknown[:5]}")
 
 
-def _envelope(snapshot_label: str, **payload) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "snapshot_label": snapshot_label, **payload}
-
-
-def _open_envelope(path: Path, name: str, snapshot_label: str, payload: dict[str, type]) -> dict:
-    """Read an envelope whose label is the corpus label and whose payload keys hold the given JSON types."""
-    doc = _read_json(path)
-    _expect(isinstance(doc, dict) and doc.get("schema_version") == SCHEMA_VERSION, path, "not a schema v1 object")
-    if (other := doc.get("snapshot_label")) != snapshot_label:
-        raise ArtifactError(f"snapshot label mismatch: corpus is {snapshot_label!r} but {name} is {other!r}")
-    for key, kind in payload.items():
-        _expect(isinstance(doc.get(key), kind), path, f"{key!r} is not a JSON {kind.__name__}")
+def _open_envelope(path: Path, cls, name: str, snapshot_label: str):
+    """Read an envelope of the given class whose label is the corpus label."""
+    doc = read_json(path, ArtifactError, "artifact", cls)
+    if doc.snapshot_label != snapshot_label:
+        raise ArtifactError(f"snapshot label mismatch: corpus is {snapshot_label!r} but {name} is {doc.snapshot_label!r}")
     return doc
 
 
 def write_verdicts(path: Path, verdicts: dict[str, AccessibilityVerdict]) -> None:
-    write_json(path, [asdict(verdicts[plugin_id]) for plugin_id in sorted(verdicts)])
+    write_json(path, [verdicts[plugin_id] for plugin_id in sorted(verdicts)])
 
 
 def read_verdicts(path: Path, plugin_ids: Iterable[str]) -> dict[str, AccessibilityVerdict]:
     """verdicts.json carries no snapshot label, so it must hold exactly one
     row per corpus plugin: a list from another snapshot cannot pass."""
-    from .discovery import ALL_VERDICTS, AccessibilityVerdict
+    from .discovery import AccessibilityVerdict
 
-    rows = _read_json(path)
-    _expect(isinstance(rows, list), path, "not a list of verdict rows")
-    names = [f.name for f in fields(AccessibilityVerdict)]
-    verdicts: dict[str, AccessibilityVerdict] = {}
-    for index, row in enumerate(rows):
-        ok = isinstance(row, dict) and isinstance(row.get("plugin_id"), str) and row.get("verdict") in ALL_VERDICTS
-        _expect(ok, path, f"row {index} has no plugin_id or no known verdict")
-        verdicts[row["plugin_id"]] = AccessibilityVerdict(**{name: row[name] for name in names if name in row})
+    rows = read_json(path, ArtifactError, "artifact", list[AccessibilityVerdict])
+    verdicts = {row.plugin_id: row for row in rows}
     expected = set(plugin_ids)
     missing = len(expected - verdicts.keys())
     problem = f"{len(rows)} rows for {len(expected)} corpus plugins, {missing} without a verdict"
@@ -137,61 +159,44 @@ def _outcome_row(outcome: ProbeOutcome) -> dict:
 
 def write_outcomes(path: Path, run: ProbeRunResult, snapshot_label: str) -> None:
     results = {
-        plugin_id: {
-            "auth_family": r.auth_family,
-            "plugin_case": r.plugin_case,
-            "succeeded": r.succeeded,
-            "failure_causes": r.failure_causes,
-            "outcomes": [_outcome_row(o) for o in r.outcomes],
-        }
+        plugin_id: _ProbeRow(r.auth_family, r.plugin_case, r.succeeded, r.failure_causes, list(map(_outcome_row, r.outcomes)))
         for plugin_id, r in run.results.items()
     }
-    transcript = [asdict(entry) for entry in run.transcript]
-    write_json(path, _envelope(snapshot_label, results=results, skipped=run.skipped, transcript=transcript))
+    write_json(path, _OutcomesFile(SCHEMA_VERSION, snapshot_label, results, run.skipped, run.transcript))
 
 
 def read_outcomes(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) -> ProbeRunResult:
     """The part of a probe run that the report reads: the plugin-level
     results and the skip reasons of corpus plugins. Per-request outcomes and
     the transcript are left empty."""
-    doc = _open_envelope(path, "outcomes", snapshot_label, {"results": dict, "skipped": dict})
-    run = ProbeRunResult()
-    for plugin_id, row in doc["results"].items():
-        ok = isinstance(row, dict) and row.get("auth_family") in ALL_FAMILIES and row.get("plugin_case") in ALL_CASES
-        ok = ok and isinstance(row.get("succeeded"), bool) and isinstance(row.get("failure_causes"), list)
-        ok = ok and all(cause in ALL_CAUSES for cause in row["failure_causes"])
-        _expect(ok, path, f"result for {plugin_id!r} has an unknown auth family, case or failure cause")
-        run.results[plugin_id] = PluginProbeResult(
-            plugin_id, row["auth_family"], row["plugin_case"], row["succeeded"], failure_causes=row["failure_causes"]
-        )
-    _expect(all(isinstance(reason, str) for reason in doc["skipped"].values()), path, "a skip reason is not a string")
-    both = sorted(run.results.keys() & doc["skipped"].keys())
+    doc = _open_envelope(path, _OutcomesFile, "outcomes", snapshot_label)
+    both = sorted(doc.results.keys() & doc.skipped.keys())
     _expect(not both, path, f"plugins both in results and in skipped: {both}")
-    _expect_in_corpus(path, [*run.results, *doc["skipped"]], plugin_ids, "results and skips")
-    run.skipped = doc["skipped"]
-    return run
+    _expect_in_corpus(path, [*doc.results, *doc.skipped], plugin_ids, "results and skips")
+    results = {
+        plugin_id: PluginProbeResult(
+            plugin_id, row.auth_family, row.plugin_case, row.succeeded, failure_causes=row.failure_causes
+        )
+        for plugin_id, row in doc.results.items()
+    }
+    return ProbeRunResult(results=results, skipped=doc.skipped)
 
 
 def write_findings(
     path: Path, findings: list[ConsistencyFinding], per_developer: dict[str, int], snapshot_label: str, strict_only: int
 ) -> None:
-    rows = [asdict(finding) for finding in findings]
-    doc = _envelope(snapshot_label, findings=rows, per_developer=per_developer, strict_only_mismatches=strict_only)
-    write_json(path, doc)
+    write_json(path, _FindingsFile(SCHEMA_VERSION, snapshot_label, findings, per_developer, strict_only))
 
 
 def read_findings(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) -> list[ConsistencyFinding]:
-    from .consistency import ALL_KINDS, ConsistencyFinding
+    from .consistency import ConsistencyFinding
 
-    doc = _open_envelope(path, "findings", snapshot_label, {"findings": list})
-    findings = []
-    for index, row in enumerate(doc["findings"]):
-        evidence = row.get("evidence", {}) if isinstance(row, dict) else None
-        ok = isinstance(evidence, dict) and isinstance(row.get("plugin_id"), str) and row.get("kind") in ALL_KINDS
-        members = evidence.get("members", []) if ok else None
-        ok = ok and isinstance(members, list) and all(isinstance(member, str) for member in members)
-        _expect(ok, path, f"finding {index} has no plugin_id, an unknown kind or malformed evidence")
-        findings.append(ConsistencyFinding(row["plugin_id"], row["kind"], evidence))
+    doc = _open_envelope(path, _FindingsFile, "findings", snapshot_label)
+    findings = _decode(path, list[ConsistencyFinding], doc.findings, "findings")
+    for index, finding in enumerate(findings):
+        members = finding.evidence.get("members", [])
+        ok = isinstance(members, list) and all(isinstance(member, str) for member in members)
+        _expect(ok, path, f"findings[{index}].evidence.members is not a list of strings")
     named = [pid for finding in findings for pid in (finding.plugin_id, *finding.members())]
     _expect_in_corpus(path, named, plugin_ids, "findings")
     return findings
@@ -200,8 +205,7 @@ def read_findings(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) ->
 def write_scopes(
     path: Path, assignments: list[tuple[str, str]], distribution: dict[str, dict], snapshot_label: str
 ) -> None:
-    rows = [[plugin_id, category] for plugin_id, category in sorted(assignments)]
-    write_json(path, _envelope(snapshot_label, assignments=rows, distribution=distribution))
+    write_json(path, _ScopesFile(SCHEMA_VERSION, snapshot_label, sorted(assignments), distribution))
 
 
 def read_scopes(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) -> list[tuple[str, str]]:
@@ -209,12 +213,8 @@ def read_scopes(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) -> l
     distribution from them, so the file's own distribution is not read."""
     from .scoperisk import ALL_CATEGORIES
 
-    doc = _open_envelope(path, "scopes", snapshot_label, {"assignments": list})
-    assignments = []
-    for index, row in enumerate(doc["assignments"]):
-        ok = isinstance(row, list) and len(row) == 2 and isinstance(row[0], str) and row[1] in ALL_CATEGORIES
-        _expect(ok, path, f"assignment {index} is not a [plugin_id, known category] pair")
-        assignments.append((row[0], row[1]))
+    doc = _open_envelope(path, _ScopesFile, "scopes", snapshot_label)
+    assignments = _decode(path, list[tuple[str, Literal[ALL_CATEGORIES]]], doc.assignments, "assignments")
     _expect(len(dict(assignments)) == len(assignments), path, "a plugin has more than one assignment")
     _expect_in_corpus(path, dict(assignments), plugin_ids, "assignments")
     return assignments

@@ -305,10 +305,8 @@ def cmd_run_all(args) -> int:
     cache_path = out_dir / "cache.json"
 
     try:
-        cache = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError):
-        cache = {}
-    if not isinstance(cache, dict):
+        cache = artifacts.read_json(cache_path, StageError, "cache", dict[str, str])
+    except StageError:  # anything unreadable is no entries
         cache = {}
 
     # A stage's cache entry hashes its input key with the bytes it wrote, so

@@ -1,15 +1,14 @@
 """Shared audit configuration: a JSON config file plus flag overrides.
 
 Flags win over file values; the AUDIT_CONFIG environment variable may point
-at the config file. Out-of-range values are rejected at load time with the
-offending key named.
+at the config file. A value of the wrong type or out of range is rejected
+at load time with the offending key named.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 ENV_CONFIG = "AUDIT_CONFIG"
@@ -54,25 +53,10 @@ class AuditConfig:
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> AuditConfig:
     """Config file (explicit path, else $AUDIT_CONFIG) merged with overrides."""
-    values: dict = {}
+    config = AuditConfig()
     config_path = path or os.environ.get(ENV_CONFIG)
     if config_path:
-        try:
-            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {config_path}") from exc
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-            raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {config_path} must hold a JSON object")
-        known = {f.name for f in fields(AuditConfig)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        values.update(doc)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = value
-    return AuditConfig(**values).validate()
+        from .jsonfile import read_json  # only a command that reads a config loads the reader
+
+        config = read_json(config_path, ConfigError, "config file", AuditConfig)
+    return replace(config, **{key: value for key, value in (overrides or {}).items() if value is not None}).validate()

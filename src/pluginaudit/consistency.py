@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Literal
 
 from .corpus import Corpus, PluginRecord
 from .manifest import ManifestDocument
@@ -36,7 +37,7 @@ _WHITESPACE_RE = re.compile(r"\s+", flags=re.UNICODE)
 @dataclass(frozen=True)
 class ConsistencyFinding:
     plugin_id: str
-    kind: str
+    kind: Literal[ALL_KINDS]
     evidence: dict
 
     def members(self) -> list[str]:

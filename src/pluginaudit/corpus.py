@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Literal
 
 from .config import StageError
-from .jsonfile import write_json
+from .jsonfile import read_json, write_json
 from .urlnorm import host_of, registrable_domain
 
 SCHEMA_VERSION = 1
@@ -25,7 +25,7 @@ FLAG_LEGAL_MISSING = "legal_missing"
 
 
 class CorpusError(StageError):
-    """Raised for unreadable corpus files or schema-version mismatches."""
+    """Raised for a corpus file that cannot be read, is not of schema v1, or repeats a plugin id."""
 
 
 @dataclass(frozen=True)
@@ -118,64 +118,25 @@ def ingest_index(source: Iterable[str] | Iterable[bytes], label: str) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "snapshot_label": corpus.snapshot_label,
-        "created_at": corpus.created_at,
-        "records": [asdict(r) for r in corpus.records],
-        "ingest_errors": [asdict(e) for e in corpus.ingest_errors],
-    }
-    write_json(path, doc)
+    write_json(path, {"schema_version": SCHEMA_VERSION, **vars(corpus)})
 
 
-_REQUIRED_TEXT = ("plugin_id", "store_title", "name_for_human_store")
-_OPTIONAL_TEXT = ("legal_info_url", "logo_url", "store_description", "developer_domain")
+@dataclass
+class _CorpusFile:
+    """What save_corpus writes; a corpus without a label or creation time has ""."""
+
+    schema_version: Literal[SCHEMA_VERSION]
+    records: list[PluginRecord]
+    snapshot_label: str = ""
+    created_at: str = ""
+    ingest_errors: list[IngestError] = field(default_factory=list)
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise CorpusError(f"corpus file not found: {path}") from exc
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-        raise CorpusError(f"corpus file {path} is not valid JSON (expected schema v{SCHEMA_VERSION}): {exc}") from exc
-    if not isinstance(doc, dict) or "records" not in doc:
-        raise CorpusError(f"corpus file {path} has no records (expected schema v{SCHEMA_VERSION})")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise CorpusError(f"corpus file {path} has schema version {version!r}, expected {SCHEMA_VERSION}")
-    if not isinstance(doc["records"], list):
-        raise CorpusError(f"corpus file {path}: records is not a list")
-    records = []
+    doc = read_json(path, CorpusError, "corpus file", _CorpusFile)
     first_index: dict[str, int] = {}
-    for index, raw in enumerate(doc["records"]):
-        if not isinstance(raw, dict):
-            raise CorpusError(f"corpus file {path}: record {index} is not an object")
-        for key in _REQUIRED_TEXT:
-            if key not in raw:
-                raise CorpusError(f"corpus file {path}: record {index} has no {key!r}")
-            if not isinstance(raw[key], str):
-                raise CorpusError(f"corpus file {path}: record {index}: {key!r} is not a string")
-        first = first_index.setdefault(raw["plugin_id"], index)
+    for index, record in enumerate(doc.records):
+        first = first_index.setdefault(record.plugin_id, index)
         if first != index:
-            raise CorpusError(f"corpus file {path}: record {index}: plugin_id {raw['plugin_id']!r} repeats record {first}")
-        for key in _OPTIONAL_TEXT:
-            if not isinstance(raw.get(key), (str, type(None))):
-                raise CorpusError(f"corpus file {path}: record {index}: {key!r} is neither a string nor null")
-        flags = raw.get("flags", [])
-        if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):
-            raise CorpusError(f"corpus file {path}: record {index}: 'flags' is not a list of strings")
-        records.append(PluginRecord(**{key: raw.get(key) for key in _REQUIRED_TEXT + _OPTIONAL_TEXT}, flags=tuple(flags)))
-    try:
-        errors = [IngestError(**e) for e in doc.get("ingest_errors", [])]
-    except TypeError as exc:
-        raise CorpusError(f"corpus file {path}: malformed ingest_errors: {exc}") from None
-    return Corpus(
-        snapshot_label=doc.get("snapshot_label", ""),
-        created_at=doc.get("created_at", ""),
-        records=records,
-        ingest_errors=errors,
-    )
+            raise CorpusError(f"corpus file {path}: record {index}: plugin_id {record.plugin_id!r} repeats record {first}")
+    return Corpus(doc.snapshot_label, doc.created_at, doc.records, doc.ingest_errors)

@@ -11,6 +11,7 @@ into one of six accessibility verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 from urllib.parse import urlsplit
 
 from .corpus import Corpus, PluginRecord
@@ -61,7 +62,7 @@ class CandidateUrl:
 @dataclass(frozen=True)
 class AccessibilityVerdict:
     plugin_id: str
-    verdict: str
+    verdict: Literal[ALL_VERDICTS]
     winning_url: str | None = None
     http_status: int | None = None
     evidence: str = ""

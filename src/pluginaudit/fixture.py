@@ -20,14 +20,13 @@ import json
 import random
 import sys
 import threading
-import types
-import typing
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import StageError
 from .corpus import make_plugin_id
+from .jsonfile import read_json
 
 PROFILE_PAPER_TABLES = "paper-tables"
 PROFILE_REVISIT = "revisit"
@@ -89,70 +88,15 @@ def save_plan(plan: FixturePlan, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-_FIELD_TYPES = {cls: typing.get_type_hints(cls) for cls in (FixturePlan, FixtureSite, FixtureEndpoint)}
-_JSON_NAMES = {str: "a string", int: "an integer", dict: "an object", list: "a list", type(None): "null"}
-
-
-def _fits(value: object, hint) -> bool:
-    """Whether a JSON value has a field's type. Of a `list[...]` or a
-    `dict[...]` only the container is checked; load_plan decodes the sites
-    and endpoints in it, and an index entry is only written back out."""
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, arg) for arg in typing.get_args(hint))
-    kind = typing.get_origin(hint) or hint
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-
-
-def _type_name(hint) -> str:
-    if isinstance(hint, types.UnionType):
-        return " or ".join(_type_name(arg) for arg in typing.get_args(hint))
-    return _JSON_NAMES[typing.get_origin(hint) or hint]
-
-
-def _from_doc(cls, doc: object, where: str):
-    """cls(**doc), or PlanError naming the first key of doc that does not fit cls."""
-    if not isinstance(doc, dict):
-        raise PlanError(f"{where} is not an object")
-    try:
-        value = cls(**doc)
-    except TypeError:
-        names = [f.name for f in fields(cls)]
-    else:
-        hints = _FIELD_TYPES[cls]
-        for key in doc:
-            if not _fits(doc[key], hints[key]):
-                raise PlanError(f"key {key!r} in {where} is not {_type_name(hints[key])}")
-        return value
-    for key in doc:
-        if key not in names:
-            raise PlanError(f"unknown key {key!r} in {where}")
-    # Fields without a default come first, so the first one absent is required.
-    missing = next(name for name in names if name not in doc)
-    raise PlanError(f"missing key {missing!r} in {where}")
-
-
 def load_plan(path: str | Path) -> FixturePlan:
-    """Read a plan written by save_plan. Raises PlanError, naming the file
-    and the offending key, when the file cannot be read or parsed, its keys
-    do not match the plan fields, as in a plan of an older format, or a
-    value does not have its field's type."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PlanError(f"cannot read plan file {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise PlanError(f"plan file {path}: not valid JSON: {exc}") from exc
-    try:
-        plan = _from_doc(FixturePlan, doc, "the plan")
-        for host, site_doc in plan.sites.items():
-            site = plan.sites[host] = _from_doc(FixtureSite, site_doc, f"sites[{host!r}]")
-            for i, endpoint_doc in enumerate(site.endpoints):
-                where = f"sites[{host!r}].endpoints[{i}]"
-                endpoint = site.endpoints[i] = _from_doc(FixtureEndpoint, endpoint_doc, where)
-                if not 100 <= endpoint.status_ok <= 599:
-                    raise PlanError(f"key 'status_ok' in {where} is not an HTTP status code (100-599)")
-    except PlanError as exc:
-        raise PlanError(f"plan file {path}: {exc}") from None
+    """Read a plan written by save_plan. PlanError names the file and the
+    first value that does not fit the plan fields, as in an older format."""
+    plan = read_json(path, PlanError, "plan file", FixturePlan)
+    for host, site in plan.sites.items():
+        for i, endpoint in enumerate(site.endpoints):
+            if not 100 <= endpoint.status_ok <= 599:
+                where = f"sites[{host!r}].endpoints[{i}].status_ok"
+                raise PlanError(f"malformed plan file {path}: {where} is not an HTTP status code (100-599)")
     return plan
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Literal
 
 from .config import StageError
 from .consistency import (
@@ -24,6 +23,7 @@ from .consistency import (
 )
 from .corpus import Corpus
 from .discovery import ALL_VERDICTS, VERDICT_ACCESSIBLE, AccessibilityVerdict
+from .jsonfile import DecodeError, decode, read_json
 from .numfmt import render_change_pct, render_ratio_pct
 from .probe import (
     ALL_CASES,
@@ -293,11 +293,10 @@ def render_diff(diff: ReportDiff, fmt: str = "json") -> bytes:
 
 def load_report(path) -> AuditReport:
     """Read a report for diffing; it must carry integer `metrics`."""
+    doc = read_json(path, ReportError, "report", dict)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-        raise ReportError(f"cannot read report {path}: {exc}") from exc
-    metrics = doc.get("metrics") if isinstance(doc, dict) and doc.get("schema_version") == REPORT_SCHEMA_VERSION else None
-    if not isinstance(metrics, dict) or not all(type(value) is int for value in metrics.values()):
-        raise ReportError(f"not a report file (expected schema v{REPORT_SCHEMA_VERSION} with integer metrics): {path}")
+        decode(Literal[REPORT_SCHEMA_VERSION], doc.get("schema_version"), "schema_version")
+        decode(dict[str, int], doc.get("metrics"), "metrics")
+    except DecodeError as exc:
+        raise ReportError(f"malformed report {path}: {exc}") from None
     return AuditReport(doc=doc)

@@ -9,14 +9,13 @@ not mark a scope fall into "unspecified".
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from urllib.parse import urlsplit
 
 from .config import StageError
+from .jsonfile import read_json
 from .numfmt import render_ratio_pct
 from .urlnorm import is_absolute_http
 
@@ -153,12 +152,6 @@ class VectorContext:
         return TfidfVector(weights=weights)
 
 
-def tfidf_vectorize(docs: list[ScopeDocument]) -> list[TfidfVector]:
-    """Vectorize a scope corpus (fit + transform in one pass)."""
-    context = VectorContext([d.tokens for d in docs])
-    return [context.vectorize_tokens(d.tokens) for d in docs]
-
-
 def cosine_similarity(a: TfidfVector, b: TfidfVector) -> float:
     """dot(a,b)/(|a||b|); 0.0 when either vector is zero. Weights are
     non-negative so the result lies in [0, 1]."""
@@ -231,14 +224,8 @@ class LexiconError(StageError):
 
 def load_seed_lexicon(path) -> dict[str, tuple[str, ...]]:
     """Seed lexicon from a JSON config: {category: [seed strings]}."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise LexiconError(f"cannot read seed lexicon {path}: {exc}") from exc
-    if not isinstance(doc, dict) or not all(isinstance(seeds, list) for seeds in doc.values()):
-        raise LexiconError(f"seed lexicon {path} must be a JSON object of category -> seed list")
-    unknown = set(doc) - set(ALL_CATEGORIES)
+    lexicon = read_json(path, LexiconError, "seed lexicon", dict[str, tuple[str, ...]])
+    unknown = set(lexicon) - set(ALL_CATEGORIES)
     if unknown:
         raise LexiconError(f"unknown scope categories in lexicon {path}: {sorted(unknown)}")
-    return {category: tuple(str(s) for s in seeds) for category, seeds in doc.items()}
-
+    return lexicon

@@ -17,11 +17,11 @@ from pluginaudit.corpus import make_plugin_id
 from pluginaudit.discovery import generate_candidates
 from pluginaudit.fixture import PROFILE_PAPER_TABLES, PROFILE_REVISIT, expected_labels
 from pluginaudit.probe import CASE1, CASE2, CASE3, CASE4, CASE5, classify_case
-from pluginaudit.scoperisk import ScopeClassifier, categorize_corpus, cosine_similarity, make_scope_document, tfidf_vectorize
+from pluginaudit.scoperisk import ScopeClassifier, categorize_corpus, cosine_similarity, make_scope_document
 from pluginaudit.urlnorm import host_of, registrable_domain
 
 from test_discovery import TERMS_PHP_ORACLE, _random_seed_url
-from test_scoperisk import FROZEN_COS_12, ORACLE_DOC1, QUOTED_SCOPE_TABLE, _classifier_corpus, _toy_docs
+from test_scoperisk import FROZEN_COS_12, ORACLE_DOC1, QUOTED_SCOPE_TABLE, _classifier_corpus, _toy_docs, _vectorize
 
 
 # The paper's reference tables, which the paper-tables fixture reproduces.
@@ -129,7 +129,7 @@ def test_criterion_6_scope_classifier():
     for raw, expected in QUOTED_SCOPE_TABLE:
         assert classifier.categorize(make_scope_document("x", raw)) == expected, raw
 
-    v1, v2, v3 = tfidf_vectorize(_toy_docs())
+    v1, v2, v3 = _vectorize(_toy_docs())
     assert math.isclose(v1.weights["read"], ORACLE_DOC1["read"], abs_tol=1e-9)
     assert math.isclose(v1.weights["write"], ORACLE_DOC1["write"], abs_tol=1e-9)
     assert math.isclose(cosine_similarity(v1, v2), FROZEN_COS_12, abs_tol=1e-9)

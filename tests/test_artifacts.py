@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -154,10 +155,10 @@ def test_reader_label_mismatch_is_error(tmp_path):
 
 
 def test_readers_reject_missing_and_unparseable_files(tmp_path):
-    with pytest.raises(ArtifactError, match="missing input file"):
+    with pytest.raises(ArtifactError, match=re.escape(f"artifact not found: {tmp_path / 'findings.json'}")):
         read_findings(tmp_path / "findings.json", "t", [])
     (tmp_path / "scopes.json").write_text('{"schema_version": 1,')
-    with pytest.raises(ArtifactError, match="unparseable JSON"):
+    with pytest.raises(ArtifactError, match=re.escape(f"artifact {tmp_path / 'scopes.json'} is not valid JSON")):
         read_scopes(tmp_path / "scopes.json", "t", [])
 
 
@@ -265,7 +266,7 @@ def test_report_rejects_verdicts_of_another_snapshot(paper_run, revisit_run, tmp
     assert f"malformed artifact {paths['verdicts']}" in err and "1032 corpus plugins, 705 without a verdict" in err
 
 
-@pytest.mark.parametrize("content, message", [(None, "cannot read"), ("[" * 100000, "unparseable JSON")], ids=["directory", "nested-too-deeply"])
+@pytest.mark.parametrize("content, message", [(None, "cannot read"), ("[" * 100000, "is not valid JSON")], ids=["directory", "nested-too-deeply"])
 def test_reader_reports_a_file_it_cannot_read_or_parse(tmp_path, content, message):
     path = tmp_path / "verdicts.json"
     if content is None:

@@ -47,9 +47,16 @@ def test_ingest_records_an_undecodable_line_and_goes_on(tmp_path, capsys):
         (b'{"retries": "\xff"}', "is not valid JSON"),
         (b"{retries: 1}", "is not valid JSON"),
         (b"[" * 100000, "is not valid JSON"),
-        (b"[1]", "must hold a JSON object"),
+        (b"[1]", "the top level is not an object"),
+        (b'{"json_logs": "false"}', "json_logs is not a boolean"),
+        (b'{"redact_tokens": "no"}', "redact_tokens is not a boolean"),
+        (b'{"base_url_override": 5}', "base_url_override is not a string or null"),
+        (b'{"maximum_concurrency": 5}', "unknown key 'maximum_concurrency' in the top level"),
     ],
-    ids=["missing", "directory", "not-utf-8", "not-json", "nested-too-deeply", "not-an-object"],
+    ids=[
+        "missing", "directory", "not-utf-8", "not-json", "nested-too-deeply", "not-an-object", "text-json-logs",
+        "text-redact-tokens", "int-base-url", "unknown-key",
+    ],
 )
 def test_config_file_that_cannot_be_used_exits_2(tmp_path, capsys, content, message):
     config = tmp_path / "cfg.json"
@@ -177,7 +184,7 @@ def test_serve_fixtures_refuses_a_status_that_is_no_http_status(tmp_path, capsys
     monkeypatch.setattr(fixture_mod.FixtureServer, "wait", fixture_mod.FixtureServer.stop)
     assert cli.main(["serve-fixtures", "--plan", str(plan_path), "--port", "0"]) == 1
     err = capsys.readouterr().err
-    where = f"plan file {plan_path}: key 'status_ok' in sites['a.example'].endpoints[0] is not"
+    where = f"malformed plan file {plan_path}: sites['a.example'].endpoints[0].status_ok is not"
     assert err.startswith(f"error in stage serve-fixtures: {where}") and "Traceback" not in err
 
 
@@ -564,13 +571,14 @@ def test_run_all_treats_a_non_object_cache_as_empty(small_store, tmp_path):
 @pytest.mark.parametrize(
     "lexicon, message",
     [
-        (None, "cannot read seed lexicon"),
-        ("{bad", "cannot read seed lexicon"),
-        ('{"identity_email": ["mail"], "nope": ["x"]}', "unknown scope categories in lexicon"),
-        ('{"identity_email": "mail"}', "seed lexicon"),
-        ("[" * 100000, "cannot read seed lexicon"),
+        (None, "seed lexicon not found: {path}"),
+        ("{bad", "seed lexicon {path} is not valid JSON"),
+        ('{"identity_email": ["mail"], "nope": ["x"]}', "unknown scope categories in lexicon {path}"),
+        ('{"identity_email": "mail"}', "malformed seed lexicon {path}: ['identity_email'] is not a list"),
+        ("[" * 100000, "seed lexicon {path} is not valid JSON"),
+        ('{"global_access": [1, null]}', "malformed seed lexicon {path}: ['global_access'][0] is not a string"),
     ],
-    ids=["missing", "not-json", "unknown-category", "seeds-not-a-list", "nested-too-deeply"],
+    ids=["missing", "not-json", "unknown-category", "seeds-not-a-list", "nested-too-deeply", "seeds-not-strings"],
 )
 def test_scopes_bad_seed_lexicon_exits_1(tmp_path, capsys, lexicon, message):
     corpus_doc = {"schema_version": 1, "snapshot_label": "x", "created_at": "now", "records": [], "ingest_errors": []}
@@ -590,7 +598,7 @@ def test_scopes_bad_seed_lexicon_exits_1(tmp_path, capsys, lexicon, message):
     )
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error in stage scopes: {message}")
+    assert err.startswith(f"error in stage scopes: {message.format(path=lexicon_path)}")
     assert str(lexicon_path) in err
     assert not (tmp_path / "scopes.json").exists()
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -135,34 +136,41 @@ def _record_doc(**fields) -> str:
     [
         ('{"schema_version": 1, "records": [', "not valid JSON"),
         ("[" * 100000, "not valid JSON"),
-        ('{"schema_version": 1}', "has no records"),
+        ('{"schema_version": 1}', "missing key 'records' in the top level"),
         ('{"schema_version": 1, "records": {"plugin_id": "x"}}', "records is not a list"),
-        ('{"schema_version": 1, "records": ["x"]}', "record 0 is not an object"),
+        ('{"schema_version": 1, "records": ["x"]}', "records[0] is not an object"),
         (
             '{"schema_version": 1, "records": [{"plugin_id": "a", "store_title": "A", "name_for_human_store": "A"},'
             ' {"store_title": "B", "name_for_human_store": "B"}]}',
-            "record 1 has no 'plugin_id'",
+            "missing key 'plugin_id' in records[1]",
         ),
-        ('{"schema_version": 1, "records": [], "ingest_errors": [{"line": 1}]}', "malformed ingest_errors"),
+        ('{"schema_version": 1, "records": [], "ingest_errors": [{"line": 1}]}', "unknown key 'line' in ingest_errors[0]"),
+        (
+            '{"schema_version": 1, "records": [], "ingest_errors": [{"line_no": "x", "reason": 3}]}',
+            "ingest_errors[0].line_no is not an integer",
+        ),
+        ('{"schema_version": 1, "records": [], "snapshot_label": 5}', "snapshot_label is not a string"),
+        ('{"schema_version": 1, "records": [], "snapshot_label": ["a"]}', "snapshot_label is not a string"),
+        ('{"schema_version": 1, "records": [], "created_at": {}}', "created_at is not a string"),
         (
             '{"schema_version": 1, "records": [{"plugin_id": "a", "store_title": "A", "name_for_human_store": "A"},'
             ' {"plugin_id": "a", "store_title": "B", "name_for_human_store": "B"}]}',
             "record 1: plugin_id 'a' repeats record 0",
         ),
-        (_record_doc(plugin_id=7), "record 0: 'plugin_id' is not a string"),
-        (_record_doc(store_title=None), "record 0: 'store_title' is not a string"),
-        (_record_doc(name_for_human_store=["A"]), "record 0: 'name_for_human_store' is not a string"),
-        (_record_doc(legal_info_url=5), "record 0: 'legal_info_url' is neither a string nor null"),
-        (_record_doc(logo_url={}), "record 0: 'logo_url' is neither a string nor null"),
-        (_record_doc(store_description=1.5), "record 0: 'store_description' is neither a string nor null"),
-        (_record_doc(developer_domain=True), "record 0: 'developer_domain' is neither a string nor null"),
-        (_record_doc(flags="legal_missing"), "record 0: 'flags' is not a list of strings"),
-        (_record_doc(flags=[1]), "record 0: 'flags' is not a list of strings"),
-        (_record_doc(flags=None), "record 0: 'flags' is not a list of strings"),
+        (_record_doc(plugin_id=7), "records[0].plugin_id is not a string"),
+        (_record_doc(store_title=None), "records[0].store_title is not a string"),
+        (_record_doc(name_for_human_store=["A"]), "records[0].name_for_human_store is not a string"),
+        (_record_doc(legal_info_url=5), "records[0].legal_info_url is not a string or null"),
+        (_record_doc(logo_url={}), "records[0].logo_url is not a string or null"),
+        (_record_doc(store_description=1.5), "records[0].store_description is not a string or null"),
+        (_record_doc(developer_domain=True), "records[0].developer_domain is not a string or null"),
+        (_record_doc(flags="legal_missing"), "records[0].flags is not a list"),
+        (_record_doc(flags=[1]), "records[0].flags[0] is not a string"),
+        (_record_doc(flags=None), "records[0].flags is not a list"),
     ],
     ids=[
         "truncated", "nested-too-deeply", "no-records", "records-not-a-list", "record-not-an-object", "record-without-plugin-id", "bad-ingest-error",
-        "repeated-plugin-id",
+        "ingest-error-of-wrong-types", "int-label", "list-label", "object-created-at", "repeated-plugin-id",
         "int-plugin-id", "null-store-title", "list-name", "int-legal-url", "object-logo-url", "float-description",
         "bool-developer-domain", "string-flags", "int-flag", "null-flags",
     ],
@@ -170,7 +178,7 @@ def _record_doc(**fields) -> str:
 def test_load_malformed_file_raises_corpus_error(tmp_path, text, message):
     path = tmp_path / "broken.json"
     path.write_text(text)
-    with pytest.raises(CorpusError, match=message) as raised:
+    with pytest.raises(CorpusError, match=re.escape(message)) as raised:
         load_corpus(path)
     assert str(path) in str(raised.value)
 
@@ -182,7 +190,7 @@ def test_load_future_schema_version_rejected(tmp_path):
     doc = json.loads(path.read_text())
     doc["schema_version"] = 99
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorpusError, match="schema version"):
+    with pytest.raises(CorpusError, match=re.escape(f"malformed corpus file {path}: schema_version is not one of [1]")):
         load_corpus(path)
 
 

@@ -250,27 +250,27 @@ def _edit_endpoint(doc: dict, **keys) -> None:
             "unknown key 'rate_limit_after' in sites['tiny.example'].endpoints[1]",
         ),
         (lambda doc: doc["sites"]["tiny.example"].pop("host"), "missing key 'host' in sites['tiny.example']"),
-        (lambda doc: doc.update(sites=[]), "key 'sites' in the plan is not an object"),
+        (lambda doc: doc.update(sites=[]), "sites is not an object"),
         (lambda doc: doc["sites"].update({"tiny.example": 5}), "sites['tiny.example'] is not an object"),
-        (lambda doc: _edit_site(doc, endpoints={}), "key 'endpoints' in sites['tiny.example'] is not a list"),
+        (lambda doc: _edit_site(doc, endpoints={}), "sites['tiny.example'].endpoints is not a list"),
         (
             lambda doc: _edit_endpoint(doc, status_ok="two hundred"),
-            "key 'status_ok' in sites['tiny.example'].endpoints[1] is not an integer",
+            "sites['tiny.example'].endpoints[1].status_ok is not an integer",
         ),
         (
             lambda doc: _edit_endpoint(doc, status_ok=True),
-            "key 'status_ok' in sites['tiny.example'].endpoints[1] is not an integer",
+            "sites['tiny.example'].endpoints[1].status_ok is not an integer",
         ),
         (
             lambda doc: _edit_endpoint(doc, status_ok=600),
-            "key 'status_ok' in sites['tiny.example'].endpoints[1] is not an HTTP status code (100-599)",
+            "sites['tiny.example'].endpoints[1].status_ok is not an HTTP status code (100-599)",
         ),
         (
             lambda doc: _edit_endpoint(doc, body_ok=[]),
-            "key 'body_ok' in sites['tiny.example'].endpoints[1] is not an object or null",
+            "sites['tiny.example'].endpoints[1].body_ok is not an object or null",
         ),
-        (lambda doc: _edit_site(doc, openapi_raw=1), "key 'openapi_raw' in sites['tiny.example'] is not a string or null"),
-        (lambda doc: doc.update(seed="42"), "key 'seed' in the plan is not an integer"),
+        (lambda doc: _edit_site(doc, openapi_raw=1), "sites['tiny.example'].openapi_raw is not a string or null"),
+        (lambda doc: doc.update(seed="42"), "seed is not an integer"),
     ],
     ids=[
         "old-site-key", "old-endpoint-key", "missing-key", "sites-not-object", "site-not-object", "endpoints-not-list",
@@ -290,12 +290,12 @@ def test_load_plan_error_names_file_and_key(tmp_path, edit, message):
 def test_load_plan_error_on_unreadable_file(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text("{")
-    with pytest.raises(PlanError, match=re.escape(f"plan file {path}: not valid JSON")):
+    with pytest.raises(PlanError, match=re.escape(f"plan file {path} is not valid JSON")):
         load_plan(path)
-    with pytest.raises(PlanError, match="cannot read plan file"):
+    with pytest.raises(PlanError, match=re.escape(f"plan file not found: {tmp_path / 'missing.json'}")):
         load_plan(tmp_path / "missing.json")
     path.write_text("[" * 100000)
-    with pytest.raises(PlanError, match=re.escape(f"plan file {path}: not valid JSON")):
+    with pytest.raises(PlanError, match=re.escape(f"plan file {path} is not valid JSON")):
         load_plan(path)
 
 

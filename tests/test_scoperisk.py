@@ -16,11 +16,11 @@ from pluginaudit.scoperisk import (
     CATEGORY_UNSPECIFIED,
     ScopeClassifier,
     TfidfVector,
+    VectorContext,
     categorize_corpus,
     cosine_similarity,
     distribution_report,
     make_scope_document,
-    tfidf_vectorize,
     tokenize_scope,
 )
 
@@ -75,8 +75,14 @@ def _toy_docs():
     return [make_scope_document(f"p{i}", raw) for i, raw in enumerate(["read write", "read", "email"])]
 
 
+def _vectorize(docs):
+    """Each document's vector in the context fit over all of them, as ScopeClassifier builds it."""
+    context = VectorContext([doc.tokens for doc in docs])
+    return [context.vectorize_tokens(doc.tokens) for doc in docs]
+
+
 def test_tfidf_toy_corpus_matches_hand_oracle():
-    v1, v2, v3 = tfidf_vectorize(_toy_docs())
+    v1, v2, v3 = _vectorize(_toy_docs())
     assert v1.weights["read"] == pytest.approx(ORACLE_DOC1["read"], abs=1e-9)
     assert v1.weights["write"] == pytest.approx(ORACLE_DOC1["write"], abs=1e-9)
     assert v1.weights["read"] == pytest.approx(FROZEN_DOC1_READ, abs=1e-9)
@@ -90,19 +96,19 @@ def test_tfidf_toy_corpus_matches_hand_oracle():
 
 def test_identical_docs_identical_vectors():
     docs = [make_scope_document("a", "read write"), make_scope_document("b", "read write")]
-    va, vb = tfidf_vectorize(docs)
+    va, vb = _vectorize(docs)
     assert va.weights == vb.weights
 
 
 def test_idf_unique_token_outweighs_common():
     docs = [make_scope_document(str(i), raw) for i, raw in enumerate(["common rare", "common", "common x"])]
-    vectors = tfidf_vectorize(docs)
+    vectors = _vectorize(docs)
     assert vectors[0].weights["rare"] > vectors[0].weights["common"]
 
 
 def test_empty_document_is_zero_vector():
     docs = [make_scope_document("a", ""), make_scope_document("b", "read")]
-    vectors = tfidf_vectorize(docs)
+    vectors = _vectorize(docs)
     assert vectors[0].is_zero()
     assert cosine_similarity(vectors[0], vectors[1]) == 0.0
 
