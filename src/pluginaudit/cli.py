@@ -270,9 +270,9 @@ def cmd_serve_fixtures(args) -> int:
 
 def _fingerprint(*parts: bytes | str | Path) -> str:
     """SHA-256 of the parts; a file adds its name, length and bytes, read one file at a time."""
-    import hashlib
+    from .digest import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     for part in parts:
         if isinstance(part, Path):
             data = part.read_bytes()
@@ -292,8 +292,9 @@ def cmd_run_all(args) -> int:
     config = _config_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = corpus_mod.load_corpus(args.corpus)
-    corpus_bytes = Path(args.corpus).read_bytes()
+    # One read: the discover cache key is the key of the corpus audited.
+    corpus_bytes = corpus_mod.read_corpus_bytes(args.corpus)
+    corpus = corpus_mod.load_corpus(args.corpus, corpus_bytes)
     label, ids = corpus.snapshot_label, corpus.by_id().keys()
 
     verdicts_path = out_dir / "verdicts.json"

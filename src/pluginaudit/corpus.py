@@ -8,7 +8,6 @@ so a corpus is a pure function of its source contents.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -16,7 +15,8 @@ from pathlib import Path
 from typing import Iterable, Literal
 
 from .config import StageError
-from .jsonfile import read_json, write_json
+from .digest import sha256
+from .jsonfile import read_bytes, read_json, write_json
 from .urlnorm import host_of, registrable_domain
 
 SCHEMA_VERSION = 1
@@ -63,7 +63,7 @@ class Corpus:
 def make_plugin_id(store_title: str, legal_info_url: str | None) -> str:
     """Deterministic 16-hex-char id from the dedup key."""
     key = f"{store_title}\n{legal_info_url or ''}".encode("utf-8")
-    return hashlib.sha256(key).hexdigest()[:16]
+    return sha256(key).hexdigest()[:16]
 
 
 def _record_from_entry(entry: dict) -> PluginRecord:
@@ -121,6 +121,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     write_json(path, {"schema_version": SCHEMA_VERSION, **vars(corpus)})
 
 
+def read_corpus_bytes(path: str | Path) -> bytes:
+    return read_bytes(path, CorpusError, "corpus file")
+
+
 @dataclass
 class _CorpusFile:
     """What save_corpus writes; a corpus without a label or creation time has ""."""
@@ -132,8 +136,10 @@ class _CorpusFile:
     ingest_errors: list[IngestError] = field(default_factory=list)
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    doc = read_json(path, CorpusError, "corpus file", _CorpusFile)
+def load_corpus(path: str | Path, data: bytes | None = None) -> Corpus:
+    """The corpus file at `path`; `data`, if given, is the bytes that
+    `read_corpus_bytes` read from it."""
+    doc = read_json(path, CorpusError, "corpus file", _CorpusFile, data)
     first_index: dict[str, int] = {}
     for index, record in enumerate(doc.records):
         first = first_index.setdefault(record.plugin_id, index)

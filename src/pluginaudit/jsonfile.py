@@ -38,16 +38,26 @@ def write_json(path: str | Path, doc: object) -> None:
         handle.write("\n")
 
 
-def read_json(path: str | Path, error_cls: type[Exception], what: str, cls):
-    """The JSON file at `path` decoded to `cls`. A file that is missing,
-    cannot be read, is not JSON or does not fit `cls` raises `error_cls`,
-    whose message starts with `what` and names the file."""
+def read_bytes(path: str | Path, error_cls: type[Exception], what: str) -> bytes:
+    """The bytes of the file at `path`; a file that is missing or cannot be
+    read raises `error_cls`, whose message names `what` and the file."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_bytes()
     except FileNotFoundError as exc:
         raise error_cls(f"{what} not found: {path}") from exc
     except OSError as exc:
         raise error_cls(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path: str | Path, error_cls: type[Exception], what: str, cls, data: bytes | None = None):
+    """The JSON file at `path` decoded to `cls`. A file that is missing,
+    cannot be read, is not JSON or does not fit `cls` raises `error_cls`,
+    whose message starts with `what` and names the file. `data`, if given,
+    is the file's bytes as `read_bytes` returned them, and is not read again."""
+    if data is None:
+        data = read_bytes(path, error_cls, what)
+    try:
+        doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise error_cls(f"{what} {path} is not valid JSON: {exc}") from exc
     try:

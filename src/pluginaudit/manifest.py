@@ -7,10 +7,10 @@ unusable input raises ParseError. Parsing is pure - no network I/O here.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .digest import sha256
 from .urlnorm import is_absolute_http, origin_of
 
 AUTH_NONE = "none"
@@ -110,7 +110,7 @@ def parse_manifest(data: bytes) -> ManifestDocument:
     if not isinstance(doc, dict):
         raise ParseError.syntax("manifest is not a JSON object")
     try:
-        fingerprint = hashlib.sha256(canonical_manifest_bytes(doc)).hexdigest()
+        fingerprint = sha256(canonical_manifest_bytes(doc)).hexdigest()
     except RecursionError as exc:
         raise ParseError.syntax(_TOO_DEEP) from exc
 

@@ -10,10 +10,10 @@ valid, outcome) axes into Cases 1-5, severity-ordered at plugin level.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .digest import sha256
 from .fetch import BODY_PREFIX_LIMIT, Fetcher, FetchResult, TRANSPORT_ERROR
 from .manifest import (
     AUTH_NONE,
@@ -347,7 +347,7 @@ def probe_plugin(
                 token_variant=request.token_variant,
                 headers=_redact(headers, redact_tokens),
                 status=response.status,
-                body_sha256=hashlib.sha256(response.body).hexdigest(),
+                body_sha256=sha256(response.body).hexdigest(),
                 attempts=response.attempts,
             )
         )

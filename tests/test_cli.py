@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pluginaudit import cli, fixture as fixture_mod, manifest as manifest_mod
+from pluginaudit import cli, corpus as corpus_mod, fixture as fixture_mod, manifest as manifest_mod
 from pluginaudit.fixture import FixturePlan, FixtureSite, serve_fixtures
 
 
@@ -400,28 +400,34 @@ def _modules_loaded(cwd: Path, argv: list[str] | None) -> tuple[int | None, set[
 
 
 def test_cli_import_loads_no_third_party_http_client(tmp_path):
-    # Nor what only some commands run: TLS, YAML, the fixture store's server, and every stage.
-    unused = {"requests", "urllib3", "http.client", "http.server", "ssl", "email", "yaml", "pluginaudit.fixture"}
+    # Nor what only some commands run: TLS, YAML, the fixture store's server, and every stage;
+    # nor OpenSSL's hashes.
+    unused = {"requests", "urllib3", "http.client", "http.server", "ssl", "_hashlib", "email", "yaml", "pluginaudit.fixture"}
     _, modules = _modules_loaded(tmp_path, None)
     assert not unused & modules
     assert {name for name in modules if name.startswith("pluginaudit.")} == {"pluginaudit.cli", "pluginaudit.config"}
 
 
 _NETWORK_AND_AUDIT = ("fetch", "manifest", "discovery", "probe", "consistency", "scoperisk", "report", "artifacts")
+# OpenSSL: its hashes, and TLS, which no command loads before an https origin.
+_OPENSSL = ("_hashlib", "ssl")
 
 
 @pytest.mark.parametrize(
     "argv, rc, absent",
     [
-        (["ingest", "--input", "index.ndjson", "--label", "t", "--out", "corpus.json"], 0, _NETWORK_AND_AUDIT),
-        (["gen-plan", "--profile", "revisit", "--seed", "1", "--out", "plan.json"], 0, (*_NETWORK_AND_AUDIT, "http.server")),
-        (["serve-fixtures", "--plan", "bad-plan.json"], 1, _NETWORK_AND_AUDIT),
+        (["ingest", "--input", "index.ndjson", "--label", "t", "--out", "corpus.json"], 0, (*_NETWORK_AND_AUDIT, *_OPENSSL)),
+        (["gen-plan", "--profile", "revisit", "--seed", "1", "--out", "plan.json"], 0,
+         (*_NETWORK_AND_AUDIT, "http.server", *_OPENSSL)),
+        (["serve-fixtures", "--plan", "bad-plan.json"], 1, (*_NETWORK_AND_AUDIT, *_OPENSSL)),
         (["probe", "--corpus", "corpus.json", "--manifests", "manifests", "--out", "outcomes.json"], 0,
-         ("discovery", "consistency", "scoperisk", "report", "fixture")),
+         ("discovery", "consistency", "scoperisk", "report", "fixture", *_OPENSSL)),
+        (None, 0, ("fixture", "http.server", *_OPENSSL)),  # run-all against small_store, over http
     ],
-    ids=["ingest", "gen-plan", "serve-fixtures", "probe"],
+    ids=["ingest", "gen-plan", "serve-fixtures", "probe", "run-all"],
 )
-def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, rc, absent):
+def test_each_command_loads_only_the_layers_it_runs(request, tmp_path, argv, rc, absent):
+    argv = argv or request.getfixturevalue("small_store")
     (tmp_path / "index.ndjson").write_text('{"title": "X", "legal_info_url": "https://x.example/legal"}\n')
     (tmp_path / "bad-plan.json").write_text("{")
     corpus_doc = {"schema_version": 1, "snapshot_label": "t", "created_at": "now", "records": [], "ingest_errors": []}
@@ -552,6 +558,28 @@ def test_run_all_cached_reprobes_after_a_probe_rewrote_outcomes(small_store, tmp
     assert "discover: cached" in lines and "probe: done" in lines
     assert (out_dir / "outcomes.json").read_bytes() == fresh_outcomes
     assert (out_dir / "report.json").read_bytes() == fresh_report
+
+
+def test_run_all_cached_does_not_serve_a_corpus_replaced_after_it_was_read(small_store, monkeypatch, capsys):
+    """The discover cache key is that of the corpus the run audited, not of a
+    file that replaced it after it was decoded."""
+    corpus_path = Path(small_store[2])
+    doc = json.loads(corpus_path.read_text())
+    doc["records"][0]["name_for_human_store"] = "Renamed"
+    load_corpus = corpus_mod.load_corpus
+
+    def load_then_replace(*args):
+        corpus = load_corpus(*args)
+        corpus_path.write_text(json.dumps(doc))
+        return corpus
+
+    monkeypatch.setattr(corpus_mod, "load_corpus", load_then_replace)
+    assert cli.main(small_store) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert cli.main(small_store + ["--cached"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "discover: cached" not in lines and "discover: done" in lines
 
 
 def test_run_all_treats_a_cache_nested_too_deeply_as_empty(small_store, tmp_path):

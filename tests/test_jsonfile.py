@@ -128,3 +128,22 @@ def test_only_jsonfile_parses_the_text_of_a_file():
             if node.func.attr == "load" or (node.func.attr == "loads" and reads_a_file):
                 offenders.append(f"{source.name}:{node.lineno}")
     assert not offenders
+
+
+def test_only_digest_imports_hashlib():
+    """hashlib maps OpenSSL's libcrypto; every SHA-256 of the package comes
+    from pluginaudit.digest, which imports hashlib only as its fallback."""
+    offenders = []
+    for source in sorted(Path(pluginaudit.__file__).parent.glob("*.py")):
+        if source.name == "digest.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] in ("hashlib", "_hashlib") for name in names):
+                offenders.append(f"{source.name}:{node.lineno}")
+    assert not offenders
