@@ -9,11 +9,15 @@ responses only; a 5xx on the last attempt is the response. Politeness
 *logical* host of the original URL, so an offline run with --base-url
 rewriting still schedules like a live one.
 
-The transport is a small HTTP/1.1 client on plain sockets; each thread
-keeps a few keep-alive connections, one per transport origin. A request
-goes out in one write. The status line and header fields are read here,
-at most 100 lines of at most 64 KiB per header block as `http.client`
-reads them; trailers and 1xx responses, which are skipped, get the same
+`Fetcher.map_concurrent` runs a stage on at most max_concurrency plain
+worker threads, which take the next item from one shared cursor.
+
+The transport is a small HTTP/1.1 client on plain sockets; each worker
+thread keeps a few keep-alive connections, one per transport origin, and
+one receive buffer that they all read into. A request goes out in one
+write. The status line and header fields are read here, at most 100
+lines of at most 64 KiB per header block as `http.client` reads them;
+trailers and 1xx responses, which are skipped, get the same
 limits. The body is framed by `Transfer-Encoding: chunked`, else
 `Content-Length`, else the server closing the connection; HEAD, 1xx, 204
 and 304 responses have none. At most BODY_PREFIX_LIMIT + 1 body bytes are
@@ -33,7 +37,6 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import SplitResult, quote, urljoin, urlsplit
@@ -182,10 +185,11 @@ class _Connection:
     """A keep-alive socket to one transport origin, and the bytes read from
     it but not yet parsed. Every request on it carries host_header."""
 
-    def __init__(self, host: str, port: int, host_header: bytes, context: ssl.SSLContext | None):
+    def __init__(self, host: str, port: int, host_header: bytes, context: ssl.SSLContext | None, received: memoryview):
         self.address = (host, port)
         self.host_header = host_header
         self.context = context
+        self.received = received  # the receive buffer of the thread that owns the connection
         self.sock: socket.socket | None = None
         self.buf = b""
         self.pos = 0
@@ -211,11 +215,11 @@ class _Connection:
 
     def _fill(self) -> bool:
         # Every read asks for a whole TLS record, so no decrypted byte is
-        # left behind in the TLS layer.
-        data = self.sock.recv(_RECV_SIZE)
-        if not data:
+        # left behind in the TLS layer; only the bytes read are copied out.
+        size = self.sock.recv_into(self.received)
+        if not size:
             return False
-        self.buf = self.buf[self.pos:] + data
+        self.buf = self.buf[self.pos:] + self.received[:size]
         self.pos = 0
         return True
 
@@ -449,6 +453,7 @@ class Fetcher:
         pool = getattr(self._local, "pool", None)
         if pool is None:
             pool = self._local.pool = OrderedDict()
+            self._local.received = memoryview(bytearray(_RECV_SIZE))
             with self._registry_lock:
                 self._pools[threading.current_thread()] = pool
         key = (origin.scheme, origin.netloc)
@@ -469,7 +474,7 @@ class Fetcher:
 
                     self._ssl_context = ssl.create_default_context()
                 context = self._ssl_context
-            conn = _Connection(host, port, _host_header(host, port, default_port), context)
+            conn = _Connection(host, port, _host_header(host, port, default_port), context, self._local.received)
         pool[key] = conn
         while len(pool) > CONNECTIONS_PER_THREAD:
             pool.popitem(last=False)[1].close()
@@ -610,10 +615,49 @@ class Fetcher:
         return result
 
     def map_concurrent(self, func, items):
-        """Run func over items with the configured global concurrency cap."""
+        """func over items on at most max_concurrency worker threads; the
+        results come back in input order. Once an item raises, no new item
+        starts, and when the running ones have ended the exception of the
+        lowest-index failed item is raised. Ctrl-C in the waiting thread stops
+        the workers the same way. Pooled connections are closed on return."""
+        items = list(items)
+        results: list = [None] * len(items)
+        errors: dict[int, BaseException] = {}
+        changed = threading.Condition()
+        claimed = finished = 0  # items handed to a worker, and items ended
+
+        def work() -> None:
+            nonlocal claimed, finished
+            while True:
+                with changed:
+                    if errors or claimed == len(items):
+                        return
+                    index = claimed
+                    claimed += 1
+                try:
+                    results[index] = func(items[index])
+                except BaseException as exc:  # raised in the waiting thread
+                    with changed:
+                        errors[index] = exc
+                with changed:
+                    finished += 1
+                    changed.notify()  # also lets the waiting thread raise a pending Ctrl-C
+
+        workers = [threading.Thread(target=work) for _ in range(min(self.max_concurrency, len(items)))]
         try:
-            with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-                return list(pool.map(func, items))
+            for worker in workers:
+                worker.start()
+            with changed:
+                while finished < len(items) and not errors:
+                    changed.wait()
         finally:
+            with changed:
+                claimed = len(items)  # no new item starts
+            for worker in workers:
+                if worker.is_alive():
+                    worker.join()
             # The workers are gone; their connections would only idle.
             self.close()
+        if errors:
+            raise errors[min(errors)]
+        return results

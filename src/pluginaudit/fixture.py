@@ -504,6 +504,9 @@ def _make_server(plan: FixturePlan, port: int):
 
     class Server(ThreadingHTTPServer):
         daemon_threads = True
+        # socketserver listens with a backlog of 5; a client at concurrency 16
+        # overflows it, and each dropped SYN is resent only after 1 s.
+        request_queue_size = 128
 
         def handle_error(self, request, client_address):
             # A client that hangs up mid-response is not a server fault: the

@@ -411,6 +411,8 @@ def test_cli_import_loads_no_third_party_http_client(tmp_path):
 _NETWORK_AND_AUDIT = ("fetch", "manifest", "discovery", "probe", "consistency", "scoperisk", "report", "artifacts")
 # OpenSSL: its hashes, and TLS, which no command loads before an https origin.
 _OPENSSL = ("_hashlib", "ssl")
+# The network stages run on plain threads, not an executor.
+_THREAD_POOL = ("concurrent.futures", "logging")
 
 
 @pytest.mark.parametrize(
@@ -421,8 +423,8 @@ _OPENSSL = ("_hashlib", "ssl")
          (*_NETWORK_AND_AUDIT, "http.server", *_OPENSSL)),
         (["serve-fixtures", "--plan", "bad-plan.json"], 1, (*_NETWORK_AND_AUDIT, *_OPENSSL)),
         (["probe", "--corpus", "corpus.json", "--manifests", "manifests", "--out", "outcomes.json"], 0,
-         ("discovery", "consistency", "scoperisk", "report", "fixture", *_OPENSSL)),
-        (None, 0, ("fixture", "http.server", *_OPENSSL)),  # run-all against small_store, over http
+         ("discovery", "consistency", "scoperisk", "report", "fixture", *_OPENSSL, *_THREAD_POOL)),
+        (None, 0, ("fixture", "http.server", *_OPENSSL, *_THREAD_POOL)),  # run-all against small_store, over http
     ],
     ids=["ingest", "gen-plan", "serve-fixtures", "probe", "run-all"],
 )

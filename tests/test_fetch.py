@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import _thread
 import contextlib
 import http.client
 import io
 import select
 import socket
 import ssl
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -628,8 +630,9 @@ def test_interim_responses_are_skipped():
 
 
 class _FakeSocket:
-    """A connected socket: records what is sent, and answers recv() from
-    `stream` (bytes, or an iterator of bytes) in pieces of the given sizes."""
+    """A connected socket: records what is sent, and answers recv() and
+    recv_into() from `stream` (bytes, or an iterator of bytes) in pieces of
+    the given sizes."""
 
     def __init__(self, stream, sizes=(65536,)):
         self.stream = iter([stream]) if isinstance(stream, bytes) else stream
@@ -656,6 +659,11 @@ class _FakeSocket:
         self.recvs += 1
         self.received += len(data)
         return data
+
+    def recv_into(self, buffer):
+        data = self.recv(len(buffer))
+        buffer[:len(data)] = data
+        return len(data)
 
     def close(self):
         self.closed = True
@@ -968,6 +976,104 @@ def test_no_reuse_after_a_chunked_body_cut_exactly_at_the_cap():
         sender.join(timeout=5)
         for sock in (first, first_origin, second, second_origin):
             sock.close()
+
+
+# --- map_concurrent: the worker threads -----------------------------------------
+
+
+def test_map_concurrent_runs_each_item_once_and_keeps_input_order():
+    fetcher = Fetcher(max_concurrency=8)
+    calls, threads = [], set()
+
+    def square(i):
+        calls.append(i)
+        threads.add(threading.get_ident())
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # many thread switches inside the cursor's critical section
+    try:
+        results = fetcher.map_concurrent(square, range(2000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [i * i for i in range(2000)]
+    assert sorted(calls) == list(range(2000))
+    assert len(threads) <= 8 and threading.get_ident() not in threads
+
+
+def test_map_concurrent_starts_no_thread_for_no_items():
+    with mock.patch.object(threading, "Thread") as thread:
+        assert Fetcher().map_concurrent(str, []) == []
+    thread.assert_not_called()
+
+
+def test_map_concurrent_after_a_failure_starts_nothing_and_raises_the_lowest_index():
+    fetcher = Fetcher(max_concurrency=4)
+    started = []
+
+    def item(i):
+        started.append(i)
+        if i == 11:
+            raise ValueError(i)  # fails first
+        time.sleep(0.3 if i == 10 else 0.02)
+        if i == 10:
+            raise ValueError(i)
+
+    with pytest.raises(ValueError) as raised:
+        fetcher.map_concurrent(item, range(40))
+    assert raised.value.args == (10,)
+    # Only items claimed before item 11 failed ran: at most one more per other worker.
+    assert sorted(started) == list(range(len(started))) and len(started) <= 11 + 4
+
+
+def test_map_concurrent_stops_promptly_on_ctrl_c():
+    fetcher = Fetcher(max_concurrency=4)
+    started, before = [], set(threading.enumerate())
+
+    def item(i):
+        started.append(i)
+        if i == 8:
+            _thread.interrupt_main()  # as Ctrl-C does, in the waiting thread
+        time.sleep(0.02)
+
+    with pytest.raises(KeyboardInterrupt):
+        fetcher.map_concurrent(item, range(400))
+    assert len(started) < 40  # all 400 would take 2 s
+    assert set(threading.enumerate()) <= before  # no worker left running
+
+
+@pytest.mark.parametrize("failing", [None, 3])
+def test_map_concurrent_closes_the_pooled_connections(failing):
+    socks = []
+
+    def connect(*args):
+        socks.append(_FakeSocket(_ONE_OK))
+        return socks[-1]
+
+    fetcher = Fetcher(max_concurrency=2, per_host_delay_ms=0, retries=0)
+
+    def item(i):
+        assert fetcher.fetch(f"http://h{i}.test/").status == 200
+        if i == failing:
+            raise ValueError(i)
+
+    with mock.patch("socket.create_connection", side_effect=connect), \
+            mock.patch.object(_Connection, "idle", return_value=True), \
+            pytest.raises(ValueError) if failing else contextlib.nullcontext():
+        fetcher.map_concurrent(item, range(6))
+    assert socks and all(sock.closed for sock in socks)
+
+
+def test_each_worker_thread_reads_into_its_own_buffer():
+    fetcher = Fetcher(max_concurrency=2)
+    both_running = threading.Barrier(2, timeout=5)
+
+    def buffers(_):
+        both_running.wait()  # so each worker takes one item
+        return [fetcher._connection(urlsplit(f"http://h{host}.test/")).received for host in range(2)]
+
+    (first, also_first), (second, _) = fetcher.map_concurrent(buffers, range(2))
+    assert first is also_first and first is not second and len(first) == _RECV_SIZE
 
 
 # --- HTTPS against a loopback TLS origin -----------------------------------------

@@ -16,6 +16,7 @@ from pluginaudit.fetch import BODY_PREFIX_LIMIT, Fetcher
 from pluginaudit.fixture import (
     FixtureEndpoint,
     FixturePlan,
+    FixtureServer,
     FixtureSite,
     PlanError,
     PROFILE_PAPER_TABLES,
@@ -89,6 +90,24 @@ def test_client_hanging_up_mid_body_prints_no_traceback(capfd):
         server.stop()
     err = capfd.readouterr().err
     assert "Traceback" not in err and "Exception occurred" not in err
+
+
+def test_server_queues_a_burst_of_connections_before_accepting():
+    # Bound and listening, but not accepting: only the listen backlog holds
+    # connections. A SYN dropped from a full queue is resent after 1 s.
+    server = FixtureServer(_tiny_plan())
+    connected = []
+    try:
+        for _ in range(32):
+            try:
+                connected.append(socket.create_connection(("127.0.0.1", server.port), timeout=0.25))
+            except OSError:
+                break
+    finally:
+        for sock in connected:
+            sock.close()
+        server.httpd.server_close()
+    assert len(connected) == 32
 
 
 def _raw_exchange(server, request: bytes) -> bytes:
