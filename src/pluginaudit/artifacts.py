@@ -5,8 +5,8 @@
 `outcomes.json`, `findings.json` and `scopes.json` are envelopes of
 `schema_version`, `snapshot_label` and the stage's payload. The dataclasses
 below give each key its type: a writer writes them, and a reader decodes its
-file to them. A key the report does not read, such as the per-request
-outcomes, may be left out and is not looked into. A reader raises
+file to them. The rows of `outcomes.json` are the probe layer's own results,
+down to each per-request outcome and transcript entry. A reader raises
 `ArtifactError` naming the file, so an artifact of the wrong shape, from
 another snapshot, with a bucket the report does not count, or with a row for
 a plugin outside the corpus stops the stage instead of crashing it or being
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Literal
 from .config import StageError
 from .jsonfile import DecodeError, decode, read_json, write_json
 from .manifest import ManifestDocument, ParseError, parse_manifest
-from .probe import ALL_CASES, ALL_CAUSES, ALL_FAMILIES, PluginProbeResult, ProbeOutcome, ProbeRunResult
+from .probe import PluginProbeResult, ProbeRunResult, TranscriptEntry
 
 if TYPE_CHECKING:  # the readers import these layers, so `audit probe` loads none of them
     from .consistency import ConsistencyFinding
@@ -42,19 +42,10 @@ class _Envelope:
 
 
 @dataclass
-class _ProbeRow:
-    auth_family: Literal[ALL_FAMILIES]
-    plugin_case: Literal[ALL_CASES]
-    succeeded: bool
-    failure_causes: list[Literal[ALL_CAUSES]]
-    outcomes: list = field(default_factory=list)
-
-
-@dataclass
 class _OutcomesFile(_Envelope):
-    results: dict[str, _ProbeRow]
+    results: dict[str, PluginProbeResult]
     skipped: dict[str, str]
-    transcript: list = field(default_factory=list)
+    transcript: list[TranscriptEntry] = field(default_factory=list)
 
 
 # The rows of these two hold constants of layers that `audit probe` does not
@@ -142,44 +133,17 @@ def read_manifests(
     return parsed, rejected
 
 
-def _outcome_row(outcome: ProbeOutcome) -> dict:
-    return {
-        "method": outcome.request.endpoint.method,
-        "url": outcome.request.full_url,
-        "token_variant": outcome.request.token_variant,
-        "status": outcome.http_status,
-        "valid_data": outcome.valid_data,
-        "t_r": outcome.t_r,
-        "t_v": outcome.t_v,
-        "case": outcome.case,
-        "failure_cause": outcome.failure_cause,
-        "server_side": outcome.server_side,
-    }
-
-
 def write_outcomes(path: Path, run: ProbeRunResult, snapshot_label: str) -> None:
-    results = {
-        plugin_id: _ProbeRow(r.auth_family, r.plugin_case, r.succeeded, r.failure_causes, list(map(_outcome_row, r.outcomes)))
-        for plugin_id, r in run.results.items()
-    }
-    write_json(path, _OutcomesFile(SCHEMA_VERSION, snapshot_label, results, run.skipped, run.transcript))
+    write_json(path, _OutcomesFile(SCHEMA_VERSION, snapshot_label, run.results, run.skipped, run.transcript))
 
 
 def read_outcomes(path: Path, snapshot_label: str, plugin_ids: Iterable[str]) -> ProbeRunResult:
-    """The part of a probe run that the report reads: the plugin-level
-    results and the skip reasons of corpus plugins. Per-request outcomes and
-    the transcript are left empty."""
+    """The probe run as it was written, if its results and skips are of corpus plugins."""
     doc = _open_envelope(path, _OutcomesFile, "outcomes", snapshot_label)
     both = sorted(doc.results.keys() & doc.skipped.keys())
     _expect(not both, path, f"plugins both in results and in skipped: {both}")
     _expect_in_corpus(path, [*doc.results, *doc.skipped], plugin_ids, "results and skips")
-    results = {
-        plugin_id: PluginProbeResult(
-            plugin_id, row.auth_family, row.plugin_case, row.succeeded, failure_causes=row.failure_causes
-        )
-        for plugin_id, row in doc.results.items()
-    }
-    return ProbeRunResult(results=results, skipped=doc.skipped)
+    return ProbeRunResult(doc.results, doc.skipped, doc.transcript)
 
 
 def write_findings(

@@ -19,6 +19,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import threading
@@ -283,6 +284,11 @@ def _fingerprint(*parts: bytes | str | Path) -> str:
     return digest.hexdigest()
 
 
+def _code_identity(package: Path = Path(__file__).parent) -> str:
+    """Fingerprint of the audit's source files, so an artifact is served only to the code that computed it."""
+    return _fingerprint(*sorted(package.glob("*.py")))
+
+
 def cmd_run_all(args) -> int:
     # Every stage before the corpus: each compiled at its stage, after the
     # corpus, they raised run-all's peak RSS by about 0.16 MB.
@@ -311,9 +317,10 @@ def cmd_run_all(args) -> int:
         cache = {}
 
     # A stage's cache entry hashes its input key with the bytes it wrote, so
-    # an artifact changed on disk since is not served.
+    # an artifact changed on disk since is not served. The probe key chains
+    # from the discover entry, so both keys cover the code.
     fetch_knobs = f"{config.base_url_override}|{config.timeout_ms}|{config.retries}"
-    discover_key = _fingerprint(corpus_bytes, "discover", fetch_knobs)
+    discover_key = _fingerprint(corpus_bytes, "discover", fetch_knobs, _code_identity())
 
     def discover_entry() -> str:
         return _fingerprint(discover_key, verdicts_path, *sorted(manifests_dir.glob("*.json")))
@@ -358,7 +365,7 @@ def cmd_run_all(args) -> int:
 
 def _add_fetch_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (or set AUDIT_CONFIG)")
-    parser.add_argument("--base-url", dest="base_url", help="redirect all traffic to this fixture base URL")
+    parser.add_argument("--base-url", dest="base_url_override", help="redirect all traffic to this fixture base URL")
     parser.add_argument("--max-concurrency", dest="max_concurrency", type=int)
     parser.add_argument("--per-host-delay-ms", dest="per_host_delay_ms", type=int)
     parser.add_argument("--timeout-ms", dest="timeout_ms", type=int)
@@ -448,16 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> AuditConfig:
-    overrides = {
-        "max_concurrency": getattr(args, "max_concurrency", None),
-        "per_host_delay_ms": getattr(args, "per_host_delay_ms", None),
-        "timeout_ms": getattr(args, "timeout_ms", None),
-        "retries": getattr(args, "retries", None),
-        "probe_budget": getattr(args, "probe_budget", None),
-        "base_url_override": getattr(args, "base_url", None),
-        "redact_tokens": getattr(args, "redact_tokens", None),
-        "json_logs": getattr(args, "json_logs", None),
-    }
+    """Each flag's dest is the name of the config key it overrides."""
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(AuditConfig)}
     return load_config(getattr(args, "config", None), overrides)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Literal
 
 from .digest import sha256
 from .fetch import BODY_PREFIX_LIMIT, Fetcher, FetchResult, TRANSPORT_ERROR
@@ -30,6 +31,7 @@ from .manifest import (
 NO_TOKEN = "no_token"
 LEAKED_TOKEN = "leaked_token"
 FABRICATED_TOKEN = "fabricated_token"
+ALL_TOKEN_VARIANTS = (NO_TOKEN, LEAKED_TOKEN, FABRICATED_TOKEN)
 
 # Fixed so recorded transcripts are reproducible byte-for-byte.
 FABRICATED_TOKEN_VALUE = "invalid-token-0000"
@@ -89,26 +91,28 @@ class ProbeRequest:
         return headers
 
 
+# These three are the rows of `outcomes.json` as written and decoded: each field is a key of the file.
 @dataclass(frozen=True)
 class ProbeOutcome:
-    request: ProbeRequest
-    http_status: int
+    method: str
+    url: str
+    token_variant: Literal[ALL_TOKEN_VARIANTS]
+    status: int
     valid_data: bool
-    t_r: int
-    t_v: int
-    case: str
-    failure_cause: str = CAUSE_NONE
-    server_side: bool = False
+    t_r: Literal[0, 1]
+    t_v: Literal[0, 1]
+    case: Literal[ALL_CASES]
+    failure_cause: Literal[(CAUSE_NONE, *ALL_CAUSES)]
+    server_side: bool
 
 
 @dataclass
 class PluginProbeResult:
-    plugin_id: str
-    auth_family: str
-    plugin_case: str
+    auth_family: Literal[ALL_FAMILIES]
+    plugin_case: Literal[ALL_CASES]
     succeeded: bool
+    failure_causes: list[Literal[ALL_CAUSES]]
     outcomes: list[ProbeOutcome] = field(default_factory=list)
-    failure_causes: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class TranscriptEntry:
     plugin_id: str
     method: str
     url: str
-    token_variant: str
+    token_variant: Literal[ALL_TOKEN_VARIANTS]
     headers: dict[str, str]
     status: int
     body_sha256: str
@@ -273,8 +277,10 @@ def evaluate_probe(request: ProbeRequest, manifest: ManifestDocument, response: 
             response.status, response.headers, response.body[:2048].decode("utf-8", errors="replace")
         )
     return ProbeOutcome(
-        request=request,
-        http_status=response.status,
+        method=request.endpoint.method,
+        url=request.full_url,
+        token_variant=request.token_variant,
+        status=response.status,
         valid_data=valid,
         t_r=t_r,
         t_v=t_v,
@@ -355,7 +361,6 @@ def probe_plugin(
     plugin_case = classify_plugin_case([o.case for o in outcomes])
     causes = sorted({o.failure_cause for o in outcomes if not o.valid_data and o.failure_cause != CAUSE_NONE})
     result = PluginProbeResult(
-        plugin_id=plugin_id,
         auth_family=auth_family(manifest.auth.auth_type),
         plugin_case=plugin_case,
         succeeded=any(o.valid_data for o in outcomes),

@@ -25,14 +25,15 @@ from pluginaudit.artifacts import (
 from pluginaudit.consistency import ConsistencyFinding, KIND_INCONSISTENT_NAME, KIND_SHARED_MANIFEST_GROUP
 from pluginaudit.corpus import Corpus, PluginRecord, save_corpus
 from pluginaudit.discovery import AccessibilityVerdict, VERDICT_ACCESSIBLE, VERDICT_NATIVE_UNREACHABLE
-from pluginaudit.manifest import Endpoint, parse_manifest
+from pluginaudit.manifest import parse_manifest
 from pluginaudit.probe import (
+    ALL_CAUSES,
     CASE2,
     CASE4,
+    CAUSE_NONE,
     NO_TOKEN,
     PluginProbeResult,
     ProbeOutcome,
-    ProbeRequest,
     ProbeRunResult,
     TranscriptEntry,
 )
@@ -66,12 +67,11 @@ def test_verdict_doc_round_trip(tmp_path):
 
 
 def test_outcomes_round_trip(tmp_path):
-    request = ProbeRequest(endpoint=Endpoint("/s", "GET"), full_url="https://x.io/s", token_variant=NO_TOKEN)
-    outcome = ProbeOutcome(request=request, http_status=200, valid_data=True, t_r=0, t_v=0, case=CASE4)
+    outcome = ProbeOutcome("GET", "https://x.io/s", NO_TOKEN, 200, True, 0, 0, CASE4, CAUSE_NONE, False)
     run = ProbeRunResult()
-    run.results["p1"] = PluginProbeResult(plugin_id="p1", auth_family="no_token", plugin_case=CASE4, succeeded=True, outcomes=[outcome])
+    run.results["p1"] = PluginProbeResult(auth_family="no_token", plugin_case=CASE4, succeeded=True, failure_causes=[], outcomes=[outcome])
     run.results["p0"] = PluginProbeResult(
-        plugin_id="p0", auth_family="oauth", plugin_case=CASE2, succeeded=False, failure_causes=["lack_authorization"]
+        auth_family="oauth", plugin_case=CASE2, succeeded=False, failure_causes=["lack_authorization"]
     )
     run.skipped["p2"] = "api_unreachable: status 404"
     run.transcript.append(TranscriptEntry("p1", "GET", "https://x.io/s", NO_TOKEN, {}, 200, "ab", 1))
@@ -84,11 +84,44 @@ def test_outcomes_round_trip(tmp_path):
     assert sorted(doc["transcript"][0]) == [
         "attempts", "body_sha256", "headers", "method", "plugin_id", "status", "token_variant", "url",
     ]
-    back = read_outcomes(path, "t", ["p0", "p1", "p2"])
-    assert back.skipped == run.skipped
-    assert back.results["p0"] == run.results["p0"]
-    # Per-request outcomes are not read back; the report does not use them.
-    assert back.results["p1"].outcomes == [] and back.results["p1"].plugin_case == CASE4
+    assert read_outcomes(path, "t", ["p0", "p1", "p2"]) == run
+
+
+_TEXT = st.text(max_size=8)
+_PROBE_RUNS = st.builds(
+    ProbeRunResult,
+    results=st.dictionaries(
+        _TEXT,
+        st.builds(
+            PluginProbeResult,
+            failure_causes=st.lists(st.sampled_from(ALL_CAUSES), max_size=2),
+            outcomes=st.lists(st.builds(ProbeOutcome, method=_TEXT, url=_TEXT), max_size=3),
+        ),
+        max_size=3,
+    ),
+    skipped=st.dictionaries(_TEXT, _TEXT, max_size=3),
+    transcript=st.lists(
+        st.builds(
+            TranscriptEntry,
+            plugin_id=_TEXT,
+            method=_TEXT,
+            url=_TEXT,
+            headers=st.dictionaries(_TEXT, _TEXT, max_size=2),
+            body_sha256=_TEXT,
+        ),
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_PROBE_RUNS)
+def test_outcomes_read_back_as_written(tmp_path_factory, run):
+    for plugin_id in run.results:
+        run.skipped.pop(plugin_id, None)
+    path = tmp_path_factory.getbasetemp() / "drawn" / "outcomes.json"
+    write_outcomes(path, run, "t")
+    assert read_outcomes(path, "t", [*run.results, *run.skipped]) == run
 
 
 def test_findings_round_trip(tmp_path):
@@ -216,6 +249,32 @@ def test_report_reads_well_formed_artifacts(tmp_path):
     assert report["accessibility_table"]["accessible"] == 1 and report["case_table"]["case4"] == 1
 
 
+_OUTCOME_ROW = {
+    "method": "GET", "url": "https://p1.example/s", "token_variant": "no_token", "status": 200, "valid_data": True,
+    "t_r": 0, "t_v": 0, "case": "case4", "failure_cause": "none", "server_side": False,
+}
+_TRANSCRIPT_ENTRY = {
+    "plugin_id": "p1", "method": "GET", "url": "https://p1.example/s", "token_variant": "no_token",
+    "headers": {}, "status": 200, "body_sha256": "ab", "attempts": 1,
+}
+
+
+def _add_outcome_row(**changes):
+    return lambda docs: docs["outcomes"]["results"]["p1"]["outcomes"].append({**_OUTCOME_ROW, **changes})
+
+
+def _add_transcript_entry(entry: dict):
+    return lambda docs: docs["outcomes"]["transcript"].append(entry)
+
+
+def test_report_reads_outcome_rows_and_transcript(tmp_path):
+    docs = _small_docs()
+    _add_outcome_row()(docs)
+    _add_transcript_entry(_TRANSCRIPT_ENTRY)(docs)
+    paths = _write_small_artifacts(tmp_path, docs)
+    assert cli.main(_report_argv(tmp_path, paths)) == 0
+
+
 # case -> (artifact it breaks, mutation of the well-formed documents)
 MALFORMED = {
     "verdict-row-without-verdict": ("verdicts", lambda docs: docs.update(verdicts=[{"plugin_id": "a"}])),
@@ -236,6 +295,12 @@ MALFORMED = {
     ),
     "scope-outside-corpus": ("scopes", lambda docs: docs["scopes"].update(assignments=[["p9", "global_access"]])),
     "group-member-not-an-id": ("findings", lambda docs: docs["findings"]["findings"][0].update(evidence={"members": [["p1"]]})),
+    "unknown-outcome-case": ("outcomes", _add_outcome_row(case="case9")),
+    "outcome-t_r-not-0-or-1": ("outcomes", _add_outcome_row(t_r=2)),
+    "transcript-entry-without-attempts": (
+        "outcomes", _add_transcript_entry({key: value for key, value in _TRANSCRIPT_ENTRY.items() if key != "attempts"})
+    ),
+    "transcript-header-not-a-string": ("outcomes", _add_transcript_entry({**_TRANSCRIPT_ENTRY, "headers": {"Accept": 1}})),
 }
 OUTSIDE_CORPUS = [case for case in MALFORMED if case.endswith("outside-corpus")]
 

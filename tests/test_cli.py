@@ -584,6 +584,25 @@ def test_run_all_cached_does_not_serve_a_corpus_replaced_after_it_was_read(small
     assert "discover: cached" not in lines and "discover: done" in lines
 
 
+def test_run_all_cached_does_not_serve_artifacts_of_other_code(small_store, monkeypatch, capsys):
+    assert cli.main(small_store) == 0
+    monkeypatch.setattr(cli, "_code_identity", lambda: "other code")
+    capsys.readouterr()
+    assert cli.main(small_store + ["--cached"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "discover: done" in lines and "probe: done" in lines
+
+
+def test_code_identity_changes_with_any_source_file(tmp_path):
+    package = Path(cli.__file__).parent
+    for source in package.glob("*.py"):
+        (tmp_path / source.name).write_bytes(source.read_bytes())
+    assert cli._code_identity(tmp_path) == cli._code_identity()
+    edited = tmp_path / "discovery.py"
+    edited.write_bytes(edited.read_bytes() + b"#")
+    assert cli._code_identity(tmp_path) != cli._code_identity()
+
+
 def test_run_all_treats_a_cache_nested_too_deeply_as_empty(small_store, tmp_path):
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "cache.json").write_text("[" * 100000)

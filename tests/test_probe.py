@@ -356,4 +356,4 @@ def test_deeply_nested_response_body_is_not_fatal():
         server.stop()
     assert sorted(run.results) == ["deep.example", "good.example"] and not run.skipped
     deep = run.results["deep.example"].outcomes
-    assert deep and all(o.http_status == 200 and not o.valid_data for o in deep)
+    assert deep and all(o.status == 200 and not o.valid_data for o in deep)

@@ -44,11 +44,8 @@ def _small_inputs():
         "p3": AccessibilityVerdict(plugin_id="p3", verdict=VERDICT_NATIVE_UNREACHABLE),
     }
     run = ProbeRunResult()
-    run.results["p1"] = PluginProbeResult(
-        plugin_id="p1", auth_family="no_token", plugin_case=CASE4, succeeded=True
-    )
+    run.results["p1"] = PluginProbeResult(auth_family="no_token", plugin_case=CASE4, succeeded=True, failure_causes=[])
     run.results["p2"] = PluginProbeResult(
-        plugin_id="p2",
         auth_family="oauth",
         plugin_case=CASE2,
         succeeded=False,
@@ -81,7 +78,7 @@ def test_single_plugin_report_counts():
     corpus = Corpus(snapshot_label="t", created_at="now", records=[_record("only")])
     verdicts = {"only": AccessibilityVerdict(plugin_id="only", verdict=VERDICT_ACCESSIBLE, winning_url="u", http_status=200)}
     run = ProbeRunResult()
-    run.results["only"] = PluginProbeResult(plugin_id="only", auth_family="no_token", plugin_case=CASE4, succeeded=True)
+    run.results["only"] = PluginProbeResult(auth_family="no_token", plugin_case=CASE4, succeeded=True, failure_causes=[])
     doc = build_report(corpus, verdicts, run, [], []).doc
     assert len(doc["per_plugin"]) == 1
     assert sum(doc["accessibility_table"].values()) == 1
