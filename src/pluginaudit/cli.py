@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 from .config import AuditConfig, ConfigError, StageError, load_config
 
 if TYPE_CHECKING:
+    from .corpus import Corpus
     from .fetch import Fetcher
     from .manifest import ManifestDocument, ParseError
 
@@ -135,8 +136,7 @@ def stage_report(corpus, verdicts, probe_run, findings, assignments, out_path: P
     from . import report as report_mod
 
     report = report_mod.build_report(corpus, verdicts, probe_run, findings, assignments)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(report_mod.render_report(report, "json"))
+    report_mod.write_report(report, out_path)
     return report
 
 
@@ -147,6 +147,10 @@ def stage_report(corpus, verdicts, probe_run, findings, assignments, out_path: P
 def cmd_ingest(args) -> int:
     from . import corpus as corpus_mod
 
+    try:
+        args.label.encode("utf-8")
+    except UnicodeEncodeError:  # argv bytes that are not UTF-8 arrive as lone surrogates
+        raise ConfigError(f"--label {args.label!r} cannot be encoded as UTF-8") from None
     source = Path(args.input)
     if not source.is_file():
         print(f"error: index file not found: {source}", file=sys.stderr)
@@ -289,18 +293,26 @@ def _code_identity(package: Path = Path(__file__).parent) -> str:
     return _fingerprint(*sorted(package.glob("*.py")))
 
 
+def _load_keyed_corpus(path: str, fetch_knobs: str) -> tuple[Corpus, str]:
+    """The corpus at `path` and its discover cache key. The file is read once,
+    so the key is the key of the corpus audited, and its bytes are not kept."""
+    from . import corpus as corpus_mod
+
+    data = corpus_mod.read_corpus_bytes(path)
+    return corpus_mod.load_corpus(path, data), _fingerprint(data, "discover", fetch_knobs, _code_identity())
+
+
 def cmd_run_all(args) -> int:
     # Every stage before the corpus: each compiled at its stage, after the
     # corpus, they raised run-all's peak RSS by about 0.16 MB.
-    from . import artifacts, corpus as corpus_mod, report as report_mod
+    from . import artifacts, report as report_mod
     from . import consistency, discovery, probe, scoperisk  # noqa: F401
 
     config = _config_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # One read: the discover cache key is the key of the corpus audited.
-    corpus_bytes = corpus_mod.read_corpus_bytes(args.corpus)
-    corpus = corpus_mod.load_corpus(args.corpus, corpus_bytes)
+    fetch_knobs = f"{config.base_url_override}|{config.timeout_ms}|{config.retries}"
+    corpus, discover_key = _load_keyed_corpus(args.corpus, fetch_knobs)
     label, ids = corpus.snapshot_label, corpus.by_id().keys()
 
     verdicts_path = out_dir / "verdicts.json"
@@ -319,9 +331,6 @@ def cmd_run_all(args) -> int:
     # A stage's cache entry hashes its input key with the bytes it wrote, so
     # an artifact changed on disk since is not served. The probe key chains
     # from the discover entry, so both keys cover the code.
-    fetch_knobs = f"{config.base_url_override}|{config.timeout_ms}|{config.retries}"
-    discover_key = _fingerprint(corpus_bytes, "discover", fetch_knobs, _code_identity())
-
     def discover_entry() -> str:
         return _fingerprint(discover_key, verdicts_path, *sorted(manifests_dir.glob("*.json")))
 

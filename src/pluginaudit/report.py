@@ -3,16 +3,26 @@
 A report is a plain JSON-serializable document. `build_report` builds one
 dossier per corpus plugin, and `tables` computes every table and metric
 from the dossiers, except `shared_manifest_group_sizes`, which it takes as
-an input. The JSON rendering is canonical (sorted keys, fixed number
-formatting), so identical inputs produce byte-identical reports.
+an input. The JSON rendering is canonical (sorted keys, compact separators,
+UTF-8, fixed number formatting), so identical inputs produce byte-identical
+reports.
+
+`write_report` writes that rendering as it is encoded, one top-level member
+or one dossier at a time, into a temporary file beside the report, and
+renames the file into place once it is complete. The whole text of a
+report, which grows with the store, is never held in memory, and a report
+that cannot be encoded leaves no partial file and any earlier report as it
+was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from pathlib import Path
+from typing import Iterable, Iterator, Literal
 
 from .config import StageError
 from .consistency import (
@@ -178,8 +188,58 @@ def tables(dossiers: Iterable[dict], group_sizes: Iterable[int]) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def _utf8(text: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, from argv or a "\ud800" escape in an input file
+        raise ReportError(f"report text cannot be encoded as UTF-8: {exc}") from None
+
+
+def canonical_json_chunks(doc: object) -> Iterator[bytes]:
+    """The UTF-8 bytes of `doc` as canonical JSON plus a newline, in chunks: a
+    top-level object goes out one member at a time, and a member that is an
+    object one item at a time, so a report's `per_plugin` goes out one dossier
+    at a time. The keys of those two levels must be strings. Raises
+    ReportError for text that cannot be encoded as UTF-8."""
+    for chunk in _text_chunks(doc, 2):
+        yield _utf8(chunk)
+    yield b"\n"
+
+
+def _text_chunks(value: object, depth: int) -> Iterator[str]:
+    """`value` as JSON text; an object above `depth` 0 goes out one member at
+    a time, each key joined to the first chunk of its value."""
+    if not (depth and isinstance(value, dict) and value):
+        yield _ENCODER.encode(value)
+        return
+    head = "{"
+    for key in sorted(value):
+        items = _text_chunks(value[key], depth - 1)
+        yield head + _ENCODER.encode(key) + ":" + next(items)
+        yield from items
+        head = ","
+    yield "}"
+
+
 def canonical_json_bytes(doc: object) -> bytes:
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n").encode("utf-8")
+    return b"".join(canonical_json_chunks(doc))
+
+
+def write_report(report: AuditReport, path: Path) -> None:
+    """Write the canonical JSON of `report` to `path`, as it is encoded, into
+    a temporary file in the same directory that then replaces `path`."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("wb") as handle:
+            handle.writelines(canonical_json_chunks(report.doc))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _markdown_table(headers: list[str], rows: list[list[object]]) -> list[str]:
@@ -207,10 +267,8 @@ _CASE_IMPLICATIONS = {
 }
 
 
-def render_report(report: AuditReport, fmt: str = "json") -> bytes:
-    """Render a report as canonical JSON or as markdown tables."""
-    if fmt == "json":
-        return canonical_json_bytes(report.doc)
+def render_report(report: AuditReport, fmt: str) -> bytes:
+    """Render a report as markdown tables; `write_report` writes its JSON."""
     if fmt != "markdown":
         raise ReportError(f"unknown report format: {fmt!r}")
 
@@ -288,7 +346,7 @@ def render_diff(diff: ReportDiff, fmt: str = "json") -> bytes:
         [[m["name"], m["before"], m["after"], m["change_pct"]] for m in diff.metrics],
     )
     lines.append("")
-    return ("\n".join(lines)).encode("utf-8")
+    return _utf8("\n".join(lines))
 
 
 def load_report(path) -> AuditReport:

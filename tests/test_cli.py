@@ -232,9 +232,9 @@ def test_report_label_mismatch_exits_1(tmp_path):
     assert rc == 1
 
 
-def _report_argv(tmp_path, out: Path) -> list[str]:
+def _report_argv(tmp_path, out: Path, label: str = "t") -> list[str]:
     """The report command on an empty corpus and empty artifacts of its snapshot, writing `out`."""
-    envelope = {"schema_version": 1, "snapshot_label": "t"}
+    envelope = {"schema_version": 1, "snapshot_label": label}
     (tmp_path / "corpus.json").write_text(json.dumps({**envelope, "created_at": "now", "records": [], "ingest_errors": []}))
     (tmp_path / "verdicts.json").write_text("[]")
     (tmp_path / "outcomes.json").write_text(json.dumps({**envelope, "results": {}, "skipped": {}, "transcript": []}))
@@ -273,6 +273,44 @@ def test_an_output_path_that_cannot_be_written_exits_1(tmp_path, capsys, command
     assert cli.main(argv(tmp_path, blocker)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error in stage {command}: ") and str(blocker) in err and "Traceback" not in err
+
+
+def test_ingest_refuses_a_label_that_cannot_be_encoded_as_utf8(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    argv = _ingest_argv(tmp_path, out)
+    argv[argv.index("--label") + 1] = "lab\udcff"  # how Python's argv holds the bytes b"lab\xff"
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--label" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_report_text_that_cannot_be_encoded_exits_1_and_keeps_the_earlier_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"earlier\n")
+    argv = _report_argv(tmp_path, out, label="lab\udcff")
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error in stage report: ") and "UTF-8" in err and "Traceback" not in err
+    assert out.read_bytes() == b"earlier\n" and sorted(tmp_path.iterdir()) == before
+
+
+def test_run_all_report_that_cannot_be_encoded_exits_1_and_keeps_the_earlier_report(small_store, capsys):
+    out_dir = Path(small_store[small_store.index("--out-dir") + 1])
+    assert cli.main(small_store) == 0
+    earlier = (out_dir / "report.json").read_bytes()
+    names = sorted(path.name for path in out_dir.iterdir())
+    corpus = Path(small_store[small_store.index("--corpus") + 1])
+    doc = json.loads(corpus.read_text())
+    doc["records"][-1]["developer_domain"] = "bad\ud800.example"  # the dossier that sorts last
+    corpus.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(small_store) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error in stage run-all: ") and "UTF-8" in err and "Traceback" not in err
+    assert (out_dir / "report.json").read_bytes() == earlier
+    assert sorted(path.name for path in out_dir.iterdir()) == names
 
 
 def test_diff_out_creates_its_directory(tmp_path, capsys):
@@ -450,6 +488,15 @@ def test_diff_formats(tmp_path, fmt):
     out = tmp_path / "diff.out"
     assert cli.main(["diff", "--before", str(before), "--after", str(after), "--format", fmt, "--out", str(out)]) == 0
     assert out.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_diff_of_a_metric_name_that_cannot_be_encoded_exits_1(tmp_path, capsys, fmt):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"schema_version": 1, "metrics": {"bad\ud800": 1}}))
+    assert cli.main(["diff", "--before", str(path), "--after", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error in stage diff: ") and "UTF-8" in captured.err and not captured.out
 
 
 @pytest.fixture

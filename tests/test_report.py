@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pluginaudit.consistency import ConsistencyFinding, KIND_INCONSISTENT_NAME
 from pluginaudit.corpus import Corpus, PluginRecord
@@ -18,11 +20,13 @@ from pluginaudit.report import (
     ReportError,
     build_report,
     canonical_json_bytes,
+    canonical_json_chunks,
     diff_reports,
     load_report,
     render_diff,
     render_report,
     tables,
+    write_report,
 )
 
 
@@ -151,9 +155,9 @@ def test_token_type_summary_includes_user_http_when_present():
 def test_render_json_is_byte_stable():
     corpus, verdicts, run, findings, scopes = _small_inputs()
     report = build_report(corpus, verdicts, run, findings, scopes)
-    assert render_report(report, "json") == render_report(report, "json")
+    assert canonical_json_bytes(report.doc) == canonical_json_bytes(report.doc)
     rebuilt = build_report(corpus, verdicts, run, findings, scopes)
-    assert render_report(report, "json") == render_report(rebuilt, "json")
+    assert canonical_json_bytes(report.doc) == canonical_json_bytes(rebuilt.doc)
 
 
 def test_render_unknown_format_rejected():
@@ -241,7 +245,7 @@ def test_load_report_round_trip(tmp_path):
     corpus, verdicts, run, findings, scopes = _small_inputs()
     report = build_report(corpus, verdicts, run, findings, scopes)
     path = tmp_path / "report.json"
-    path.write_bytes(render_report(report, "json"))
+    write_report(report, path)
     assert load_report(path).doc == report.doc
     bad = tmp_path / "bad.json"
     for content in (
@@ -263,6 +267,61 @@ def test_load_report_round_trip(tmp_path):
 def test_canonical_json_sorted_and_compact():
     payload = canonical_json_bytes({"b": 1, "a": [2, 1]})
     assert payload == b'{"a":[2,1],"b":1}\n'
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_JSON_VALUES | st.dictionaries(st.text(), st.dictionaries(st.text(), _JSON_VALUES, max_size=4), max_size=4))
+def test_canonical_json_chunks_join_to_the_bytes_of_json_dumps(doc):
+    expected = (json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n").encode()
+    assert b"".join(canonical_json_chunks(doc)) == expected == canonical_json_bytes(doc)
+
+
+def test_canonical_json_chunks_are_the_top_level_members_and_each_dossier():
+    doc = {"schema_version": 1, "notes": ["é"], "per_plugin": {"p2": {"verdict": None}, "p1": {"case": "case4"}}}
+    assert list(canonical_json_chunks(doc)) == [
+        '{"notes":["é"]'.encode(),
+        b',"per_plugin":{"p1":{"case":"case4"}',
+        b',"p2":{"verdict":null}',
+        b"}",
+        b',"schema_version":1',
+        b"}",
+        b"\n",
+    ]
+
+
+@pytest.mark.parametrize("earlier", [None, b"earlier\n"])
+def test_write_report_that_fails_late_leaves_no_partial_file(tmp_path, earlier):
+    path = tmp_path / "report.json"
+    if earlier is not None:
+        path.write_bytes(earlier)
+    per_plugin = {f"p{i}": {"developer_domain": f"p{i}.example"} for i in range(50)}
+    per_plugin["zz"] = {"developer_domain": "bad\ud800.example"}  # sorts last
+    with pytest.raises(ReportError, match="UTF-8"):
+        write_report(AuditReport(doc={"schema_version": 1, "per_plugin": per_plugin}), path)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["report.json"])
+    if earlier is not None:
+        assert path.read_bytes() == earlier
+
+
+def test_writing_a_tenfold_report_peaks_below_a_quarter_of_its_size(tmp_path):
+    doc = json.loads((Path(__file__).parent / "golden" / "report-paper-tables.json").read_bytes())
+    doc["per_plugin"] = {f"{pid}-{copy}": d for copy in range(10) for pid, d in doc["per_plugin"].items()}
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_report(AuditReport(doc=doc), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == canonical_json_bytes(doc)
+    assert path.stat().st_size > 2_000_000 and peak < path.stat().st_size / 4
 
 
 def test_markdown_of_fixture_run_shows_reference_case_rows(paper_run):
