@@ -3,10 +3,11 @@
 Every stage writes its artifact under the output directory in the formats
 of `artifacts`. `run-all` executes discover -> probe -> consistency ->
 scopes -> report in order and hands each stage's typed result to the next
-in memory, parsing each manifest once. `--cached` reuses a network stage's
-artifacts only when its input hash matches and they are the bytes it wrote,
-so reruns skip fetching and reproduce byte-identical reports. The
-single-stage subcommands read their inputs from the artifacts.
+in memory, parsing each manifest once; both network stages share one
+fetcher, so the per-host delay holds across them. `--cached` reuses a
+network stage's artifacts only when its input hash matches and they are the
+bytes it wrote, so reruns skip fetching and reproduce byte-identical
+reports. The single-stage subcommands read their inputs from the artifacts.
 
 Each command imports, at the top of its body, the layers it runs, so that
 `ingest`, `gen-plan` and `serve-fixtures` load no audit layer and `probe`
@@ -54,6 +55,7 @@ def _json_log_fn(method, result):
             "final_url": result.final_url,
             "status": result.status,
             "attempts": result.attempts,
+            "error": result.error,
         },
         sort_keys=True,
     )
@@ -80,10 +82,9 @@ def _make_fetcher(config: AuditConfig) -> Fetcher:
 # Stage implementations (shared by the single-stage commands and run-all)
 
 
-def stage_discover(corpus, config: AuditConfig, verdicts_path: Path, manifests_dir: Path):
+def stage_discover(corpus, fetcher: Fetcher, verdicts_path: Path, manifests_dir: Path):
     from . import artifacts, discovery as discovery_mod
 
-    fetcher = _make_fetcher(config)
     result = discovery_mod.discover_corpus(corpus, fetcher)
     artifacts.write_verdicts(verdicts_path, result.verdicts)
     artifacts.write_manifests(manifests_dir, result.manifests)
@@ -94,12 +95,12 @@ def stage_probe(
     manifests: dict[str, ManifestDocument],
     rejected: dict[str, ParseError],
     config: AuditConfig,
+    fetcher: Fetcher,
     label: str,
     outcomes_path: Path,
 ):
     from . import artifacts, probe as probe_mod
 
-    fetcher = _make_fetcher(config)
     run = probe_mod.probe_manifests(
         manifests, fetcher, budget=config.probe_budget, redact_tokens=config.redact_tokens
     )
@@ -168,7 +169,7 @@ def cmd_discover(args) -> int:
     config = _config_from_args(args)
     corpus = corpus_mod.load_corpus(args.corpus)
     manifests_dir = Path(args.manifests_dir) if args.manifests_dir else Path(args.out).parent / "manifests"
-    result = stage_discover(corpus, config, Path(args.out), manifests_dir)
+    result = stage_discover(corpus, _make_fetcher(config), Path(args.out), manifests_dir)
     exposed = sum(1 for v in result.verdicts.values() if v.verdict == discovery_mod.VERDICT_ACCESSIBLE)
     print(f"discovered {exposed}/{len(corpus)} exposed manifests -> {args.out}")
     return EXIT_OK
@@ -180,7 +181,7 @@ def cmd_probe(args) -> int:
     config = _config_from_args(args)
     corpus = corpus_mod.load_corpus(args.corpus)
     manifests, rejected = artifacts.read_manifests(Path(args.manifests), corpus.by_id().keys())
-    run = stage_probe(manifests, rejected, config, corpus.snapshot_label, Path(args.out))
+    run = stage_probe(manifests, rejected, config, _make_fetcher(config), corpus.snapshot_label, Path(args.out))
     print(f"probed {len(run.results)} plugins, skipped {len(run.skipped)} -> {args.out}")
     return EXIT_OK
 
@@ -314,6 +315,9 @@ def cmd_run_all(args) -> int:
     fetch_knobs = f"{config.base_url_override}|{config.timeout_ms}|{config.retries}"
     corpus, discover_key = _load_keyed_corpus(args.corpus, fetch_knobs)
     label, ids = corpus.snapshot_label, corpus.by_id().keys()
+    # One fetcher for both network stages, so that a host's delay also
+    # spaces the last discover request from the first probe request.
+    fetcher = _make_fetcher(config)
 
     verdicts_path = out_dir / "verdicts.json"
     manifests_dir = out_dir / "manifests"
@@ -339,7 +343,7 @@ def cmd_run_all(args) -> int:
         manifests, rejected = artifacts.read_manifests(manifests_dir, ids)
         print("discover: cached")
     else:
-        discovered = stage_discover(corpus, config, verdicts_path, manifests_dir)
+        discovered = stage_discover(corpus, fetcher, verdicts_path, manifests_dir)
         verdicts, manifests, rejected = discovered.verdicts, discovered.manifests, {}
         cache["discover"] = discover_entry()
         artifacts.write_json(cache_path, cache)
@@ -352,7 +356,7 @@ def cmd_run_all(args) -> int:
         probe_run = artifacts.read_outcomes(outcomes_path, label, ids)
         print("probe: cached")
     else:
-        probe_run = stage_probe(manifests, rejected, config, label, outcomes_path)
+        probe_run = stage_probe(manifests, rejected, config, fetcher, label, outcomes_path)
         cache["probe"] = _fingerprint(probe_key, outcomes_path)
         artifacts.write_json(cache_path, cache)
         print("probe: done")

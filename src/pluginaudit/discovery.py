@@ -24,13 +24,6 @@ FILE_TYPE_SUFFIXES = (".php", ".txt", ".htm", ".html", ".pdf")
 NOISE_DIRECTORIES = ("pages", "us", "en", "static")
 TRUNCATION_DEPTHS = (3, 2, 1)
 
-# Derivation tags, in generation-stage order.
-WELL_KNOWN_DIRECT = "well_known_direct"
-SUFFIX_STRIPPED = "suffix_stripped"
-SEGMENT_TRUNCATED = "segment_truncated"
-FILE_TYPE_REMOVED = "file_type_removed"
-DIRECTORY_SUFFIX_REMOVED = "directory_suffix_removed"
-
 VERDICT_ACCESSIBLE = "accessible"
 VERDICT_HIDDEN_REDIRECT = "hidden_redirect"
 VERDICT_HOSTED_GITHUB = "hosted_github"
@@ -55,7 +48,6 @@ class InvalidSeed(Exception):
 @dataclass(frozen=True)
 class CandidateUrl:
     url: str
-    derivation: str
     generation_rank: int
 
 
@@ -105,17 +97,17 @@ def generate_candidates(seed_url: str) -> list[CandidateUrl]:
     origin = origin_of(stripped)
     segments = _segments(urlsplit(stripped).path)
 
-    staged: list[tuple[tuple[str, ...], str]] = [((), WELL_KNOWN_DIRECT)]
+    staged: list[tuple[str, ...]] = [()]
     if segments:
-        staged.append((tuple(segments), SUFFIX_STRIPPED))
+        staged.append(tuple(segments))
     for depth in TRUNCATION_DEPTHS:
-        staged.append((tuple(segments[:depth]), SEGMENT_TRUNCATED))
+        staged.append(tuple(segments[:depth]))
 
     unsuffixed = _strip_file_suffix(segments)
     if unsuffixed is not None:
-        staged.append((tuple(unsuffixed), FILE_TYPE_REMOVED))
+        staged.append(tuple(unsuffixed))
         for depth in TRUNCATION_DEPTHS:
-            staged.append((tuple(unsuffixed[:depth]), FILE_TYPE_REMOVED))
+            staged.append(tuple(unsuffixed[:depth]))
 
     for base in (segments, unsuffixed):
         if base is None:
@@ -123,21 +115,21 @@ def generate_candidates(seed_url: str) -> list[CandidateUrl]:
         cleaned = _drop_noise_dirs(base)
         if cleaned is None:
             continue
-        staged.append((tuple(cleaned), DIRECTORY_SUFFIX_REMOVED))
+        staged.append(tuple(cleaned))
         for depth in TRUNCATION_DEPTHS:
-            staged.append((tuple(cleaned[:depth]), DIRECTORY_SUFFIX_REMOVED))
+            staged.append(tuple(cleaned[:depth]))
 
     candidates: list[CandidateUrl] = []
     seen: set[str] = set()
     rank = 0
-    for path_segments, derivation in staged:
+    for path_segments in staged:
         prefix = origin + ("/" + "/".join(path_segments) if path_segments else "")
         for suffix in WELL_KNOWN_SUFFIXES:
             url = prefix + suffix
             if url in seen:
                 continue
             seen.add(url)
-            candidates.append(CandidateUrl(url=url, derivation=derivation, generation_rank=rank))
+            candidates.append(CandidateUrl(url=url, generation_rank=rank))
             rank += 1
     return candidates
 

@@ -10,8 +10,9 @@ paper's reference tables; "revisit" is the remediated population used for
 before/after diffing. Each row kind also states the dossier its plugins
 are built to get; `expected_labels(profile)` lists them per index entry.
 
-Every response is a pure function of (plan, request); nothing depends on
-the wall clock or on earlier requests.
+`respond` holds every route of the store: a pure function of the plan and
+one request, which depends on neither the wall clock nor earlier requests.
+The HTTP server only reads the request and writes what `respond` returns.
 """
 
 from __future__ import annotations
@@ -497,9 +498,55 @@ def _json_bytes(doc: object) -> bytes:
     return json.dumps(doc, indent=1, sort_keys=True).encode("utf-8")
 
 
+_Answer = tuple[int, list[tuple[str, str]], bytes]  # status, header fields, body
+
+
+def _json_answer(status: int, doc: object, *fields: tuple[str, str]) -> _Answer:
+    return status, [*fields, ("Content-Type", "application/json")], _json_bytes(doc)
+
+
+def respond(plan: FixturePlan, method: str, target: str, authorization: str | None) -> _Answer:
+    """The store's answer to one request: its status, header fields and body.
+
+    `target` is the request target, `/index.ndjson` or `/<host><path>`, and
+    its query is ignored; `authorization` is the Authorization header value,
+    or None. A body that is not empty gets a Content-Type; Content-Length,
+    Date and Server are the server's to add.
+    """
+    path = target.split("?", 1)[0]
+    if path == "/index.ndjson":
+        return 200, [("Content-Type", "application/x-ndjson")], index_ndjson(plan).encode("utf-8")
+    host, _, rest = path.lstrip("/").partition("/")
+    rest = "/" + rest
+    if host == LANDING_HOST:
+        return 200, [("Content-Type", "text/html")], _LANDING_BODY
+    site = plan.sites.get(host)
+    if site is None:
+        denial = _builtin_denial(host)
+        return _json_answer(denial or 404, {"error": "no such host" if denial is None else "not available"})
+    if rest in ("/.well-known/ai-plugin.json", "/.well-known/", "/.well-known"):
+        if site.manifest is not None and rest == "/.well-known/ai-plugin.json":
+            return _json_answer(200, site.manifest)
+        if site.manifest is None and site.redirect_to is not None:
+            return 302, [("Location", site.redirect_to)], b""
+    elif rest == "/openapi.json":
+        if site.openapi is not None:
+            return _json_answer(200, site.openapi)
+        if site.openapi_raw is not None:
+            raw = site.openapi_raw.encode("utf-8")
+            return 200, [("Content-Type", "text/plain")] if raw else [], raw
+    else:
+        for endpoint in site.endpoints:
+            if endpoint.path == rest and endpoint.method == method:
+                if endpoint.required_token is not None and authorization != f"Bearer {endpoint.required_token}":
+                    return _json_answer(401, {"error": "authorization required"})
+                retry = [("Retry-After", "1")] if endpoint.status_ok == 429 else []
+                return _json_answer(endpoint.status_ok, endpoint.body_ok or {"status": "ok"}, *retry)
+    return _json_answer(404, {"error": "not found"})
+
+
 def _make_server(plan: FixturePlan, port: int):
-    """An HTTP server bound to 127.0.0.1:port that answers from plan; only
-    this function loads `http.server`."""
+    """An HTTP server on 127.0.0.1:port that answers with `respond`; only it loads `http.server`."""
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     class Server(ThreadingHTTPServer):
@@ -524,75 +571,18 @@ def _make_server(plan: FixturePlan, port: int):
         def log_message(self, fmt, *args):  # noqa: ARG002 - silence stdlib logging
             pass
 
-        def _respond(self, status: int, body: bytes = b"", content_type: str = "application/json", headers: dict | None = None):
+        def _handle(self) -> None:
+            self.rfile.read(int(self.headers.get("Content-Length", 0) or 0))  # the request body, unread
+            status, fields, body = respond(plan, self.command, self.path, self.headers.get("Authorization"))
             self.send_response(status)
-            for key, value in (headers or {}).items():
-                self.send_header(key, value)
-            if body:
-                self.send_header("Content-Type", content_type)
+            for name, value in fields:
+                self.send_header(name, value)
             self.send_header("Content-Length", str(len(body)))
             if self.request_version == "HTTP/0.9":  # the body alone, as end_headers() would leave it
                 self.wfile.write(body)
             else:  # end_headers() and the body in one write
                 self._headers_buffer.append(b"\r\n" + body)
                 self.flush_headers()
-
-        def _handle(self) -> None:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if length:
-                self.rfile.read(length)
-            raw_path = self.path.split("?", 1)[0]
-            if raw_path == "/index.ndjson":
-                self._respond(200, index_ndjson(plan).encode("utf-8"), "application/x-ndjson")
-                return
-            parts = raw_path.lstrip("/").split("/", 1)
-            host = parts[0]
-            rest = "/" + (parts[1] if len(parts) > 1 else "")
-
-            if host == LANDING_HOST:
-                self._respond(200, _LANDING_BODY, "text/html")
-                return
-            site = plan.sites.get(host)
-            if site is not None:
-                self._serve_site(site, rest)
-                return
-            denial = _builtin_denial(host)
-            if denial is not None:
-                self._respond(denial, _json_bytes({"error": "not available"}))
-                return
-            self._respond(404, _json_bytes({"error": "no such host"}))
-
-        def _serve_site(self, site: FixtureSite, rest: str) -> None:
-            if rest in ("/.well-known/ai-plugin.json", "/.well-known/", "/.well-known"):
-                if site.manifest is not None and rest == "/.well-known/ai-plugin.json":
-                    self._respond(200, _json_bytes(site.manifest))
-                elif site.manifest is None and site.redirect_to is not None:
-                    self._respond(302, b"", headers={"Location": site.redirect_to})
-                else:
-                    self._respond(404, _json_bytes({"error": "not found"}))
-                return
-            if rest == "/openapi.json":
-                if site.openapi is not None:
-                    self._respond(200, _json_bytes(site.openapi))
-                elif site.openapi_raw is not None:
-                    self._respond(200, site.openapi_raw.encode("utf-8"), "text/plain")
-                else:
-                    self._respond(404, _json_bytes({"error": "not found"}))
-                return
-            for endpoint in site.endpoints:
-                if endpoint.path == rest and endpoint.method == self.command:
-                    self._serve_endpoint(endpoint)
-                    return
-            self._respond(404, _json_bytes({"error": "not found"}))
-
-        def _serve_endpoint(self, endpoint: FixtureEndpoint) -> None:
-            token = endpoint.required_token
-            if token is not None and self.headers.get("Authorization", "") != f"Bearer {token}":
-                self._respond(401, _json_bytes({"error": "authorization required"}))
-                return
-            status = endpoint.status_ok
-            headers = {"Retry-After": "1"} if status == 429 else None
-            self._respond(status, _json_bytes(endpoint.body_ok or {"status": "ok"}), headers=headers)
 
         do_GET = do_POST = do_PUT = do_DELETE = _handle
 

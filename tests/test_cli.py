@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -402,7 +403,39 @@ def test_json_logs_emit_one_line_per_fetch(tmp_path, capsys):
     err_lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
     assert len(err_lines) == 1  # manifest found on the first candidate
     event = json.loads(err_lines[0])
-    assert event["event"] == "fetch" and event["status"] == 200
+    assert event["event"] == "fetch" and event["status"] == 200 and event["error"] is None
+
+
+def test_json_logs_name_the_transport_error(tmp_path, capsys):
+    import socket
+
+    index = tmp_path / "index.ndjson"
+    index.write_text('{"title": "Gone", "legal_info_url": "https://gone.example/"}\n')
+    corpus = tmp_path / "corpus.json"
+    assert cli.main(["ingest", "--input", str(index), "--label", "t", "--out", str(corpus)]) == 0
+    with socket.socket() as sock:  # a port that was free a moment ago: nothing listens there
+        sock.bind(("127.0.0.1", 0))
+        closed_port = sock.getsockname()[1]
+    capsys.readouterr()
+    rc = cli.main(
+        [
+            "discover",
+            "--corpus", str(corpus),
+            "--out", str(tmp_path / "verdicts.json"),
+            "--base-url", f"http://127.0.0.1:{closed_port}",
+            "--per-host-delay-ms", "0",
+            "--retries", "0",
+            "--json-logs",
+        ]
+    )
+    assert rc == 0
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.strip()]
+    assert [event["url"] for event in events] == [
+        "https://gone.example/.well-known/ai-plugin.json", "https://gone.example/.well-known/",
+    ]
+    for event in events:
+        assert event["status"] == 0 and event["attempts"] == 1
+        assert event["error"].startswith("ConnectionRefusedError: ")
 
 
 def test_json_logs_stay_whole_under_concurrency(capsys):
@@ -424,6 +457,57 @@ def test_json_logs_stay_whole_under_concurrency(capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == len(urls)
     assert sorted(json.loads(line)["url"] for line in lines) == sorted(urls)
+
+
+def test_run_all_keeps_the_per_host_delay_across_discover_and_probe(tmp_path, monkeypatch):
+    # One plugin: discover's manifest GET and probe's OpenAPI GET go to the
+    # same logical host, so the second waits the delay after the first.
+    from pluginaudit.fetch import Fetcher
+
+    site = FixtureSite(host="solo.example")
+    site.manifest = {
+        "name_for_human": "Solo",
+        "name_for_model": "solo",
+        "description_for_model": "d",
+        "api": {"type": "openapi", "url": "https://solo.example/openapi.json"},
+    }
+    plan = FixturePlan(profile="solo", seed=0)
+    plan.sites["solo.example"] = site
+    index = tmp_path / "index.ndjson"
+    index.write_text('{"title": "Solo", "legal_info_url": "https://solo.example/legal"}\n')
+    corpus = tmp_path / "corpus.json"
+    assert cli.main(["ingest", "--input", str(index), "--label", "t", "--out", str(corpus)]) == 0
+
+    exchange = Fetcher._exchange
+    spans: dict[str, list[tuple[float, float]]] = {}
+
+    def timed(self, method, parts, headers, body):
+        start = time.monotonic()
+        try:
+            return exchange(self, method, parts, headers, body)
+        finally:
+            spans.setdefault(parts.hostname, []).append((start, time.monotonic()))
+
+    monkeypatch.setattr(Fetcher, "_exchange", timed)
+    server = serve_fixtures(plan, 0)
+    try:
+        rc = cli.main(
+            [
+                "run-all",
+                "--corpus", str(corpus),
+                "--out-dir", str(tmp_path / "out"),
+                "--base-url", server.base_url,
+                "--per-host-delay-ms", "300",
+                "--retries", "0",
+            ]
+        )
+    finally:
+        server.stop()
+    assert rc == 0
+    solo = spans["solo.example"]
+    assert len(solo) >= 2  # the manifest, then the OpenAPI document
+    gaps = [start - end for (_, end), (start, _) in zip(solo, solo[1:])]
+    assert min(gaps) >= 0.3
 
 
 def _modules_loaded(cwd: Path, argv: list[str] | None) -> tuple[int | None, set[str]]:

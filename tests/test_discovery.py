@@ -128,7 +128,7 @@ def _record(plugin_id: str, legal: str) -> PluginRecord:
 
 
 def _candidate(url: str) -> CandidateUrl:
-    return CandidateUrl(url=url, derivation="well_known_direct", generation_rank=0)
+    return CandidateUrl(url=url, generation_rank=0)
 
 
 def _result(url: str, status: int, body: bytes = b"", final: str | None = None) -> FetchResult:

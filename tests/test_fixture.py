@@ -24,6 +24,7 @@ from pluginaudit.fixture import (
     generate_plan,
     index_ndjson,
     load_plan,
+    respond,
     save_plan,
     serve_fixtures,
 )
@@ -201,6 +202,103 @@ def test_builtin_hosted_platform_behavior():
         assert _status(f"{server.base_url}/unknown-host.example/x") == 404
     finally:
         server.stop()
+
+
+def _route_plan() -> FixturePlan:
+    """The tiny plan, plus a site that redirects and sites with an OpenAPI document, as JSON and as raw text."""
+    plan = _tiny_plan()
+    plan.sites["moved.example"] = FixtureSite(host="moved.example", redirect_to="https://landing.adsite.example/welcome")
+    plan.sites["api.example"] = FixtureSite(host="api.example", openapi={"openapi": "3.0.1"})
+    plan.sites["raw.example"] = FixtureSite(host="raw.example", openapi_raw='{"openapi": broken')
+    return plan
+
+
+_JSON = [("Content-Type", "application/json")]
+_LANDING = b"<html><head><title>Welcome</title></head><body><h1>Member portal</h1></body></html>"
+
+# (method, target, Authorization) -> (status, header fields, body): the body
+# is the bytes, the JSON document, or "index" or "manifest" for the plan's.
+_ROUTES = {
+    "index": (("GET", "/index.ndjson", None), (200, [("Content-Type", "application/x-ndjson")], "index")),
+    "index, query stripped": (("GET", "/index.ndjson?page=2", None), (200, [("Content-Type", "application/x-ndjson")], "index")),
+    "landing host": (("GET", "/landing.adsite.example/welcome", None), (200, [("Content-Type", "text/html")], _LANDING)),
+    "github denial": (("GET", "/github.com/dev/x", None), (404, _JSON, {"error": "not available"})),
+    "google denial": (("GET", "/drive.google.com/file/x", None), (403, _JSON, {"error": "not available"})),
+    "openai denial": (("GET", "/chat.openai.com/x", None), (403, _JSON, {"error": "not available"})),
+    "unknown host": (("GET", "/unknown-host.example/x", None), (404, _JSON, {"error": "no such host"})),
+    "bare host": (("GET", "/unknown-host.example", None), (404, _JSON, {"error": "no such host"})),
+    "manifest": (("GET", "/tiny.example/.well-known/ai-plugin.json", None), (200, _JSON, "manifest")),
+    "manifest, query stripped": (("GET", "/tiny.example/.well-known/ai-plugin.json?v=1", None), (200, _JSON, "manifest")),
+    "well-known dir of a manifest site": (("GET", "/tiny.example/.well-known/", None), (404, _JSON, {"error": "not found"})),
+    "redirect": (("GET", "/moved.example/.well-known/ai-plugin.json", None),
+                 (302, [("Location", "https://landing.adsite.example/welcome")], b"")),
+    "redirect of the bare well-known path": (("GET", "/moved.example/.well-known", None),
+                                             (302, [("Location", "https://landing.adsite.example/welcome")], b"")),
+    "no manifest, no redirect": (("GET", "/api.example/.well-known/ai-plugin.json", None), (404, _JSON, {"error": "not found"})),
+    "openapi as JSON": (("GET", "/api.example/openapi.json", None), (200, _JSON, {"openapi": "3.0.1"})),
+    "openapi as raw text": (("GET", "/raw.example/openapi.json", None),
+                            (200, [("Content-Type", "text/plain")], b'{"openapi": broken')),
+    "no openapi": (("GET", "/tiny.example/openapi.json", None), (404, _JSON, {"error": "not found"})),
+    "rate limited": (("GET", "/tiny.example/api/busy", None),
+                     (429, [("Retry-After", "1"), *_JSON], {"error": "rate limit exceeded"})),
+    "missing token": (("GET", "/tiny.example/api/guarded", None), (401, _JSON, {"error": "authorization required"})),
+    "wrong token": (("GET", "/tiny.example/api/guarded", "Bearer wrong"), (401, _JSON, {"error": "authorization required"})),
+    "right token": (("GET", "/tiny.example/api/guarded", "Bearer tok"), (200, _JSON, {"ok": True})),
+    "right token, query stripped": (("GET", "/tiny.example/api/guarded?q=x", "Bearer tok"), (200, _JSON, {"ok": True})),
+    "other method": (("POST", "/tiny.example/api/guarded", "Bearer tok"), (404, _JSON, {"error": "not found"})),
+    "unknown path": (("GET", "/tiny.example/nothing-here", None), (404, _JSON, {"error": "not found"})),
+}
+
+
+@pytest.mark.parametrize("call, expected", list(_ROUTES.values()), ids=list(_ROUTES))
+def test_respond_answers_each_route_kind_without_a_socket(call, expected):
+    plan = _route_plan()
+    status, fields, body = respond(plan, *call)
+    want_status, want_fields, want_body = expected
+    if want_body == "index":
+        want_body = index_ndjson(plan).encode("utf-8")
+    elif want_body == "manifest":
+        want_body = plan.sites["tiny.example"].manifest
+    assert (status, fields) == (want_status, want_fields)
+    assert (body if isinstance(want_body, bytes) else json.loads(body)) == want_body
+
+
+def _plan_routes(plan: FixturePlan) -> list[tuple[str, str, str | None]]:
+    """Every route a plan defines, each well-known path and a missing path per
+    site, the built-in platform hosts and an unknown host, as respond's
+    (method, target, Authorization)."""
+    routes = [("GET", "/index.ndjson", None), ("GET", "/index.ndjson?page=2", None)]
+    hosts = [*plan.sites, "github.com", "raw.githubusercontent.com", "drive.google.com", "chat.openai.com", "none.example"]
+    for host in hosts:
+        for rest in ("/.well-known/ai-plugin.json", "/.well-known/", "/.well-known", "/openapi.json", "/missing"):
+            routes.append(("GET", f"/{host}{rest}", None))
+        for endpoint in plan.sites[host].endpoints if host in plan.sites else ():
+            for token in (None, "Bearer wrong", f"Bearer {endpoint.required_token}"):
+                routes.append((endpoint.method, f"/{host}{endpoint.path}", token))
+    return routes
+
+
+_ANSWER_FIELDS = ("Content-Type", "Location", "Retry-After")
+
+
+def test_live_server_answers_as_respond_on_every_paper_route():
+    plan = generate_plan(PROFILE_PAPER_TABLES, 42)
+    server = serve_fixtures(plan, 0)
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+    mismatched = []
+    try:
+        for method, target, authorization in _plan_routes(plan):
+            conn.request(method, target, headers={"Authorization": authorization} if authorization else {})
+            response = conn.getresponse()
+            served = (response.status, response.read(), *map(response.getheader, _ANSWER_FIELDS))
+            status, fields, body = respond(plan, method, target, authorization)
+            answer = (status, body, *map(dict(fields).get, _ANSWER_FIELDS))
+            if served != answer:
+                mismatched.append((method, target, authorization, served, answer))
+    finally:
+        conn.close()
+        server.stop()
+    assert mismatched == []
 
 
 def test_plan_generation_deterministic_in_seed(tmp_path):
