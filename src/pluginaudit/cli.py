@@ -129,7 +129,8 @@ def stage_scopes(manifests: dict[str, ManifestDocument], label: str, scopes_path
         if manifest.auth.auth_type == "oauth":
             docs.append(scoperisk_mod.make_scope_document(plugin_id, manifest.auth.scope))
     assignments = scoperisk_mod.categorize_corpus(docs, lexicon)
-    artifacts.write_scopes(scopes_path, assignments, scoperisk_mod.distribution_report(assignments), label)
+    distribution = scoperisk_mod.distribution_report([category for _, category in assignments])
+    artifacts.write_scopes(scopes_path, assignments, distribution, label)
     return assignments
 
 
@@ -221,7 +222,7 @@ def cmd_report(args) -> int:
     report = stage_report(corpus, verdicts, probe_run, findings, assignments, Path(args.out))
     if args.format == "markdown":
         md_path = Path(args.out).with_suffix(".md")
-        md_path.write_bytes(report_mod.render_report(report, "markdown"))
+        md_path.write_bytes(report_mod.render_report(report))
         print(f"report -> {args.out} and {md_path}")
     else:
         print(f"report -> {args.out}")
@@ -233,8 +234,7 @@ def cmd_diff(args) -> int:
 
     before = report_mod.load_report(args.before)
     after = report_mod.load_report(args.after)
-    diff = report_mod.diff_reports(before, after)
-    payload = report_mod.render_diff(diff, args.format)
+    payload = report_mod.render_diff(report_mod.diff_reports(before, after), args.format)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_bytes(payload)
@@ -367,7 +367,7 @@ def cmd_run_all(args) -> int:
     print("scopes: done")
 
     report = stage_report(corpus, verdicts, probe_run, findings, assignments, report_path)
-    (out_dir / "report.md").write_bytes(report_mod.render_report(report, "markdown"))
+    (out_dir / "report.md").write_bytes(report_mod.render_report(report))
     print(f"report: done -> {report_path}")
     return EXIT_OK
 

@@ -46,12 +46,6 @@ class InvalidSeed(Exception):
 
 
 @dataclass(frozen=True)
-class CandidateUrl:
-    url: str
-    generation_rank: int
-
-
-@dataclass(frozen=True)
 class AccessibilityVerdict:
     plugin_id: str
     verdict: Literal[ALL_VERDICTS]
@@ -82,8 +76,9 @@ def _drop_noise_dirs(segments: list[str]) -> list[str] | None:
     return cleaned
 
 
-def generate_candidates(seed_url: str) -> list[CandidateUrl]:
-    """Deterministic, deduplicated candidate plan for one seed URL.
+def generate_candidates(seed_url: str) -> list[str]:
+    """Deterministic, deduplicated candidate URLs for one seed URL, in the
+    order they are tried.
 
     Stage order: origin well-known pair; the full (query/fragment-stripped)
     path; its 3/2/1-segment truncations; the file-type-stripped variant and
@@ -119,34 +114,32 @@ def generate_candidates(seed_url: str) -> list[CandidateUrl]:
         for depth in TRUNCATION_DEPTHS:
             staged.append(tuple(cleaned[:depth]))
 
-    candidates: list[CandidateUrl] = []
+    candidates: list[str] = []
     seen: set[str] = set()
-    rank = 0
     for path_segments in staged:
         prefix = origin + ("/" + "/".join(path_segments) if path_segments else "")
         for suffix in WELL_KNOWN_SUFFIXES:
             url = prefix + suffix
-            if url in seen:
-                continue
-            seen.add(url)
-            candidates.append(CandidateUrl(url=url, generation_rank=rank))
-            rank += 1
+            if url not in seen:
+                seen.add(url)
+                candidates.append(url)
     return candidates
 
 
 def classify_accessibility(
     plugin: PluginRecord,
-    fetch_results: list[tuple[CandidateUrl, FetchResult]],
+    fetch_results: list[FetchResult],
     manifest: ManifestDocument | None,
 ) -> AccessibilityVerdict:
     """Six-way verdict for one plugin, first matching rule wins.
 
     `fetch_results` holds the fetches of the candidates generated from the
-    plugin's legal_info_url, so neither is empty. `manifest` is the parse of
-    the first 2xx candidate body that is a manifest, or None when no 2xx
-    body parsed; nothing is parsed here.
+    plugin's legal_info_url, in the order they were tried, so it is not
+    empty; each result's `url` is its candidate. `manifest` is the parse of
+    the first whole 2xx candidate body that is a manifest, or None when no
+    such body parsed; nothing is parsed here.
 
-    1. a candidate body parsed as a manifest          -> accessible
+    1. a whole candidate body parsed as a manifest    -> accessible
     2. seed hosted on GitHub                          -> hosted_github
     3. seed hosted on Google Docs/Drive               -> hosted_google_doc
     4. seed on an openai.com domain, denied statuses  -> openai_protected
@@ -154,7 +147,7 @@ def classify_accessibility(
     6. otherwise                                      -> native_unreachable
 
     A 2xx body cut off at the body cap was never parsed, so it is no
-    evidence for rule 5; under rule 6 the evidence names the first one.
+    evidence for rules 1 and 5; rule 6's evidence names the first one.
     """
     seed = plugin.legal_info_url
     seed_host = host_of(seed)
@@ -162,12 +155,12 @@ def classify_accessibility(
     tried = len(fetch_results)
 
     if manifest is not None:
-        for candidate, result in fetch_results:
-            if result.ok and result.body == manifest.raw_source:
+        for result in fetch_results:
+            if result.ok and not result.truncated and result.body == manifest.raw_source:
                 return AccessibilityVerdict(
                     plugin_id=plugin.plugin_id,
                     verdict=VERDICT_ACCESSIBLE,
-                    winning_url=candidate.url,
+                    winning_url=result.url,
                     http_status=result.status,
                     evidence=f"manifest parsed from {result.final_url}",
                     candidates_tried=tried,
@@ -187,7 +180,7 @@ def classify_accessibility(
             evidence=f"seed hosted on Google Docs: {seed}",
             candidates_tried=tried,
         )
-    statuses = [r.status for _, r in fetch_results]
+    statuses = [r.status for r in fetch_results]
     if (seed_host == "chat.openai.com" or seed_host == "openai.com" or seed_host.endswith(".openai.com")) and all(
         s in (403, 404) for s in statuses
     ):
@@ -199,12 +192,12 @@ def classify_accessibility(
             candidates_tried=tried,
         )
 
-    for candidate, result in fetch_results:
+    for result in fetch_results:
         if not result.ok or result.truncated:
             continue
         final_host = host_of(result.final_url)
         left_domain = bool(final_host) and seed_domain and registrable_domain(final_host) != seed_domain
-        where = result.final_url if left_domain else candidate.url
+        where = result.final_url if left_domain else result.url
         return AccessibilityVerdict(
             plugin_id=plugin.plugin_id,
             verdict=VERDICT_HIDDEN_REDIRECT,
@@ -214,7 +207,7 @@ def classify_accessibility(
             candidates_tried=tried,
         )
 
-    too_large = [r.final_url for _, r in fetch_results if r.ok and r.truncated]
+    too_large = [r.final_url for r in fetch_results if r.ok and r.truncated]
     if too_large:
         evidence = f"2xx body over the {BODY_PREFIX_LIMIT // 1024} KiB cap, not parsed: {too_large[0]}"
     else:
@@ -237,7 +230,7 @@ class DiscoveryResult:
 
 def _discover_one(record: PluginRecord, fetcher: Fetcher) -> tuple[str, AccessibilityVerdict, ManifestDocument | None]:
     seed_problem = None
-    candidates: list[CandidateUrl] = []
+    candidates: list[str] = []
     if not record.legal_info_url:
         seed_problem = "no seed URL (legal_info_url missing)"
     else:
@@ -255,11 +248,11 @@ def _discover_one(record: PluginRecord, fetcher: Fetcher) -> tuple[str, Accessib
         )
         return record.plugin_id, verdict, None
 
-    results: list[tuple[CandidateUrl, FetchResult]] = []
+    results: list[FetchResult] = []
     manifest: ManifestDocument | None = None
-    for candidate in candidates:
-        result = fetcher.fetch(candidate.url)
-        results.append((candidate, result))
+    for url in candidates:
+        result = fetcher.fetch(url)
+        results.append(result)
         if not result.ok or result.truncated:
             continue
         try:

@@ -1,11 +1,13 @@
 """Audit report aggregation, canonical rendering, and snapshot diffing.
 
-A report is a plain JSON-serializable document. `build_report` builds one
-dossier per corpus plugin, and `tables` computes every table and metric
-from the dossiers, except `shared_manifest_group_sizes`, which it takes as
-an input. The JSON rendering is canonical (sorted keys, compact separators,
-UTF-8, fixed number formatting), so identical inputs produce byte-identical
-reports.
+A report is a plain JSON-serializable dict, and every function here takes
+or returns that dict. `build_report` builds one dossier per corpus plugin,
+and `tables` computes every table and metric from the dossiers, except
+`shared_manifest_group_sizes`, which it takes as an input. The JSON
+rendering is canonical (sorted keys, compact separators, UTF-8, fixed
+number formatting), so identical inputs produce byte-identical reports.
+`render_report` renders the markdown tables. `diff_reports` compares the
+metrics of two reports, as a list of rows that `render_diff` renders.
 
 `write_report` writes that rendering as it is encoded, one top-level member
 or one dossier at a time, into a temporary file beside the report, and
@@ -20,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Literal
 
@@ -78,27 +79,13 @@ class ReportError(StageError):
     pass
 
 
-@dataclass
-class AuditReport:
-    doc: dict
-
-    @property
-    def metrics(self) -> dict[str, int]:
-        return self.doc["metrics"]
-
-
-@dataclass
-class ReportDiff:
-    metrics: list[dict]
-
-
 def build_report(
     corpus: Corpus,
     verdicts: dict[str, AccessibilityVerdict],
     probe_run: ProbeRunResult,
     findings: list[ConsistencyFinding],
     scope_assignments: list[tuple[str, str]],
-) -> AuditReport:
+) -> dict:
     """Aggregate all layer outputs for one snapshot into a report: one
     dossier per corpus plugin, then every table counted from the dossiers."""
     finding_kinds_by_plugin: dict[str, list[str]] = {}
@@ -126,7 +113,7 @@ def build_report(
             "scope_category": scope_by_plugin.get(pid),
         }
 
-    doc = {
+    return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "snapshot_label": corpus.snapshot_label,
         "corpus_size": len(corpus),
@@ -134,7 +121,6 @@ def build_report(
         "notes": list(METHOD_NOTES),
         "per_plugin": per_plugin,
     }
-    return AuditReport(doc=doc)
 
 
 def _counts(keys: tuple[str, ...], values: Iterable[str]) -> dict[str, int]:
@@ -176,8 +162,7 @@ def tables(dossiers: Iterable[dict], group_sizes: Iterable[int]) -> dict:
         "token_type_summary": token_summary,
         "consistency_table": _counts(ALL_KINDS, (kind for d in dossiers for kind in d["finding_kinds"])),
         "shared_manifest_group_sizes": sorted(group_sizes, reverse=True),
-        # distribution_report reads only the category of each assignment.
-        "scope_distribution": distribution_report([("", d["scope_category"]) for d in dossiers if d["scope_category"]]),
+        "scope_distribution": distribution_report([d["scope_category"] for d in dossiers if d["scope_category"]]),
         "metrics": {
             METRIC_FILE_LEAKAGE: accessibility[VERDICT_ACCESSIBLE] - skip_kinds.count(SKIP_IRREGULAR_MANIFEST),
             METRIC_INCONSISTENT: sum(1 for d in dossiers if set(d["finding_kinds"]) & set(PAIRWISE_KINDS)),
@@ -228,14 +213,14 @@ def canonical_json_bytes(doc: object) -> bytes:
     return b"".join(canonical_json_chunks(doc))
 
 
-def write_report(report: AuditReport, path: Path) -> None:
+def write_report(report: dict, path: Path) -> None:
     """Write the canonical JSON of `report` to `path`, as it is encoded, into
     a temporary file in the same directory that then replaces `path`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with partial.open("wb") as handle:
-            handle.writelines(canonical_json_chunks(report.doc))
+            handle.writelines(canonical_json_chunks(report))
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -267,12 +252,8 @@ _CASE_IMPLICATIONS = {
 }
 
 
-def render_report(report: AuditReport, fmt: str) -> bytes:
+def render_report(doc: dict) -> bytes:
     """Render a report as markdown tables; `write_report` writes its JSON."""
-    if fmt != "markdown":
-        raise ReportError(f"unknown report format: {fmt!r}")
-
-    doc = report.doc
     lines = [f"# Plugin store audit report - {doc['snapshot_label']}", ""]
     lines.append(f"Corpus size: {doc['corpus_size']}; probed: {doc['probed_count']}")
     lines.append("")
@@ -322,34 +303,35 @@ def render_report(report: AuditReport, fmt: str) -> bytes:
     return ("\n".join(lines)).encode("utf-8")
 
 
-def diff_reports(before: AuditReport, after: AuditReport) -> ReportDiff:
-    """Percentage change per shared metric, the five headline metrics first."""
-    before_metrics = before.metrics
-    after_metrics = after.metrics
+def diff_reports(before: dict, after: dict) -> list[dict]:
+    """One row per metric both reports share, with its percentage change,
+    the five headline metrics first."""
+    before_metrics = before["metrics"]
+    after_metrics = after["metrics"]
     names = [m for m in DIFF_METRICS if m in before_metrics and m in after_metrics]
     extra = sorted(set(before_metrics) & set(after_metrics) - set(names))
     rows = []
     for name in names + extra:
         b, a = int(before_metrics[name]), int(after_metrics[name])
         rows.append({"name": name, "before": b, "after": a, "change_pct": render_change_pct(b, a)})
-    return ReportDiff(metrics=rows)
+    return rows
 
 
-def render_diff(diff: ReportDiff, fmt: str = "json") -> bytes:
+def render_diff(rows: list[dict], fmt: str = "json") -> bytes:
     if fmt == "json":
-        return canonical_json_bytes({"metrics": diff.metrics})
+        return canonical_json_bytes({"metrics": rows})
     if fmt != "markdown":
         raise ReportError(f"unknown diff format: {fmt!r}")
     lines = ["# Exposure comparison before and after", ""]
     lines += _markdown_table(
         ["Metric", "Before", "After", "Change %"],
-        [[m["name"], m["before"], m["after"], m["change_pct"]] for m in diff.metrics],
+        [[m["name"], m["before"], m["after"], m["change_pct"]] for m in rows],
     )
     lines.append("")
     return _utf8("\n".join(lines))
 
 
-def load_report(path) -> AuditReport:
+def load_report(path) -> dict:
     """Read a report for diffing; it must carry integer `metrics`."""
     doc = read_json(path, ReportError, "report", dict)
     try:
@@ -357,4 +339,4 @@ def load_report(path) -> AuditReport:
         decode(dict[str, int], doc.get("metrics"), "metrics")
     except DecodeError as exc:
         raise ReportError(f"malformed report {path}: {exc}") from None
-    return AuditReport(doc=doc)
+    return doc

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 from .config import StageError
@@ -86,17 +87,6 @@ class ScopeDocument:
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TfidfVector:
-    weights: dict[str, float] = field(default_factory=dict)
-
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights.values()))
-
-    def is_zero(self) -> bool:
-        return not self.weights
-
-
 def tokenize_scope(raw: str) -> list[str]:
     """Lowercased tokens of a scope string.
 
@@ -123,93 +113,75 @@ def make_scope_document(plugin_id: str, raw_scope: str | None) -> ScopeDocument:
     return ScopeDocument(plugin_id=plugin_id, tokens=tuple(tokenize_scope(raw_scope or "")))
 
 
-class VectorContext:
-    """Smoothed TF-IDF fit over a corpus; vectorizes corpus and new docs.
+def fit_tfidf(token_docs: list[tuple[str, ...]]) -> Callable[[Sequence[str]], dict[str, float]]:
+    """Smoothed TF-IDF fit over a corpus: a function from a token list to its
+    vector, token -> weight.
 
     tf = raw count / document length; idf = ln((1+N)/(1+df)) + 1; vectors
     are L2-normalized unless zero. Tokens unseen at fit time get df = 0.
     """
+    n_docs = len(token_docs)
+    df = Counter(t for tokens in token_docs for t in set(tokens))
 
-    def __init__(self, token_docs: list[tuple[str, ...]]):
-        self.n_docs = len(token_docs)
-        df: Counter[str] = Counter()
-        for tokens in token_docs:
-            df.update(set(tokens))
-        self._df = dict(df)
-
-    def idf(self, token: str) -> float:
-        return math.log((1 + self.n_docs) / (1 + self._df.get(token, 0))) + 1.0
-
-    def vectorize_tokens(self, tokens: tuple[str, ...] | list[str]) -> TfidfVector:
-        if not tokens:
-            return TfidfVector()
-        counts = Counter(tokens)
+    def vectorize(tokens: Sequence[str]) -> dict[str, float]:
         length = len(tokens)
-        weights = {t: (c / length) * self.idf(t) for t, c in counts.items()}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        if norm > 0:
-            weights = {t: w / norm for t, w in weights.items()}
-        return TfidfVector(weights=weights)
+        weights = {t: (c / length) * (math.log((1 + n_docs) / (1 + df[t])) + 1.0) for t, c in Counter(tokens).items()}
+        norm = _norm(weights)
+        return {t: w / norm for t, w in weights.items()} if norm > 0 else weights
+
+    return vectorize
 
 
-def cosine_similarity(a: TfidfVector, b: TfidfVector) -> float:
+def _norm(vector: dict[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in vector.values()))
+
+
+def cosine_similarity(a: dict[str, float], b: dict[str, float]) -> float:
     """dot(a,b)/(|a||b|); 0.0 when either vector is zero. Weights are
     non-negative so the result lies in [0, 1]."""
-    if a.is_zero() or b.is_zero():
-        return 0.0
-    smaller, larger = (a.weights, b.weights) if len(a.weights) <= len(b.weights) else (b.weights, a.weights)
+    smaller, larger = (a, b) if len(a) <= len(b) else (b, a)
     dot = sum(w * larger[t] for t, w in smaller.items() if t in larger)
-    denom = a.norm() * b.norm()
+    denom = _norm(a) * _norm(b)
     return dot / denom if denom else 0.0
-
-
-class ScopeClassifier:
-    """Nearest-seed-document categorizer over a fixed vectorization context."""
-
-    def __init__(self, docs: list[ScopeDocument], seed_lexicon: dict[str, tuple[str, ...]] | None = None):
-        lexicon = seed_lexicon or DEFAULT_SEED_LEXICON
-        self.context = VectorContext([d.tokens for d in docs])
-        self._seeds: dict[str, list[TfidfVector]] = {}
-        for category, seeds in lexicon.items():
-            self._seeds[category] = [
-                self.context.vectorize_tokens(tokenize_scope(seed)) for seed in seeds
-            ]
-
-    def similarities(self, doc: ScopeDocument) -> dict[str, float]:
-        vector = self.context.vectorize_tokens(doc.tokens)
-        return {
-            category: max((cosine_similarity(vector, seed) for seed in seeds), default=0.0)
-            for category, seeds in self._seeds.items()
-        }
-
-    def categorize(self, doc: ScopeDocument) -> str:
-        if not doc.tokens:
-            return CATEGORY_UNSPECIFIED
-        sims = self.similarities(doc)
-        best = max(sims.values())
-        for category in CATEGORY_PRIORITY:
-            if sims.get(category, 0.0) == best:
-                return category
-        return CATEGORY_UNSPECIFIED
 
 
 def categorize_corpus(
     docs: list[ScopeDocument], seed_lexicon: dict[str, tuple[str, ...]] | None = None
 ) -> list[tuple[str, str]]:
-    """(plugin_id, category) assignments over a whole scope corpus."""
-    if not docs:
-        return []
-    classifier = ScopeClassifier(docs, seed_lexicon)
-    return [(doc.plugin_id, classifier.categorize(doc)) for doc in docs]
+    """(plugin_id, category) assignments over a whole scope corpus.
+
+    The TF-IDF is fit over `docs`, and the seeds of each category are
+    vectorized with that fit. A document goes to the category of its most
+    similar seed; equal similarities go to the first category in
+    CATEGORY_PRIORITY, and a document without tokens is unspecified.
+    """
+    vectorize = fit_tfidf([d.tokens for d in docs])
+    seed_vectors = {
+        category: [vectorize(tokenize_scope(seed)) for seed in seeds]
+        for category, seeds in (seed_lexicon or DEFAULT_SEED_LEXICON).items()
+    }
+    assignments = []
+    for doc in docs:
+        category = CATEGORY_UNSPECIFIED
+        if doc.tokens:
+            vector = vectorize(doc.tokens)
+            sims = {
+                name: max((cosine_similarity(vector, seed) for seed in seeds), default=0.0)
+                for name, seeds in seed_vectors.items()
+            }
+            best = max(sims.values())
+            category = next((c for c in CATEGORY_PRIORITY if sims.get(c, 0.0) == best), CATEGORY_UNSPECIFIED)
+        assignments.append((doc.plugin_id, category))
+    return assignments
 
 
-def distribution_report(assignments: list[tuple[str, str]]) -> dict[str, dict]:
-    """category -> {count, share} over all OAuth-scoped plugins; shares are
-    rendered to three decimals."""
-    if not assignments:
+def distribution_report(categories: list[str]) -> dict[str, dict]:
+    """category -> {count, share} over the categories of all OAuth-scoped
+    plugins; shares are rendered to three decimals."""
+    if not categories:
         return {}
-    total = len(assignments)
-    counts = Counter(category for _pid, category in assignments)
+    total = len(categories)
+    counts = Counter(categories)
     return {
         category: {"count": counts[category], "share": render_ratio_pct(counts[category], total, decimals=3)}
         for category in ALL_CATEGORIES

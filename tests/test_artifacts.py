@@ -143,7 +143,7 @@ def test_findings_round_trip(tmp_path):
 def test_scopes_round_trip(tmp_path):
     assignments = [("p2", "read_write"), ("p1", "global_access"), ("p3", "read_write")]
     path = tmp_path / "scopes.json"
-    write_scopes(path, assignments, distribution_report(assignments), "t")
+    write_scopes(path, assignments, distribution_report([category for _, category in assignments]), "t")
     assert read_scopes(path, "t", ["p1", "p2", "p3"]) == sorted(assignments)
 
 

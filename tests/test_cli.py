@@ -748,6 +748,29 @@ def test_run_all_treats_a_non_object_cache_as_empty(small_store, tmp_path):
     assert sorted(json.loads((tmp_path / "out" / "cache.json").read_text())) == ["discover", "probe"]
 
 
+def test_traced_run_all_records_every_annotated_span(small_store, tmp_path):
+    # perfbench/spans.py wraps functions by name and reads their arguments and
+    # results; a renamed or retyped one would only drop a per-layer metric.
+    src = Path(cli.__file__).parents[1]
+    spans_out = tmp_path / "spans.json"
+    argv = [sys.executable, str(src.parent / "perfbench" / "spans.py"), "--spans-out", str(spans_out), "--", *small_store]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    trace = json.loads(spans_out.read_text())
+    assert set(trace["missing"]) <= {"discovery.body_is_manifest"}
+    attrs: dict[str, list[dict]] = {}
+    for span in trace["spans"]:
+        attrs.setdefault(span["name"], []).append(span.get("attrs"))
+    verdicts = sorted(a["verdict"] for a in attrs["discovery.classify_accessibility"])
+    assert verdicts == ["accessible", "accessible", "hidden_redirect", "native_unreachable"]
+    assert [a["candidates"] for a in attrs["discovery.generate_candidates"]] == [2, 2, 2, 2]
+    assert attrs["scoperisk.categorize_corpus"] == [{"documents": 0}]
+    assert [a["bytes"] > 0 for a in attrs["report.render_report"]] == [True]
+    # a2.example serves no OpenAPI document, so it is skipped.
+    assert sorted((a["probed"], a["skipped"]) for a in attrs["probe.probe_plugin"]) == [(False, True), (True, False)]
+
+
 @pytest.mark.parametrize(
     "lexicon, message",
     [

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from pluginaudit.corpus import Corpus, PluginRecord
 from pluginaudit.discovery import (
-    CandidateUrl,
     InvalidSeed,
     VERDICT_ACCESSIBLE,
     VERDICT_HIDDEN_REDIRECT,
@@ -20,7 +19,7 @@ from pluginaudit.discovery import (
     discover_corpus,
     generate_candidates,
 )
-from pluginaudit.fetch import Fetcher, FetchResult
+from pluginaudit.fetch import BODY_PREFIX_LIMIT, Fetcher, FetchResult
 from pluginaudit.fixture import FixturePlan, FixtureSite, serve_fixtures
 from pluginaudit.manifest import parse_manifest
 from pluginaudit.urlnorm import host_of, registrable_domain
@@ -56,24 +55,24 @@ TERMS_PHP_ORACLE = [
 
 def test_first_candidate_is_well_known_manifest():
     candidates = generate_candidates("https://a.io/legal")
-    assert candidates[0].url == "https://a.io/.well-known/ai-plugin.json"
-    assert candidates[1].url == "https://a.io/.well-known/"
+    assert candidates[0] == "https://a.io/.well-known/ai-plugin.json"
+    assert candidates[1] == "https://a.io/.well-known/"
 
 
 def test_terms_php_matches_hand_enumeration():
-    urls = [c.url for c in generate_candidates("https://a.io/en/terms.php")]
+    urls = generate_candidates("https://a.io/en/terms.php")
     assert urls == TERMS_PHP_ORACLE
 
 
 def test_query_and_fragment_stripped():
-    urls = [c.url for c in generate_candidates("https://a.io/legal?tab=1#top")]
-    assert urls == [c.url for c in generate_candidates("https://a.io/legal")]
+    urls = generate_candidates("https://a.io/legal?tab=1#top")
+    assert urls == generate_candidates("https://a.io/legal")
 
 
 def test_generation_is_deterministic():
     seed = "https://a.io/"
     assert generate_candidates(seed) == generate_candidates(seed)
-    assert [c.url for c in generate_candidates(seed)] == [
+    assert generate_candidates(seed) == [
         "https://a.io/.well-known/ai-plugin.json",
         "https://a.io/.well-known/",
     ]
@@ -106,15 +105,13 @@ def test_candidate_properties_over_200_random_seeds():
     rng = random.Random(20260810)
     for _ in range(200):
         seed = _random_seed_url(rng)
-        candidates = generate_candidates(seed)
-        urls = [c.url for c in candidates]
+        urls = generate_candidates(seed)
         assert len(urls) == len(set(urls)), f"duplicates for {seed}"
-        assert urls == [c.url for c in generate_candidates(seed)], f"nondeterministic for {seed}"
+        assert urls == generate_candidates(seed), f"nondeterministic for {seed}"
         seed_domain = registrable_domain(host_of(seed))
         assert all(registrable_domain(host_of(u)) == seed_domain for u in urls), f"left domain for {seed}"
         assert urls[0].endswith("/.well-known/ai-plugin.json")
         assert urls[1].endswith("/.well-known/")
-        assert candidates[0].generation_rank == 0 and candidates[1].generation_rank == 1
 
 
 def _record(plugin_id: str, legal: str) -> PluginRecord:
@@ -127,10 +124,6 @@ def _record(plugin_id: str, legal: str) -> PluginRecord:
     )
 
 
-def _candidate(url: str) -> CandidateUrl:
-    return CandidateUrl(url=url, generation_rank=0)
-
-
 def _result(url: str, status: int, body: bytes = b"", final: str | None = None) -> FetchResult:
     return FetchResult(url=url, final_url=final or url, status=status, body=body)
 
@@ -139,7 +132,7 @@ def test_classify_manifest_wins():
     record = _record("p1", "https://a.io/legal")
     url = "https://a.io/.well-known/ai-plugin.json"
     verdict = classify_accessibility(
-        record, [(_candidate(url), _result(url, 200, MANIFEST_BODY))], parse_manifest(MANIFEST_BODY)
+        record, [_result(url, 200, MANIFEST_BODY)], parse_manifest(MANIFEST_BODY)
     )
     assert verdict.verdict == VERDICT_ACCESSIBLE
     assert verdict.winning_url == url
@@ -149,21 +142,21 @@ def test_classify_manifest_wins():
 def test_classify_github_seed():
     record = _record("p2", "https://github.com/dev/plugin")
     url = "https://github.com/.well-known/ai-plugin.json"
-    verdict = classify_accessibility(record, [(_candidate(url), _result(url, 404))], None)
+    verdict = classify_accessibility(record, [_result(url, 404)], None)
     assert verdict.verdict == VERDICT_HOSTED_GITHUB
 
 
 def test_classify_google_doc_seed():
     record = _record("p3", "https://drive.google.com/file/d/abc")
     url = "https://drive.google.com/.well-known/ai-plugin.json"
-    verdict = classify_accessibility(record, [(_candidate(url), _result(url, 403))], None)
+    verdict = classify_accessibility(record, [_result(url, 403)], None)
     assert verdict.verdict == VERDICT_HOSTED_GOOGLE_DOC
 
 
 def test_classify_openai_protected():
     record = _record("p4", "https://chat.openai.com/dominick.codes")
     url = "https://chat.openai.com/.well-known/ai-plugin.json"
-    results = [(_candidate(url), _result(url, 403)), (_candidate(url + "2"), _result(url + "2", 404))]
+    results = [_result(url, 403), _result(url + "2", 404)]
     assert classify_accessibility(record, results, None).verdict == VERDICT_OPENAI_PROTECTED
 
 
@@ -171,21 +164,21 @@ def test_classify_hidden_redirect_cross_domain_html():
     record = _record("p5", "https://a.io/legal")
     url = "https://a.io/.well-known/ai-plugin.json"
     result = _result(url, 200, b"<html><body>welcome</body></html>", final="https://ads.example/landing")
-    assert classify_accessibility(record, [(_candidate(url), result)], None).verdict == VERDICT_HIDDEN_REDIRECT
+    assert classify_accessibility(record, [result], None).verdict == VERDICT_HIDDEN_REDIRECT
 
 
 def test_classify_2xx_non_manifest_json_is_hidden_redirect():
     record = _record("p6", "https://a.io/legal")
     url = "https://a.io/.well-known/ai-plugin.json"
     result = _result(url, 200, b'{"hello": "world"}')
-    assert classify_accessibility(record, [(_candidate(url), result)], None).verdict == VERDICT_HIDDEN_REDIRECT
+    assert classify_accessibility(record, [result], None).verdict == VERDICT_HIDDEN_REDIRECT
 
 
 def test_classify_native_unreachable():
     record = _record("p7", "https://a.io/legal")
     results = [
-        (_candidate("https://a.io/.well-known/ai-plugin.json"), _result("https://a.io/.well-known/ai-plugin.json", 404)),
-        (_candidate("https://a.io/.well-known/"), _result("https://a.io/.well-known/", 406)),
+        _result("https://a.io/.well-known/ai-plugin.json", 404),
+        _result("https://a.io/.well-known/", 406),
     ]
     assert classify_accessibility(record, results, None).verdict == VERDICT_NATIVE_UNREACHABLE
 
@@ -193,7 +186,7 @@ def test_classify_native_unreachable():
 def test_classification_is_replayable():
     record = _record("p8", "https://a.io/legal")
     url = "https://a.io/.well-known/ai-plugin.json"
-    results = [(_candidate(url), _result(url, 200, MANIFEST_BODY))]
+    results = [_result(url, 200, MANIFEST_BODY)]
     manifest = parse_manifest(MANIFEST_BODY)
     assert classify_accessibility(record, results, manifest) == classify_accessibility(record, results, manifest)
 
@@ -218,6 +211,48 @@ def test_manifest_over_body_cap_is_not_parsed_or_counted_as_redirect():
     assert verdict.verdict == VERDICT_NATIVE_UNREACHABLE
     assert "256 KiB" in verdict.evidence
     assert "https://big.example/.well-known/ai-plugin.json" in verdict.evidence
+
+
+class _ScriptedFetcher:
+    """Serves each URL's bytes with a 200, cut at the body cap as Fetcher.fetch
+    cuts them; any other URL is a 404. Plugins are discovered one by one."""
+
+    def __init__(self, bodies: dict[str, bytes]):
+        self.bodies = bodies
+
+    def fetch(self, url: str) -> FetchResult:
+        raw = self.bodies.get(url)
+        if raw is None:
+            return FetchResult(url=url, final_url=url, status=404)
+        return FetchResult(
+            url=url, final_url=url, status=200, body=raw[:BODY_PREFIX_LIMIT], truncated=len(raw) > BODY_PREFIX_LIMIT
+        )
+
+    def map_concurrent(self, func, items):
+        return [func(item) for item in items]
+
+
+def test_a_truncated_candidate_is_never_the_winner():
+    # The origin's manifest is longer than the cap, so it is cut and never
+    # parsed, yet its first BODY_PREFIX_LIMIT bytes are exactly the manifest
+    # that a later candidate serves whole and that parses.
+    manifest = json.loads(MANIFEST_BODY)
+    manifest["description_for_model"] = ""
+    padding = BODY_PREFIX_LIMIT - len(json.dumps(manifest).encode())
+    manifest["description_for_model"] = "d" * padding
+    exact = json.dumps(manifest).encode()
+    assert len(exact) == BODY_PREFIX_LIMIT
+    origin = "https://t.example/.well-known/ai-plugin.json"
+    legal = "https://t.example/legal/.well-known/ai-plugin.json"
+    fetcher = _ScriptedFetcher({origin: exact + b"  \n", legal: exact})
+    corpus = Corpus(snapshot_label="t", created_at="now", records=[_record("t", "https://t.example/legal")])
+    result = discover_corpus(corpus, fetcher)
+    verdict = result.verdicts["t"]
+    assert verdict.verdict == VERDICT_ACCESSIBLE
+    assert result.manifests["t"].raw_source == exact
+    assert verdict.winning_url == legal
+    assert verdict.evidence == f"manifest parsed from {legal}"
+    assert verdict.candidates_tried == 3
 
 
 def test_store_entry_without_usable_seed_sends_no_request():
@@ -258,4 +293,4 @@ def test_generate_candidates_returns_or_raises_invalid_seed(seed):
         candidates = generate_candidates(seed)
     except InvalidSeed:
         return
-    assert candidates and len({c.url for c in candidates}) == len(candidates)
+    assert candidates and len(set(candidates)) == len(candidates)

@@ -16,7 +16,6 @@ from pluginaudit.discovery import (
 )
 from pluginaudit.probe import CASE1, CASE2, CASE3, CASE4, CASE5, PluginProbeResult, ProbeRunResult
 from pluginaudit.report import (
-    AuditReport,
     ReportError,
     build_report,
     canonical_json_bytes,
@@ -62,8 +61,7 @@ def _small_inputs():
 
 def test_build_report_tables_sum():
     corpus, verdicts, run, findings, scopes = _small_inputs()
-    report = build_report(corpus, verdicts, run, findings, scopes)
-    doc = report.doc
+    doc = build_report(corpus, verdicts, run, findings, scopes)
     assert sum(doc["accessibility_table"].values()) == len(corpus) == doc["corpus_size"]
     assert sum(doc["case_table"].values()) == doc["probed_count"] == 2
     assert doc["case_table"][CASE4] == 1 and doc["case_table"][CASE2] == 1
@@ -83,7 +81,7 @@ def test_single_plugin_report_counts():
     verdicts = {"only": AccessibilityVerdict(plugin_id="only", verdict=VERDICT_ACCESSIBLE, winning_url="u", http_status=200)}
     run = ProbeRunResult()
     run.results["only"] = PluginProbeResult(auth_family="no_token", plugin_case=CASE4, succeeded=True, failure_causes=[])
-    doc = build_report(corpus, verdicts, run, [], []).doc
+    doc = build_report(corpus, verdicts, run, [], [])
     assert len(doc["per_plugin"]) == 1
     assert sum(doc["accessibility_table"].values()) == 1
     assert sum(doc["case_table"].values()) == 1
@@ -95,10 +93,10 @@ def test_irregular_manifests_reduce_file_leakage():
     corpus, verdicts, run, findings, scopes = _small_inputs()
     run.skipped["p2"] = "irregular_manifest: missing_description"
     del run.results["p2"]
-    report = build_report(corpus, verdicts, run, findings, scopes)
-    assert report.doc["accessibility_table"][VERDICT_ACCESSIBLE] == 2
-    assert report.metrics["file_leakage"] == 1
-    assert report.doc["unprobeable"] == {"irregular_manifest": 1}
+    doc = build_report(corpus, verdicts, run, findings, scopes)
+    assert doc["accessibility_table"][VERDICT_ACCESSIBLE] == 2
+    assert doc["metrics"]["file_leakage"] == 1
+    assert doc["unprobeable"] == {"irregular_manifest": 1}
 
 
 # Report keys that are not tables: everything else is what `tables` computes.
@@ -155,28 +153,22 @@ def test_token_type_summary_includes_user_http_when_present():
 def test_render_json_is_byte_stable():
     corpus, verdicts, run, findings, scopes = _small_inputs()
     report = build_report(corpus, verdicts, run, findings, scopes)
-    assert canonical_json_bytes(report.doc) == canonical_json_bytes(report.doc)
+    assert canonical_json_bytes(report) == canonical_json_bytes(report)
     rebuilt = build_report(corpus, verdicts, run, findings, scopes)
-    assert canonical_json_bytes(report.doc) == canonical_json_bytes(rebuilt.doc)
-
-
-def test_render_unknown_format_rejected():
-    report = AuditReport(doc={"snapshot_label": "x"})
-    with pytest.raises(ReportError, match="unknown report format"):
-        render_report(report, "pdf")
+    assert canonical_json_bytes(report) == canonical_json_bytes(rebuilt)
 
 
 def test_render_markdown_empty_report_has_headers():
     corpus = Corpus(snapshot_label="empty", created_at="now", records=[])
     report = build_report(corpus, {}, ProbeRunResult(), [], [])
-    text = render_report(report, "markdown").decode()
+    text = render_report(report).decode()
     assert "## Accessibility of URLs" in text
     assert "## API request cases" in text
     assert "| Case 1 | 0 |" in text
 
 
-def _report_with_metrics(label: str, metrics: dict) -> AuditReport:
-    return AuditReport(doc={"schema_version": 1, "snapshot_label": label, "metrics": metrics})
+def _report_with_metrics(label: str, metrics: dict) -> dict:
+    return {"schema_version": 1, "snapshot_label": label, "metrics": metrics}
 
 
 REFERENCE_BEFORE = {
@@ -197,7 +189,7 @@ REFERENCE_AFTER = {
 
 def test_diff_reference_metrics():
     diff = diff_reports(_report_with_metrics("b", REFERENCE_BEFORE), _report_with_metrics("a", REFERENCE_AFTER))
-    changes = {m["name"]: m["change_pct"] for m in diff.metrics}
+    changes = {m["name"]: m["change_pct"] for m in diff}
     assert changes == {
         "file_leakage": "-23.4",
         "inconsistent_plugins": "-11.6",
@@ -215,20 +207,20 @@ def test_diff_reference_metrics():
 def test_diff_identity_is_all_zero():
     report = _report_with_metrics("same", REFERENCE_BEFORE)
     diff = diff_reports(report, report)
-    assert all(m["change_pct"] == "0.0" for m in diff.metrics)
+    assert all(m["change_pct"] == "0.0" for m in diff)
 
 
 def test_diff_zero_before_renders_na():
     diff = diff_reports(
         _report_with_metrics("b", {"file_leakage": 0}), _report_with_metrics("a", {"file_leakage": 3})
     )
-    assert diff.metrics[0]["change_pct"] == "n/a"
+    assert diff[0]["change_pct"] == "n/a"
 
 
 def test_diff_includes_extra_shared_metrics():
     before = _report_with_metrics("b", dict(REFERENCE_BEFORE, custom_metric=10))
     after = _report_with_metrics("a", dict(REFERENCE_AFTER, custom_metric=5))
-    names = [m["name"] for m in diff_reports(before, after).metrics]
+    names = [m["name"] for m in diff_reports(before, after)]
     assert names[:5] == ["file_leakage", "inconsistent_plugins", "no_token_valid", "oauth_valid", "bearer_valid"]
     assert "custom_metric" in names
 
@@ -246,7 +238,7 @@ def test_load_report_round_trip(tmp_path):
     report = build_report(corpus, verdicts, run, findings, scopes)
     path = tmp_path / "report.json"
     write_report(report, path)
-    assert load_report(path).doc == report.doc
+    assert load_report(path) == report
     bad = tmp_path / "bad.json"
     for content in (
         json.dumps({"schema_version": 99}),
@@ -304,7 +296,7 @@ def test_write_report_that_fails_late_leaves_no_partial_file(tmp_path, earlier):
     per_plugin = {f"p{i}": {"developer_domain": f"p{i}.example"} for i in range(50)}
     per_plugin["zz"] = {"developer_domain": "bad\ud800.example"}  # sorts last
     with pytest.raises(ReportError, match="UTF-8"):
-        write_report(AuditReport(doc={"schema_version": 1, "per_plugin": per_plugin}), path)
+        write_report({"schema_version": 1, "per_plugin": per_plugin}, path)
     assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["report.json"])
     if earlier is not None:
         assert path.read_bytes() == earlier
@@ -316,7 +308,7 @@ def test_writing_a_tenfold_report_peaks_below_a_quarter_of_its_size(tmp_path):
     path = tmp_path / "report.json"
     tracemalloc.start()
     try:
-        write_report(AuditReport(doc=doc), path)
+        write_report(doc, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 
@@ -14,12 +16,11 @@ from pluginaudit.scoperisk import (
     CATEGORY_PROJECT_TASK,
     CATEGORY_READ_WRITE,
     CATEGORY_UNSPECIFIED,
-    ScopeClassifier,
-    TfidfVector,
-    VectorContext,
+    DEFAULT_SEED_LEXICON,
     categorize_corpus,
     cosine_similarity,
     distribution_report,
+    fit_tfidf,
     make_scope_document,
     tokenize_scope,
 )
@@ -76,19 +77,19 @@ def _toy_docs():
 
 
 def _vectorize(docs):
-    """Each document's vector in the context fit over all of them, as ScopeClassifier builds it."""
-    context = VectorContext([doc.tokens for doc in docs])
-    return [context.vectorize_tokens(doc.tokens) for doc in docs]
+    """Each document's vector in the TF-IDF fit over all of them, as categorize_corpus builds it."""
+    vectorize = fit_tfidf([doc.tokens for doc in docs])
+    return [vectorize(doc.tokens) for doc in docs]
 
 
 def test_tfidf_toy_corpus_matches_hand_oracle():
     v1, v2, v3 = _vectorize(_toy_docs())
-    assert v1.weights["read"] == pytest.approx(ORACLE_DOC1["read"], abs=1e-9)
-    assert v1.weights["write"] == pytest.approx(ORACLE_DOC1["write"], abs=1e-9)
-    assert v1.weights["read"] == pytest.approx(FROZEN_DOC1_READ, abs=1e-9)
-    assert v1.weights["write"] == pytest.approx(FROZEN_DOC1_WRITE, abs=1e-9)
-    assert v2.weights == {"read": 1.0}
-    assert v3.weights == {"email": 1.0}
+    assert v1["read"] == pytest.approx(ORACLE_DOC1["read"], abs=1e-9)
+    assert v1["write"] == pytest.approx(ORACLE_DOC1["write"], abs=1e-9)
+    assert v1["read"] == pytest.approx(FROZEN_DOC1_READ, abs=1e-9)
+    assert v1["write"] == pytest.approx(FROZEN_DOC1_WRITE, abs=1e-9)
+    assert v2 == {"read": 1.0}
+    assert v3 == {"email": 1.0}
     assert cosine_similarity(v1, v2) == pytest.approx(FROZEN_COS_12, abs=1e-9)
     assert cosine_similarity(v1, v3) == 0.0
     assert cosine_similarity(v2, v3) == 0.0
@@ -97,26 +98,26 @@ def test_tfidf_toy_corpus_matches_hand_oracle():
 def test_identical_docs_identical_vectors():
     docs = [make_scope_document("a", "read write"), make_scope_document("b", "read write")]
     va, vb = _vectorize(docs)
-    assert va.weights == vb.weights
+    assert va == vb
 
 
 def test_idf_unique_token_outweighs_common():
     docs = [make_scope_document(str(i), raw) for i, raw in enumerate(["common rare", "common", "common x"])]
     vectors = _vectorize(docs)
-    assert vectors[0].weights["rare"] > vectors[0].weights["common"]
+    assert vectors[0]["rare"] > vectors[0]["common"]
 
 
 def test_empty_document_is_zero_vector():
     docs = [make_scope_document("a", ""), make_scope_document("b", "read")]
     vectors = _vectorize(docs)
-    assert vectors[0].is_zero()
+    assert vectors[0] == {}
     assert cosine_similarity(vectors[0], vectors[1]) == 0.0
 
 
 def test_cosine_self_similarity_and_hand_value():
-    v = TfidfVector(weights={"a": 0.6, "b": 0.8})
+    v = {"a": 0.6, "b": 0.8}
     assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-9)
-    u = TfidfVector(weights={"a": 1.0})
+    u = {"a": 1.0}
     # dot = 0.6; |v| = 1.0, |u| = 1.0 -> 0.6 by hand.
     assert cosine_similarity(v, u) == pytest.approx(0.6, abs=1e-9)
 
@@ -127,10 +128,9 @@ def test_cosine_self_similarity_and_hand_value():
 )
 @settings(deadline=None)
 def test_cosine_bounds_and_symmetry(wa, wb):
-    a, b = TfidfVector(weights=wa), TfidfVector(weights=wb)
-    sim = cosine_similarity(a, b)
+    sim = cosine_similarity(wa, wb)
     assert 0.0 <= sim <= 1.0 + 1e-12
-    assert sim == pytest.approx(cosine_similarity(b, a), abs=1e-12)
+    assert sim == pytest.approx(cosine_similarity(wb, wa), abs=1e-12)
 
 
 # Every scope string quoted in the OAuth permission case study, with its
@@ -160,16 +160,18 @@ def _classifier_corpus():
     return docs
 
 
+def _category_in_classifier_corpus(raw: str) -> str:
+    """The category of scope `raw`, fit together with the quoted scopes."""
+    return dict(categorize_corpus(_classifier_corpus() + [make_scope_document("x", raw)]))["x"]
+
+
 @pytest.mark.parametrize("raw,expected", QUOTED_SCOPE_TABLE)
 def test_quoted_scopes_map_to_stated_categories(raw, expected):
-    docs = _classifier_corpus()
-    classifier = ScopeClassifier(docs)
-    assert classifier.categorize(make_scope_document("x", raw)) == expected
+    assert _category_in_classifier_corpus(raw) == expected
 
 
 def test_empty_scope_is_unspecified():
-    classifier = ScopeClassifier(_classifier_corpus())
-    assert classifier.categorize(make_scope_document("x", "")) == CATEGORY_UNSPECIFIED
+    assert _category_in_classifier_corpus("") == CATEGORY_UNSPECIFIED
 
 
 def test_categorization_is_total():
@@ -183,7 +185,7 @@ def test_distribution_report_shares():
     assignments = [(f"g{i}", CATEGORY_GLOBAL_ACCESS) for i in range(9)]
     assignments += [(f"u{i}", CATEGORY_UNSPECIFIED) for i in range(34)]
     assignments += [(f"i{i}", CATEGORY_IDENTITY_EMAIL) for i in range(28)]
-    table = distribution_report(assignments)
+    table = distribution_report([category for _, category in assignments])
     assert len(assignments) == 71
     assert table[CATEGORY_GLOBAL_ACCESS] == {"count": 9, "share": "12.676"}
     assert abs(float(table[CATEGORY_GLOBAL_ACCESS]["share"]) - 12.675) <= 0.01
@@ -192,7 +194,7 @@ def test_distribution_report_shares():
 
 def test_distribution_report_boundaries():
     assert distribution_report([]) == {}
-    table = distribution_report([("a", CATEGORY_UNSPECIFIED), ("b", CATEGORY_UNSPECIFIED)])
+    table = distribution_report([CATEGORY_UNSPECIFIED, CATEGORY_UNSPECIFIED])
     assert table[CATEGORY_UNSPECIFIED] == {"count": 2, "share": "100.000"}
 
 
@@ -207,6 +209,50 @@ def test_argmax_invariant_under_count_scaling_100_corpora():
         scale = rng.randint(2, 5)
         scaled = [make_scope_document(d.plugin_id, " ".join(list(d.tokens) * scale)) for d in docs]
         assert categorize_corpus(docs) == categorize_corpus(scaled)
+
+
+# Scope strings of the pinned corpora are joined from these pieces: lexicon
+# tokens, URL pieces, "+" and "/" (also as joiners), and empty strings.
+_PIN_PIECES = [
+    "all", "read", "write", "read+write", "email", "profile", "openid", "offline_access", "openai",
+    "oai11/global", "https://openai.videoinsights.io/all", "http://api.example/", "project",
+    "manage_library", "nla:exposed_actions", "actions", "custom", "data/export", "+", "/", "",
+]
+_PIN_LEXICON_WITH_UNSPECIFIED = {CATEGORY_UNSPECIFIED: ("custom", "data"), CATEGORY_READ_WRITE: ("read",)}
+# SHA-256 of the JSON of all 300 assignment lists. Any change to the TF-IDF
+# arithmetic, the order of its floating-point operations or the tie-break
+# shows up here.
+PINNED_CATEGORIZATION_SHA256 = "b3203b5aff396462ebb1c3ebe4cb973bed0e0a319d8d3e73cdae51b89f735cbd"
+
+
+def _trimmed_lexicon(rng):
+    """Some categories of the default lexicon, each with some of its seeds (maybe none)."""
+    return {
+        category: tuple(seed for seed in seeds if rng.random() < 0.6)
+        for category, seeds in DEFAULT_SEED_LEXICON.items()
+        if rng.random() < 0.7
+    }
+
+
+def test_categorization_of_300_seeded_corpora_is_pinned():
+    rng = random.Random(35)
+    assignments = []
+    for n in range(300):
+        docs = [
+            make_scope_document(
+                f"d{d}",
+                rng.choice([" ", " ", "+", "/"]).join(rng.choice(_PIN_PIECES) for _ in range(rng.randint(0, 5))),
+            )
+            for d in range(rng.randint(1, 12))
+        ]
+        if n % 3 == 0:
+            lexicon = None
+        elif n % 10 == 1:
+            lexicon = _PIN_LEXICON_WITH_UNSPECIFIED
+        else:
+            lexicon = _trimmed_lexicon(rng)
+        assignments.append(categorize_corpus(docs, lexicon))
+    assert hashlib.sha256(json.dumps(assignments).encode()).hexdigest() == PINNED_CATEGORIZATION_SHA256
 
 
 _scope_pieces = st.one_of(st.text(max_size=20), st.sampled_from(["http://", "https://", "+", ",", "/", " ", "[", ":"]))
