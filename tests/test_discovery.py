@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -112,6 +113,50 @@ def test_candidate_properties_over_200_random_seeds():
         assert all(registrable_domain(host_of(u)) == seed_domain for u in urls), f"left domain for {seed}"
         assert urls[0].endswith("/.well-known/ai-plugin.json")
         assert urls[1].endswith("/.well-known/")
+
+
+# Path pieces of the pinned seeds: noise directories and file suffixes in
+# mixed case, a bare ".php" segment, empty segments and ordinary words.
+_PIN_SEGMENTS = [
+    "en", "EN", "Pages", "pages", "us", "US", "static", "Static", "legal", "terms", "about", "docs", ".php", "",
+    "privacy.PHP", "terms.Html", "index.htm", "notes.TXT", "policy.pdf", "a.b", "en.php",
+]
+_PIN_SUFFIXES = ["", "", ".php", ".PHP", ".txt", ".Txt", ".htm", ".HTM", ".html", ".Html", ".pdf", ".PDF"]
+
+
+def _pinned_seed(rng: random.Random) -> str:
+    if rng.random() < 0.05:
+        return rng.choice(["/legal", "legal.example/terms", "ftp://a.example/x", "", "https://[::1/legal", "http:x"])
+    scheme = rng.choice(["http", "https", "HTTPS"])
+    host = rng.choice(["a.example", "Shop.Example", "api.co.uk", "x.io:8080", "127.0.0.1"])
+    segments = [rng.choice(_PIN_SEGMENTS) for _ in range(rng.randint(0, 7))]
+    path = "/" + "/".join(segments) + rng.choice(_PIN_SUFFIXES) if segments else rng.choice(["", "/"])
+    if rng.random() < 0.2:
+        path += "/"
+    if rng.random() < 0.25:
+        path += rng.choice(["?utm=1&x=2", "?", "?a=/en/x.php"])
+    if rng.random() < 0.2:
+        path += rng.choice(["#frag", "#/pages/x.html"])
+    return f"{scheme}://{host}{path}"
+
+
+# SHA-256 of every pinned seed with its candidate list, or the marker of an
+# InvalidSeed. Any change to the candidates, their order or which seeds are
+# refused shows up here.
+PINNED_CANDIDATES_SHA256 = "30b7a12b48c801a675b29093eb09399a7996698600e2e1fae3c147bb071fa1e1"
+
+
+def test_candidates_of_2000_seeded_seeds_are_pinned():
+    rng = random.Random(36)
+    lines = []
+    for _ in range(2000):
+        seed = _pinned_seed(rng)
+        try:
+            lines.append("\t".join([seed, *generate_candidates(seed)]))
+        except InvalidSeed:
+            lines.append(f"{seed}\t!InvalidSeed")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_CANDIDATES_SHA256
 
 
 def _record(plugin_id: str, legal: str) -> PluginRecord:
