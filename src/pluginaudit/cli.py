@@ -4,10 +4,12 @@ Every stage writes its artifact under the output directory in the formats
 of `artifacts`. `run-all` executes discover -> probe -> consistency ->
 scopes -> report in order and hands each stage's typed result to the next
 in memory, parsing each manifest once; both network stages share one
-fetcher, so the per-host delay holds across them. `--cached` reuses a
+fetcher, so the per-site delay holds across them. `--cached` reuses a
 network stage's artifacts only when its input hash matches and they are the
 bytes it wrote, so reruns skip fetching and reproduce byte-identical
-reports. The single-stage subcommands read their inputs from the artifacts.
+reports. Discover's input hash covers the corpus as decoded, not the bytes
+of its file, with the fetch settings and the code. The single-stage
+subcommands read their inputs from the artifacts.
 
 Each command imports, at the top of its body, the layers it runs, so that
 `ingest`, `gen-plan` and `serve-fixtures` load no audit layer and `probe`
@@ -30,7 +32,6 @@ from typing import TYPE_CHECKING
 from .config import AuditConfig, ConfigError, StageError, load_config
 
 if TYPE_CHECKING:
-    from .corpus import Corpus
     from .fetch import Fetcher
     from .manifest import ManifestDocument, ParseError
 
@@ -294,26 +295,20 @@ def _code_identity(package: Path = Path(__file__).parent) -> str:
     return _fingerprint(*sorted(package.glob("*.py")))
 
 
-def _load_keyed_corpus(path: str, fetch_knobs: str) -> tuple[Corpus, str]:
-    """The corpus at `path` and its discover cache key. The file is read once,
-    so the key is the key of the corpus audited, and its bytes are not kept."""
-    from . import corpus as corpus_mod
-
-    data = corpus_mod.read_corpus_bytes(path)
-    return corpus_mod.load_corpus(path, data), _fingerprint(data, "discover", fetch_knobs, _code_identity())
-
-
 def cmd_run_all(args) -> int:
     # Every stage before the corpus: each compiled at its stage, after the
     # corpus, they raised run-all's peak RSS by about 0.16 MB.
-    from . import artifacts, report as report_mod
+    from . import artifacts, corpus as corpus_mod, report as report_mod
     from . import consistency, discovery, probe, scoperisk  # noqa: F401
 
     config = _config_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fetch_knobs = f"{config.base_url_override}|{config.timeout_ms}|{config.retries}"
-    corpus, discover_key = _load_keyed_corpus(args.corpus, fetch_knobs)
+    corpus = corpus_mod.load_corpus(args.corpus)
+    # Keyed on the corpus as decoded, whose repr shows every field: a file
+    # rewritten with the same values is still a hit.
+    discover_key = _fingerprint(repr(corpus), "discover", fetch_knobs, _code_identity())
     label, ids = corpus.snapshot_label, corpus.by_id().keys()
     # One fetcher for both network stages, so that a host's delay also
     # spaces the last discover request from the first probe request.

@@ -16,7 +16,7 @@ from typing import Iterable, Literal
 
 from .config import StageError
 from .digest import sha256
-from .jsonfile import read_bytes, read_json, write_json
+from .jsonfile import read_json, write_json
 from .urlnorm import host_of, registrable_domain
 
 SCHEMA_VERSION = 1
@@ -121,10 +121,6 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     write_json(path, {"schema_version": SCHEMA_VERSION, **vars(corpus)})
 
 
-def read_corpus_bytes(path: str | Path) -> bytes:
-    return read_bytes(path, CorpusError, "corpus file")
-
-
 @dataclass
 class _CorpusFile:
     """What save_corpus writes; a corpus without a label or creation time has ""."""
@@ -136,10 +132,10 @@ class _CorpusFile:
     ingest_errors: list[IngestError] = field(default_factory=list)
 
 
-def load_corpus(path: str | Path, data: bytes | None = None) -> Corpus:
-    """The corpus file at `path`; `data`, if given, is the bytes that
-    `read_corpus_bytes` read from it."""
-    doc = read_json(path, CorpusError, "corpus file", _CorpusFile, data)
+def load_corpus(path: str | Path) -> Corpus:
+    """The corpus that `save_corpus` wrote to `path`; raises CorpusError for a
+    file that cannot be read, does not fit, or repeats a plugin id."""
+    doc = read_json(path, CorpusError, "corpus file", _CorpusFile)
     first_index: dict[str, int] = {}
     for index, record in enumerate(doc.records):
         first = first_index.setdefault(record.plugin_id, index)

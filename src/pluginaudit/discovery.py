@@ -59,71 +59,40 @@ def _segments(path: str) -> list[str]:
     return [seg for seg in path.split("/") if seg]
 
 
-def _strip_file_suffix(segments: list[str]) -> list[str] | None:
-    if not segments:
-        return None
-    last = segments[-1]
-    for suffix in FILE_TYPE_SUFFIXES:
-        if last.lower().endswith(suffix) and len(last) > len(suffix):
-            return segments[:-1] + [last[: -len(suffix)]]
-    return None
+def _strip_file_suffix(segments: list[str]) -> list[str]:
+    if segments:
+        last = segments[-1]
+        for suffix in FILE_TYPE_SUFFIXES:
+            if last.lower().endswith(suffix) and len(last) > len(suffix):
+                return segments[:-1] + [last[: -len(suffix)]]
+    return segments
 
 
-def _drop_noise_dirs(segments: list[str]) -> list[str] | None:
-    cleaned = [seg for seg in segments if seg.lower() not in NOISE_DIRECTORIES]
-    if cleaned == segments:
-        return None
-    return cleaned
+def _drop_noise_dirs(segments: list[str]) -> list[str]:
+    return [seg for seg in segments if seg.lower() not in NOISE_DIRECTORIES]
 
 
 def generate_candidates(seed_url: str) -> list[str]:
     """Deterministic, deduplicated candidate URLs for one seed URL, in the
     order they are tried.
 
-    Stage order: origin well-known pair; the full (query/fragment-stripped)
-    path; its 3/2/1-segment truncations; the file-type-stripped variant and
-    its truncations; noise-directory-removed variants and their truncations.
-    Every base path is combined with both well-known suffixes. All
-    candidates stay on the seed's origin.
+    Stage order: the origin; then each distinct path variant in full and
+    truncated to 3/2/1 segments. The variants, in order: the
+    (query/fragment-stripped) path, its file-type-stripped form, and both
+    with noise directories removed. Every base path is combined with both
+    well-known suffixes. All candidates stay on the seed's origin.
     """
     if not is_absolute_http(seed_url):
         raise InvalidSeed(f"seed URL must be absolute http(s): {seed_url!r}")
     stripped = strip_query_fragment(seed_url)
     origin = origin_of(stripped)
     segments = _segments(urlsplit(stripped).path)
-
-    staged: list[tuple[str, ...]] = [()]
-    if segments:
-        staged.append(tuple(segments))
-    for depth in TRUNCATION_DEPTHS:
-        staged.append(tuple(segments[:depth]))
-
     unsuffixed = _strip_file_suffix(segments)
-    if unsuffixed is not None:
-        staged.append(tuple(unsuffixed))
-        for depth in TRUNCATION_DEPTHS:
-            staged.append(tuple(unsuffixed[:depth]))
-
-    for base in (segments, unsuffixed):
-        if base is None:
-            continue
-        cleaned = _drop_noise_dirs(base)
-        if cleaned is None:
-            continue
-        staged.append(tuple(cleaned))
-        for depth in TRUNCATION_DEPTHS:
-            staged.append(tuple(cleaned[:depth]))
-
-    candidates: list[str] = []
-    seen: set[str] = set()
-    for path_segments in staged:
-        prefix = origin + ("/" + "/".join(path_segments) if path_segments else "")
-        for suffix in WELL_KNOWN_SUFFIXES:
-            url = prefix + suffix
-            if url not in seen:
-                seen.add(url)
-                candidates.append(url)
-    return candidates
+    # An equal variant adds no URL; dropping it first spares its truncations.
+    variants = dict.fromkeys(map(tuple, (segments, unsuffixed, _drop_noise_dirs(segments), _drop_noise_dirs(unsuffixed))))
+    staged = [()] + [variant[:depth] for variant in variants for depth in (None, *TRUNCATION_DEPTHS)]
+    prefixes = (origin + ("/" + "/".join(path) if path else "") for path in staged)
+    return list(dict.fromkeys(prefix + suffix for prefix in prefixes for suffix in WELL_KNOWN_SUFFIXES))
 
 
 def classify_accessibility(

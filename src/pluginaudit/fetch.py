@@ -5,9 +5,9 @@ redirect rule lives in one pure function, `next_hop`. After MAX_REDIRECTS
 (5) redirects the 6th response is the result, whatever its status, with no
 error. Retries with exponential backoff apply to transport errors and 5xx
 responses only; a 5xx on the last attempt is the response. Politeness
-(minimum delay between requests to the same host) is keyed to the
-*logical* host of the original URL, so an offline run with --base-url
-rewriting still schedules like a live one.
+(one request at a time, and a minimum delay between requests, per site) is
+keyed to `politeness_key` of the *logical* host of the original URL, so an
+offline run with --base-url rewriting still schedules like a live one.
 
 `Fetcher.map_concurrent` runs a stage on at most max_concurrency plain
 worker threads, which take the next item from one shared cursor.
@@ -40,6 +40,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import SplitResult, quote, urljoin, urlsplit
+
+from .urlnorm import registrable_domain
 
 if TYPE_CHECKING:
     import ssl
@@ -420,8 +422,15 @@ def _close_pools(pools: dict[threading.Thread, OrderedDict]) -> None:
             del pools[thread]
 
 
+def politeness_key(host: str) -> str:
+    """The site whose lock and clock a request to `host` takes: its
+    registrable domain, so `a.example.com` and `b.example.com` wait for each
+    other. An IP literal is its own key."""
+    return registrable_domain(host)
+
+
 class Fetcher:
-    """Thread-safe fetch executor with per-host politeness and a global cap."""
+    """Thread-safe fetch executor with per-site politeness and a global cap."""
 
     def __init__(
         self,
@@ -495,9 +504,9 @@ class Fetcher:
     def _single_request(
         self, method: str, parts: SplitResult, headers: dict[str, str], body: bytes | None
     ) -> _Response:
-        # Per-host serial queue: the lock spans the request so one logical
-        # host never sees overlapping traffic from this process.
-        host = parts.hostname or ""
+        # Per-site serial queue: the lock spans the request so one site
+        # never sees overlapping traffic from this process.
+        host = politeness_key(parts.hostname or "")
         with self._host_lock(host):
             last = self._host_last.get(host, 0.0)
             wait = last + self.per_host_delay - time.monotonic()

@@ -45,14 +45,6 @@ class ParseError(Exception):
         self.kind = kind
         self.detail = detail
 
-    @classmethod
-    def syntax(cls, detail: str) -> "ParseError":
-        return cls("syntax", detail)
-
-    @classmethod
-    def missing_field(cls, name: str) -> "ParseError":
-        return cls("missing_field", name)
-
 
 @dataclass(frozen=True)
 class AuthSpec:
@@ -104,31 +96,31 @@ def parse_manifest(data: bytes) -> ManifestDocument:
     try:
         doc = json.loads(data.decode("utf-8", errors="replace"))
     except ValueError as exc:
-        raise ParseError.syntax(str(exc)) from exc
+        raise ParseError("syntax", str(exc)) from exc
     except RecursionError as exc:
-        raise ParseError.syntax(_TOO_DEEP) from exc
+        raise ParseError("syntax", _TOO_DEEP) from exc
     if not isinstance(doc, dict):
-        raise ParseError.syntax("manifest is not a JSON object")
+        raise ParseError("syntax", "manifest is not a JSON object")
     try:
         fingerprint = sha256(canonical_manifest_bytes(doc)).hexdigest()
     except RecursionError as exc:
-        raise ParseError.syntax(_TOO_DEEP) from exc
+        raise ParseError("syntax", _TOO_DEEP) from exc
 
     flags: list[str] = []
 
     name_for_human = _text(doc.get("name_for_human"))
     if name_for_human is None:
-        raise ParseError.missing_field("name_for_human")
+        raise ParseError("missing_field", "name_for_human")
     name_for_model = _text(doc.get("name_for_model"))
     if name_for_model is None:
-        raise ParseError.missing_field("name_for_model")
+        raise ParseError("missing_field", "name_for_model")
 
     api_raw = doc.get("api")
     if not isinstance(api_raw, dict) or not _text(api_raw.get("url")):
-        raise ParseError.missing_field("api.url")
+        raise ParseError("missing_field", "api.url")
     if not is_absolute_http(str(api_raw["url"])):
         # A relative API pointer is unusable for probing: treat as missing.
-        raise ParseError.missing_field("api.url")
+        raise ParseError("missing_field", "api.url")
 
     auth = _parse_auth(doc.get("auth"), flags)
 
@@ -199,11 +191,11 @@ def parse_openapi(data: bytes, origin: str) -> OpenApiDescription:
             try:
                 doc = yaml.safe_load(text)
             except yaml.YAMLError as exc:
-                raise ParseError.syntax(str(exc)) from exc
+                raise ParseError("syntax", str(exc)) from exc
     except RecursionError as exc:
-        raise ParseError.syntax(_TOO_DEEP) from exc
+        raise ParseError("syntax", _TOO_DEEP) from exc
     if not isinstance(doc, dict):
-        raise ParseError.syntax("OpenAPI document is not a mapping")
+        raise ParseError("syntax", "OpenAPI document is not a mapping")
 
     base = origin_of(origin) if is_absolute_http(origin) else origin.rstrip("/")
 

@@ -153,7 +153,8 @@ def categorize_corpus(
     The TF-IDF is fit over `docs`, and the seeds of each category are
     vectorized with that fit. A document goes to the category of its most
     similar seed; equal similarities go to the first category in
-    CATEGORY_PRIORITY, and a document without tokens is unspecified.
+    CATEGORY_PRIORITY. A document without tokens, or whose best similarity
+    is 0 because it shares no token with any seed, is unspecified.
     """
     vectorize = fit_tfidf([d.tokens for d in docs])
     seed_vectors = {
@@ -170,7 +171,8 @@ def categorize_corpus(
                 for name, seeds in seed_vectors.items()
             }
             best = max(sims.values())
-            category = next((c for c in CATEGORY_PRIORITY if sims.get(c, 0.0) == best), CATEGORY_UNSPECIFIED)
+            if best > 0.0:
+                category = next((c for c in CATEGORY_PRIORITY if sims.get(c, 0.0) == best), CATEGORY_UNSPECIFIED)
         assignments.append((doc.plugin_id, category))
     return assignments
 

@@ -510,6 +510,53 @@ def test_run_all_keeps_the_per_host_delay_across_discover_and_probe(tmp_path, mo
     assert min(gaps) >= 0.3
 
 
+def test_run_all_spaces_requests_to_two_hosts_of_one_site(tmp_path, monkeypatch):
+    # a.shared.example and b.shared.example are one site, so their requests
+    # share one clock, even with four workers free to send them at once.
+    from pluginaudit.fetch import Fetcher
+
+    plan = FixturePlan(profile="shared", seed=0)
+    index = tmp_path / "index.ndjson"
+    for host in ("a.shared.example", "b.shared.example"):
+        plan.sites[host] = FixtureSite(host=host)
+        with index.open("a") as handle:
+            handle.write(json.dumps({"title": host, "legal_info_url": f"https://{host}/"}) + "\n")
+    corpus = tmp_path / "corpus.json"
+    assert cli.main(["ingest", "--input", str(index), "--label", "t", "--out", str(corpus)]) == 0
+
+    exchange = Fetcher._exchange
+    spans: list[tuple[float, float]] = []
+
+    def timed(self, method, parts, headers, body):
+        start = time.monotonic()
+        try:
+            return exchange(self, method, parts, headers, body)
+        finally:
+            spans.append((start, time.monotonic()))
+
+    monkeypatch.setattr(Fetcher, "_exchange", timed)
+    server = serve_fixtures(plan, 0)
+    try:
+        rc = cli.main(
+            [
+                "run-all",
+                "--corpus", str(corpus),
+                "--out-dir", str(tmp_path / "out"),
+                "--base-url", server.base_url,
+                "--per-host-delay-ms", "300",
+                "--max-concurrency", "4",
+                "--retries", "0",
+            ]
+        )
+    finally:
+        server.stop()
+    assert rc == 0
+    assert len(spans) == 4  # the well-known pair at each origin
+    spans.sort()
+    gaps = [start - end for (_, end), (start, _) in zip(spans, spans[1:])]
+    assert min(gaps) >= 0.3
+
+
 def _modules_loaded(cwd: Path, argv: list[str] | None) -> tuple[int | None, set[str]]:
     """(exit code, sys.modules) of a fresh interpreter that imports the CLI
     and, given an argv, runs `cli.main(argv)` in `cwd`."""
@@ -713,6 +760,19 @@ def test_run_all_cached_does_not_serve_a_corpus_replaced_after_it_was_read(small
     assert cli.main(small_store + ["--cached"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "discover: cached" not in lines and "discover: done" in lines
+
+
+def test_run_all_cached_serves_a_corpus_rewritten_with_the_same_values(small_store, capsys):
+    """The discover cache key covers the corpus as decoded, not the layout of its file."""
+    corpus_path = Path(small_store[2])
+    assert cli.main(small_store) == 0
+    compact = json.dumps(json.loads(corpus_path.read_text()))
+    assert compact.encode() != corpus_path.read_bytes()
+    corpus_path.write_text(compact)
+    capsys.readouterr()
+    assert cli.main(small_store + ["--cached"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "discover: cached" in lines and "probe: cached" in lines
 
 
 def test_run_all_cached_does_not_serve_artifacts_of_other_code(small_store, monkeypatch, capsys):

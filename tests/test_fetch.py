@@ -101,6 +101,16 @@ def test_per_host_delay_spaces_requests():
         server.stop()
 
 
+def test_politeness_key_is_the_registrable_domain():
+    from pluginaudit.fetch import politeness_key
+
+    assert politeness_key("a.shared.example") == politeness_key("b.shared.example") == "shared.example"
+    assert politeness_key("api.shop.co.uk") == "shop.co.uk"
+    assert politeness_key("Shared.Example") == "shared.example"
+    for literal in ("127.0.0.1", "10.1.2.3", "::1", "localhost"):
+        assert politeness_key(literal) == literal
+
+
 def test_host_lock_is_built_once_per_host():
     fetcher = Fetcher()
     first = fetcher._host_lock("f.example")

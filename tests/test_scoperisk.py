@@ -13,6 +13,7 @@ from pluginaudit.scoperisk import (
     CATEGORY_GLOBAL_ACCESS,
     CATEGORY_IDENTITY_EMAIL,
     CATEGORY_OPENAI_PLATFORM,
+    CATEGORY_PRIORITY,
     CATEGORY_PROJECT_TASK,
     CATEGORY_READ_WRITE,
     CATEGORY_UNSPECIFIED,
@@ -192,6 +193,16 @@ def test_distribution_report_shares():
     assert table[CATEGORY_UNSPECIFIED]["share"] == "47.887"
 
 
+def test_a_scope_that_shares_no_token_with_a_seed_is_unspecified():
+    docs = [make_scope_document("d0", "custom_scope"), make_scope_document("d1", "email")]
+    assert categorize_corpus(docs) == [("d0", CATEGORY_UNSPECIFIED), ("d1", CATEGORY_IDENTITY_EMAIL)]
+
+
+def test_a_scope_without_evidence_is_unspecified_when_the_lexicon_lacks_global_access():
+    docs = [make_scope_document("d0", "mystery")]
+    assert categorize_corpus(docs, {CATEGORY_IDENTITY_EMAIL: ("email",)}) == [("d0", CATEGORY_UNSPECIFIED)]
+
+
 def test_distribution_report_boundaries():
     assert distribution_report([]) == {}
     table = distribution_report([CATEGORY_UNSPECIFIED, CATEGORY_UNSPECIFIED])
@@ -222,7 +233,9 @@ _PIN_LEXICON_WITH_UNSPECIFIED = {CATEGORY_UNSPECIFIED: ("custom", "data"), CATEG
 # SHA-256 of the JSON of all 300 assignment lists. Any change to the TF-IDF
 # arithmetic, the order of its floating-point operations or the tie-break
 # shows up here.
-PINNED_CATEGORIZATION_SHA256 = "b3203b5aff396462ebb1c3ebe4cb973bed0e0a319d8d3e73cdae51b89f735cbd"
+PINNED_CATEGORIZATION_SHA256 = "b2cd39fa861a4d1ca09a0c711bfab22457563f98d78315bf53646e93c2d2d567"
+# The same digest before a scope without evidence became unspecified.
+EARLIER_CATEGORIZATION_SHA256 = "b3203b5aff396462ebb1c3ebe4cb973bed0e0a319d8d3e73cdae51b89f735cbd"
 
 
 def _trimmed_lexicon(rng):
@@ -234,9 +247,9 @@ def _trimmed_lexicon(rng):
     }
 
 
-def test_categorization_of_300_seeded_corpora_is_pinned():
+def _pinned_corpora():
+    """The 300 (docs, lexicon) pairs of the pinned categorization."""
     rng = random.Random(35)
-    assignments = []
     for n in range(300):
         docs = [
             make_scope_document(
@@ -251,8 +264,47 @@ def test_categorization_of_300_seeded_corpora_is_pinned():
             lexicon = _PIN_LEXICON_WITH_UNSPECIFIED
         else:
             lexicon = _trimmed_lexicon(rng)
-        assignments.append(categorize_corpus(docs, lexicon))
+        yield docs, lexicon
+
+
+def test_categorization_of_300_seeded_corpora_is_pinned():
+    assignments = [categorize_corpus(docs, lexicon) for docs, lexicon in _pinned_corpora()]
     assert hashlib.sha256(json.dumps(assignments).encode()).hexdigest() == PINNED_CATEGORIZATION_SHA256
+
+
+def test_only_scopes_without_evidence_left_the_earlier_pinned_categories():
+    """Against the nearest-seed rule that the earlier digest pinned, which put
+    a best similarity of 0 in the first category of CATEGORY_PRIORITY, only
+    documents with best similarity 0 are categorized differently, and each
+    of them is now unspecified."""
+    earlier, changed = [], 0
+    for docs, lexicon in _pinned_corpora():
+        vectorize = fit_tfidf([d.tokens for d in docs])
+        seeds = {
+            category: [vectorize(tokenize_scope(seed)) for seed in category_seeds]
+            for category, category_seeds in (lexicon or DEFAULT_SEED_LEXICON).items()
+        }
+        rows = []
+        for doc, (plugin_id, category) in zip(docs, categorize_corpus(docs, lexicon)):
+            assert plugin_id == doc.plugin_id
+            if not doc.tokens:
+                assert category == CATEGORY_UNSPECIFIED
+                rows.append((plugin_id, category))
+                continue
+            vector = vectorize(doc.tokens)
+            sims = {
+                name: max((cosine_similarity(vector, seed) for seed in vectors), default=0.0)
+                for name, vectors in seeds.items()
+            }
+            best = max(sims.values())
+            nearest = next((c for c in CATEGORY_PRIORITY if sims.get(c, 0.0) == best), CATEGORY_UNSPECIFIED)
+            if nearest != category:
+                assert best == 0.0 and category == CATEGORY_UNSPECIFIED
+                changed += 1
+            rows.append((plugin_id, nearest))
+        earlier.append(rows)
+    assert hashlib.sha256(json.dumps(earlier).encode()).hexdigest() == EARLIER_CATEGORIZATION_SHA256
+    assert changed == 320
 
 
 _scope_pieces = st.one_of(st.text(max_size=20), st.sampled_from(["http://", "https://", "+", ",", "/", " ", "[", ":"]))
